@@ -1,121 +1,19 @@
 """Polyharmonic spline interpolation and random-node nonsingularity experiments."""
 
-from ._linalg import MatrixDiagnostics, SingularSystemError, diagnostics, lu_sign_logabs
-from .domains import (
-    Ball,
-    Box,
-    ConstructionError,
-    CustomDensity,
-    Density,
-    Domain,
-    PointSet,
-    SamplingError,
-    TruncatedGaussian,
-    Uniform,
-    cross_distance_matrix,
-    duplicate_pair,
-    make_rng,
-    mix_seed,
-    pairwise_distance_matrix,
-    read_points_csv,
-    sample,
-    sphere_counterexample,
-    unit_box,
-    write_points_csv,
-)
-from .interpolation import (
-    AugmentationRankError,
-    InterpMatrix,
-    InterpolationModel,
-    PolynomialTail,
-    ScaleInvarianceReport,
-    assemble,
-    cardinal_values,
-    default_query_points,
-    evaluate,
-    monomial_exponents,
-    monomial_matrix,
-    scale_invariance_check,
-    solve_augmented,
-    solve_unaugmented,
-)
-from .kernels import (
-    Kernel,
-    KernelInfo,
-    RadialPower,
-    ThinPlateSpline,
-    kernel_spec,
-    parse_kernel,
-)
-from .unisolvence import (
-    CSV_HEADER,
-    BorderedSystem,
-    GrowthReport,
-    GrowthStep,
-    SizeAggregate,
-    TrialRecord,
-    UnisolvenceReport,
-    det3_null_diag,
-    incremental_growth,
-    monte_carlo,
-)
+from . import _linalg, domains, interpolation, kernels, unisolvence
+from ._linalg import *  # noqa: F401,F403
+from .domains import *  # noqa: F401,F403
+from .interpolation import *  # noqa: F401,F403
+from .kernels import *  # noqa: F401,F403
+from .unisolvence import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "MatrixDiagnostics",
-    "SingularSystemError",
-    "diagnostics",
-    "lu_sign_logabs",
-    "Ball",
-    "Box",
-    "ConstructionError",
-    "CustomDensity",
-    "Density",
-    "Domain",
-    "PointSet",
-    "SamplingError",
-    "TruncatedGaussian",
-    "Uniform",
-    "cross_distance_matrix",
-    "duplicate_pair",
-    "make_rng",
-    "mix_seed",
-    "pairwise_distance_matrix",
-    "read_points_csv",
-    "sample",
-    "sphere_counterexample",
-    "unit_box",
-    "write_points_csv",
-    "AugmentationRankError",
-    "InterpMatrix",
-    "InterpolationModel",
-    "PolynomialTail",
-    "ScaleInvarianceReport",
-    "assemble",
-    "cardinal_values",
-    "default_query_points",
-    "evaluate",
-    "monomial_exponents",
-    "monomial_matrix",
-    "scale_invariance_check",
-    "solve_augmented",
-    "solve_unaugmented",
-    "Kernel",
-    "KernelInfo",
-    "RadialPower",
-    "ThinPlateSpline",
-    "kernel_spec",
-    "parse_kernel",
-    "BorderedSystem",
-    "CSV_HEADER",
-    "GrowthReport",
-    "GrowthStep",
-    "SizeAggregate",
-    "TrialRecord",
-    "UnisolvenceReport",
-    "det3_null_diag",
-    "incremental_growth",
-    "monte_carlo",
+    *_linalg.__all__,
+    *domains.__all__,
+    *interpolation.__all__,
+    *kernels.__all__,
+    *unisolvence.__all__,
     "__version__",
 ]

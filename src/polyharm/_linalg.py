@@ -9,14 +9,21 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from ._serialize import to_dict
+
 __all__ = [
     "MatrixDiagnostics",
     "SingularSystemError",
     "diagnostics",
     "lu_sign_logabs",
-    "lu_factorize",
-    "lu_solve_refined",
 ]
+
+
+def is_singular(det_sign: int, sigma_min: float, sigma_max: float, tau: float) -> bool:
+    """The numerical-singularity verdict: sigma_max == 0, or
+    sigma_min <= tau * sigma_max, or an exactly zero LU pivot (det_sign == 0).
+    """
+    return sigma_max == 0.0 or sigma_min <= tau * sigma_max or det_sign == 0
 
 
 @dataclass(frozen=True)
@@ -39,23 +46,11 @@ class MatrixDiagnostics:
     singular_verdict: bool
     rel_threshold: float
 
-    def to_dict(self) -> dict:
-        return {
-            "det_sign": self.det_sign,
-            "log_abs_det": self.log_abs_det,
-            "sigma_min": self.sigma_min,
-            "sigma_max": self.sigma_max,
-            "condition": self.condition,
-            "singular_verdict": self.singular_verdict,
-            "rel_threshold": self.rel_threshold,
-        }
+    to_dict = to_dict
 
     def describe(self) -> str:
-        return (
-            f"det_sign={self.det_sign}, log_abs_det={self.log_abs_det!r}, "
-            f"sigma_min={self.sigma_min!r}, sigma_max={self.sigma_max!r}, "
-            f"condition={self.condition!r}, rel_threshold={self.rel_threshold!r}"
-        )
+        return ", ".join(f"{key}={value!r}" for key, value in self.to_dict().items()
+                         if key != "singular_verdict")
 
 
 class SingularSystemError(RuntimeError):
@@ -150,13 +145,12 @@ def diagnostics(matrix, tau: float = 1e-12) -> MatrixDiagnostics:
         if not (row_alive.all() and col_alive.all()):
             sigma_min = 0.0
     condition = sigma_max / sigma_min if sigma_min > 0.0 else math.inf
-    verdict = (sigma_max == 0.0) or (sigma_min <= tau * sigma_max) or (det_sign == 0)
     return MatrixDiagnostics(
         det_sign=det_sign,
         log_abs_det=log_abs_det,
         sigma_min=sigma_min,
         sigma_max=sigma_max,
         condition=condition,
-        singular_verdict=verdict,
+        singular_verdict=is_singular(det_sign, sigma_min, sigma_max, tau),
         rel_threshold=tau,
     )

@@ -245,18 +245,16 @@ def cmd_verify(args) -> int:
                   "report-only.")
         print(banner)
 
-    config = dict(report.config)
-    config["domain_spec"] = _domain_spec(domain)
-    config["density_spec"] = _density_spec(density)
     doc = {
         "command": "verify",
         "exploratory": exploratory,
-        "config": config,
-        "aggregates": [a.to_dict() for a in report.aggregates],
-        "records": [r.to_dict() for r in report.records],
+        **report.to_dict(),
         "total_failures": report.total_failures,
         "outputs": {"report": args.out, "csv": args.csv},
     }
+    # replacing the value keeps "config" in its place in the key order
+    doc["config"] = dict(report.config, domain_spec=_domain_spec(domain),
+                         density_spec=_density_spec(density))
     if args.out:
         with open(args.out, "w") as handle:
             handle.write(report.to_json() + "\n")

@@ -25,6 +25,8 @@ from typing import Callable, Union
 import numpy as np
 from scipy.spatial import cKDTree
 
+from ._serialize import NOT_SERIALIZED, to_dict
+
 __all__ = [
     "Box",
     "Ball",
@@ -42,6 +44,7 @@ __all__ = [
     "cross_distance_matrix",
     "sample",
     "sphere_counterexample",
+    "unit_box",
     "duplicate_pair",
     "read_points_csv",
     "write_points_csv",
@@ -75,27 +78,34 @@ def mix_seed(master_seed: int, *path: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
+_CHUNK_ENTRIES = 2**16
+
+
 def cross_distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Euclidean distances between the rows of a (m, d) and b (n, d)."""
+    """Euclidean distances between the rows of a (m, d) and b (n, d).
+
+    Rows of a are taken in chunks whose (rows, n, d) difference temporary
+    holds at most _CHUNK_ENTRIES entries (and at least one row), so memory
+    beyond the (m, n) result stays bounded.
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     out = np.empty((a.shape[0], b.shape[0]))
-    for i in range(a.shape[0]):
-        diff = b - a[i]
-        out[i] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    step = max(1, _CHUNK_ENTRIES // max(b.size, 1))
+    for start in range(0, a.shape[0], step):
+        rows = slice(start, start + step)
+        diff = b[None] - a[rows, None]
+        out[rows] = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
     return out
 
 
 def pairwise_distance_matrix(points: np.ndarray) -> np.ndarray:
-    """Symmetric distance matrix; each pair is computed once and mirrored."""
-    pts = np.asarray(points, dtype=float)
-    n = pts.shape[0]
-    out = np.zeros((n, n))
-    for i in range(n - 1):
-        diff = pts[i + 1 :] - pts[i]
-        out[i, i + 1 :] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    out += out.T
-    return out
+    """Distance matrix of a point set with itself.
+
+    It is exactly symmetric with an exactly zero diagonal, because
+    fl(a - b) = -fl(b - a) and x - x = 0.
+    """
+    return cross_distance_matrix(points, points)
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,6 +114,9 @@ class Box:
 
     lower: tuple
     upper: tuple
+
+    _json_tag = ("shape", "box")
+    to_dict = to_dict
 
     def __post_init__(self) -> None:
         lo = tuple(float(v) for v in np.atleast_1d(np.asarray(self.lower, dtype=float)))
@@ -130,9 +143,6 @@ class Box:
         pts = np.asarray(points, dtype=float)
         return bool(np.all(pts >= self.lower) and np.all(pts <= self.upper))
 
-    def to_dict(self) -> dict:
-        return {"shape": "box", "lower": list(self.lower), "upper": list(self.upper)}
-
 
 @dataclass(frozen=True, eq=False)
 class Ball:
@@ -140,6 +150,9 @@ class Ball:
 
     center: tuple
     radius: float
+
+    _json_tag = ("shape", "ball")
+    to_dict = to_dict
 
     def __post_init__(self) -> None:
         c = tuple(float(v) for v in np.atleast_1d(np.asarray(self.center, dtype=float)))
@@ -176,9 +189,6 @@ class Ball:
         dist = cross_distance_matrix(pts, np.asarray(self.center)[None, :])
         return bool(np.all(dist <= self.radius))
 
-    def to_dict(self) -> dict:
-        return {"shape": "ball", "center": list(self.center), "radius": self.radius}
-
 
 Domain = Union[Box, Ball]
 
@@ -194,8 +204,8 @@ def unit_box(dimension: int) -> Box:
 class Uniform:
     """Uniform density on the sampling domain."""
 
-    def to_dict(self) -> dict:
-        return {"kind": "uniform"}
+    _json_tag = ("kind", "uniform")
+    to_dict = to_dict
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,6 +218,9 @@ class TruncatedGaussian:
 
     mean: tuple
     sd: tuple
+
+    _json_tag = ("kind", "truncated-gaussian")
+    to_dict = to_dict
 
     def __post_init__(self) -> None:
         mu = tuple(float(v) for v in np.atleast_1d(np.asarray(self.mean, dtype=float)))
@@ -228,9 +241,6 @@ class TruncatedGaussian:
         z = (pts - np.asarray(self.mean)) / np.asarray(self.sd)
         return np.exp(-0.5 * np.einsum("ij,ij->i", z, z))
 
-    def to_dict(self) -> dict:
-        return {"kind": "truncated-gaussian", "mean": list(self.mean), "sd": list(self.sd)}
-
 
 @dataclass(frozen=True, eq=False)
 class CustomDensity:
@@ -241,8 +251,11 @@ class CustomDensity:
     on every proposal batch during sampling.
     """
 
-    fn: Callable[[np.ndarray], np.ndarray]
+    fn: Callable[[np.ndarray], np.ndarray] = field(metadata=NOT_SERIALIZED)
     bound: float
+
+    _json_tag = ("kind", "custom")
+    to_dict = to_dict
 
     def __post_init__(self) -> None:
         if not (float(self.bound) > 0.0 and math.isfinite(float(self.bound))):
@@ -251,9 +264,6 @@ class CustomDensity:
 
     def value(self, points: np.ndarray) -> np.ndarray:
         return np.asarray(self.fn(np.asarray(points, dtype=float)), dtype=float)
-
-    def to_dict(self) -> dict:
-        return {"kind": "custom", "bound": self.bound}
 
 
 Density = Union[Uniform, TruncatedGaussian, CustomDensity]

@@ -1,10 +1,11 @@
 """Scattered-data interpolation with polyharmonic kernels.
 
 The interpolation matrix has entries kernel(eps * ||x_i - x_j||); it is
-exactly symmetric with an exactly zero diagonal by construction (each pair
-is evaluated once and mirrored).  Solvers are dense and direct: a pivoted
-LU factorization with one step of iterative refinement, gated by the
-numerical-singularity verdict of the diagnostics module.
+exactly symmetric with an exactly zero diagonal, because the distance
+matrix is (fl(a - b) = -fl(b - a) and x - x = 0) and the kernel vanishes
+at r = 0.  Solvers are dense and direct: a pivoted LU factorization with
+one step of iterative refinement, gated by the numerical-singularity
+verdict of the diagnostics module.
 
 Interpolants may be augmented with a polynomial tail.  The tail basis is
 the monomials of total degree <= q in graded lexicographic order, and the
@@ -27,6 +28,7 @@ from ._linalg import (
     lu_factorize,
     lu_solve_refined,
 )
+from ._serialize import to_dict
 from .domains import PointSet, cross_distance_matrix, make_rng, pairwise_distance_matrix
 from .kernels import Kernel, RadialPower, ThinPlateSpline, kernel_spec, parse_kernel
 
@@ -36,7 +38,6 @@ __all__ = [
     "InterpolationModel",
     "ScaleInvarianceReport",
     "AugmentationRankError",
-    "SingularSystemError",
     "assemble",
     "solve_unaugmented",
     "solve_augmented",
@@ -121,20 +122,14 @@ class InterpolationModel:
 def assemble(points: PointSet, kernel: Kernel, eps: float = 1.0) -> InterpMatrix:
     """Assemble the kernel matrix for a point set.
 
-    Each off-diagonal entry kernel(eps * ||x_i - x_j||) is computed once on
-    the upper triangle and mirrored; the diagonal is exactly zero.
+    Entry (i, j) is kernel(eps * ||x_i - x_j||).  The matrix is exactly
+    symmetric, because fl(a - b) = -fl(b - a), and its diagonal is exactly
+    zero, because x - x = 0 and the kernel is 0 at r = 0.
     """
     eps = float(eps)
     if not math.isfinite(eps) or eps <= 0.0:
         raise ValueError("scale parameter must be a positive finite real")
-    pts = points.points
-    n = points.n
-    dist = pairwise_distance_matrix(pts)
-    upper = np.triu_indices(n, k=1)
-    entries = np.zeros((n, n))
-    if upper[0].size:
-        entries[upper] = kernel.value_scaled(eps, dist[upper])
-    entries += entries.T
+    entries = kernel.value_scaled(eps, pairwise_distance_matrix(points.points))
     return InterpMatrix(entries=entries, kernel=kernel, epsilon=eps, points=points)
 
 
@@ -147,6 +142,13 @@ def _check_values(values, n: int) -> np.ndarray:
     return arr
 
 
+def _nonsingular_diagnostics(matrix: np.ndarray, tau: float, what: str) -> MatrixDiagnostics:
+    diag = diagnostics(matrix, tau)
+    if diag.singular_verdict:
+        raise SingularSystemError(f"{what} is numerically singular: {diag.describe()}", diag)
+    return diag
+
+
 def solve_unaugmented(points: PointSet, values, kernel: Kernel, eps: float = 1.0,
                       tau: float = 1e-12) -> InterpolationModel:
     """Solve the pure kernel system for interpolation coefficients.
@@ -156,11 +158,7 @@ def solve_unaugmented(points: PointSet, values, kernel: Kernel, eps: float = 1.0
     """
     matrix = assemble(points, kernel, eps)
     rhs = _check_values(values, points.n)
-    diag = diagnostics(matrix.entries, tau)
-    if diag.singular_verdict:
-        raise SingularSystemError(
-            f"interpolation matrix is numerically singular: {diag.describe()}", diag
-        )
+    diag = _nonsingular_diagnostics(matrix.entries, tau, "interpolation matrix")
     lu_piv = lu_factorize(matrix.entries)
     coeffs = lu_solve_refined(lu_piv, matrix.entries, rhs)
     return InterpolationModel(
@@ -235,11 +233,7 @@ def solve_augmented(points: PointSet, values, kernel: Kernel, eps: float = 1.0,
     saddle[:n, :n] = matrix.entries
     saddle[:n, n:] = poly
     saddle[n:, :n] = poly.T
-    diag = diagnostics(saddle, tau)
-    if diag.singular_verdict:
-        raise SingularSystemError(
-            f"augmented interpolation matrix is numerically singular: {diag.describe()}", diag
-        )
+    diag = _nonsingular_diagnostics(saddle, tau, "augmented interpolation matrix")
     full_rhs = np.concatenate([rhs, np.zeros(p)])
     lu_piv = lu_factorize(saddle)
     solution = lu_solve_refined(lu_piv, saddle, full_rhs)
@@ -277,11 +271,7 @@ def cardinal_values(points: PointSet, kernel: Kernel, eps: float, queries,
     are reproduced; no such claim is made here.
     """
     matrix = assemble(points, kernel, eps)
-    diag = diagnostics(matrix.entries, tau)
-    if diag.singular_verdict:
-        raise SingularSystemError(
-            f"interpolation matrix is numerically singular: {diag.describe()}", diag
-        )
+    _nonsingular_diagnostics(matrix.entries, tau, "interpolation matrix")
     q = np.atleast_2d(np.asarray(queries, dtype=float))
     if q.shape[1] != points.dimension:
         raise ValueError("query dimension does not match node dimension")
@@ -338,18 +328,7 @@ class ScaleInvarianceReport:
     cond_bound: Optional[float]
     passed: Optional[bool]
 
-    def to_dict(self) -> dict:
-        return {
-            "kernel": kernel_spec(self.kernel),
-            "eps_list": list(self.eps_list),
-            "degree": self.degree,
-            "max_rel_deviation": self.max_rel_deviation,
-            "conditions": list(self.conditions),
-            "cond_rel_spread": self.cond_rel_spread,
-            "asserted_bound": self.asserted_bound,
-            "cond_bound": self.cond_bound,
-            "passed": self.passed,
-        }
+    to_dict = to_dict
 
 
 def _invariance_bounds(kernel: Kernel, degree: Optional[int]) -> tuple:

@@ -30,20 +30,13 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy.linalg
 
-from ._linalg import (
-    MatrixDiagnostics,
-    SingularSystemError,
-    diagnostics,
-    lu_factorize,
-    lu_sign_logabs,
-)
+from ._linalg import SingularSystemError, diagnostics, is_singular, lu_factorize, lu_sign_logabs
+from ._serialize import to_dict
 from .domains import Density, Domain, PointSet, cross_distance_matrix, mix_seed, sample
 from .interpolation import InterpMatrix, assemble
 from .kernels import Kernel, kernel_spec
 
 __all__ = [
-    "MatrixDiagnostics",
-    "diagnostics",
     "det3_null_diag",
     "BorderedSystem",
     "TrialRecord",
@@ -174,27 +167,7 @@ class TrialRecord:
     condition: float
     min_pairwise_distance: float
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "trial": self.trial,
-            "det_sign": self.det_sign,
-            "log_abs_det": self.log_abs_det,
-            "sigma_min": self.sigma_min,
-            "sigma_max": self.sigma_max,
-            "condition": self.condition,
-            "min_pairwise_distance": self.min_pairwise_distance,
-        }
-
-
-def _is_failure(record: TrialRecord, tau: float) -> bool:
-    # same rule as MatrixDiagnostics.singular_verdict, recomputed from the
-    # stored numbers so the report is self-contained
-    return (
-        record.sigma_max == 0.0
-        or record.sigma_min <= tau * record.sigma_max
-        or record.det_sign == 0
-    )
+    to_dict = to_dict
 
 
 @dataclass(frozen=True)
@@ -207,14 +180,7 @@ class SizeAggregate:
     min_sigma_ratio: float
     max_condition: float
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "failures": self.failures,
-            "failure_rate": self.failure_rate,
-            "min_sigma_ratio": self.min_sigma_ratio,
-            "max_condition": self.max_condition,
-        }
+    to_dict = to_dict
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,19 +188,14 @@ class UnisolvenceReport:
     """Full outcome of a Monte Carlo nonsingularity run."""
 
     config: dict
-    records: tuple
     aggregates: tuple
+    records: tuple
+
+    to_dict = to_dict
 
     @property
     def total_failures(self) -> int:
         return sum(a.failures for a in self.aggregates)
-
-    def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "aggregates": [a.to_dict() for a in self.aggregates],
-            "records": [r.to_dict() for r in self.records],
-        }
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)
@@ -244,18 +205,17 @@ class UnisolvenceReport:
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(CSV_HEADER)
-        for r in self.records:
-            writer.writerow([
-                r.n,
-                r.trial,
-                r.det_sign,
-                repr(r.log_abs_det),
-                repr(r.sigma_min),
-                repr(r.sigma_max),
-                repr(r.condition),
-                repr(r.min_pairwise_distance),
-            ])
+        # CSV_HEADER names the TrialRecord fields in order; csv writes floats by repr
+        writer.writerows(r.to_dict().values() for r in self.records)
         return buffer.getvalue()
+
+
+def _run_config(kernel: Kernel, eps: float, domain: Domain, density: Density,
+                sizes: dict, seed: int, tau: float) -> dict:
+    # the echoed configuration of monte_carlo and incremental_growth
+    return {"kernel": kernel_spec(kernel), "epsilon": float(eps), "dimension": domain.dimension,
+            "domain": domain.to_dict(), "density": density.to_dict(), **sizes,
+            "seed": int(seed), "tau": float(tau)}
 
 
 def _run_trial(kernel: Kernel, domain: Domain, density: Density, n: int, trial: int,
@@ -280,15 +240,18 @@ def monte_carlo(kernel: Kernel, domain: Domain, density: Density,
                 tau: float = 1e-12, eps: float = 1.0, threads: int = 1) -> UnisolvenceReport:
     """Random-node nonsingularity experiment.
 
-    For every size n in n_list and trial index t, a point set is drawn from
-    the substream mix_seed(seed, n, t), its kernel matrix is assembled and
-    diagnosed, and the singularity verdicts are aggregated per size.  The
+    For every size n in n_list (sizes must be distinct) and trial index t,
+    a point set is drawn from the substream mix_seed(seed, n, t), its kernel
+    matrix is assembled and diagnosed, and the singularity verdicts are
+    aggregated per size.  The
     report is a pure function of the configuration; threads only sets the
     number of concurrent workers and never changes the output.
     """
     n_values = [int(n) for n in n_list]
     if not n_values or any(n < 1 for n in n_values):
         raise ValueError("n_list must contain positive sizes")
+    if len(set(n_values)) != len(n_values):
+        raise ValueError("n_list must not repeat a size")
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if threads < 1:
@@ -310,7 +273,7 @@ def monte_carlo(kernel: Kernel, domain: Domain, density: Density,
     aggregates = []
     for n in n_values:
         subset = [r for r in records if r.n == n]
-        failures = sum(_is_failure(r, tau) for r in subset)
+        failures = sum(is_singular(r.det_sign, r.sigma_min, r.sigma_max, tau) for r in subset)
         ratios = [
             0.0 if r.sigma_max == 0.0 else r.sigma_min / r.sigma_max for r in subset
         ]
@@ -322,18 +285,9 @@ def monte_carlo(kernel: Kernel, domain: Domain, density: Density,
             max_condition=float(max(r.condition for r in subset)),
         ))
 
-    config = {
-        "kernel": kernel_spec(kernel),
-        "epsilon": float(eps),
-        "dimension": domain.dimension,
-        "domain": domain.to_dict(),
-        "density": density.to_dict(),
-        "n_list": n_values,
-        "trials": int(trials),
-        "seed": int(seed),
-        "tau": tau,
-    }
-    return UnisolvenceReport(config=config, records=tuple(records), aggregates=tuple(aggregates))
+    config = _run_config(kernel, eps, domain, density,
+                         {"n_list": n_values, "trials": int(trials)}, seed, tau)
+    return UnisolvenceReport(config=config, aggregates=tuple(aggregates), records=tuple(records))
 
 
 @dataclass(frozen=True)
@@ -348,16 +302,7 @@ class GrowthStep:
     cond_base: float
     flagged: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "f_value": self.f_value,
-            "f_abs": self.f_abs,
-            "det_next": self.det_next,
-            "rel_disagreement": self.rel_disagreement,
-            "cond_base": self.cond_base,
-            "flagged": self.flagged,
-        }
+    to_dict = to_dict
 
 
 @dataclass(frozen=True, eq=False)
@@ -368,12 +313,7 @@ class GrowthReport:
     steps: tuple
     det_signs: tuple
 
-    def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "steps": [s.to_dict() for s in self.steps],
-            "det_signs": list(self.det_signs),
-        }
+    to_dict = to_dict
 
 
 def incremental_growth(kernel: Kernel, domain: Domain, density: Density,
@@ -423,14 +363,5 @@ def incremental_growth(kernel: Kernel, domain: Domain, density: Density,
         ))
         det_signs.append(sign)
 
-    config = {
-        "kernel": kernel_spec(kernel),
-        "epsilon": float(eps),
-        "dimension": domain.dimension,
-        "domain": domain.to_dict(),
-        "density": density.to_dict(),
-        "n_max": int(n_max),
-        "seed": int(seed),
-        "tau": float(tau),
-    }
+    config = _run_config(kernel, eps, domain, density, {"n_max": int(n_max)}, seed, tau)
     return GrowthReport(config=config, steps=tuple(steps), det_signs=tuple(det_signs))

@@ -33,6 +33,21 @@ def brute_distance(a, b):
     return math.sqrt(sum((float(x) - float(y)) ** 2 for x, y in zip(a, b)))
 
 
+def loop_cross_distance(a, b):
+    """Distances between the rows of a and b, one row of a at a time.
+
+    The per-entry arithmetic (difference, sum of squares over coordinates,
+    square root) is the library's, so the two must agree bitwise.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    out = np.empty((a.shape[0], b.shape[0]))
+    for i in range(a.shape[0]):
+        diff = b - a[i]
+        out[i] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    return out
+
+
 def brute_kernel_matrix(points, phi):
     """Kernel matrix built entry by entry with a scalar radial function."""
     pts = np.asarray(points, dtype=float)

@@ -329,6 +329,7 @@ def test_usage_errors_exit_1(run_cli):
     assert run_cli(["unknown-command"])[0] == 1
     assert run_cli(["interp", "--kernel", "tps:k=1"])[0] == 1
     assert run_cli(["verify", "--kernel", "nope:x=1", "--dim", "2", "--n", "4"])[0] == 1
+    assert run_cli(["verify", "--kernel", "tps:k=1", "--dim", "2", "--n", "5,5"])[0] == 1
     assert run_cli(["interp", "--kernel", "tps:k=1", "--points", "missing.csv"])[0] == 1
     assert run_cli([])[0] == 1
 

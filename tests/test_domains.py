@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import brute_distance
+from oracles import brute_distance, loop_cross_distance
 from polyharm import (
     Ball,
     Box,
@@ -16,6 +16,7 @@ from polyharm import (
     TruncatedGaussian,
     Uniform,
     cross_distance_matrix,
+    domains,
     duplicate_pair,
     make_rng,
     mix_seed,
@@ -200,6 +201,25 @@ def test_cross_and_pairwise_agree_bitwise():
     # helpers have to agree to the last bit on shared inputs
     pts = make_rng(22).random((9, 2))
     assert np.array_equal(cross_distance_matrix(pts, pts), pairwise_distance_matrix(pts))
+
+
+def test_chunked_distances_match_the_row_loop_bitwise():
+    rng = make_rng(23)
+    for d in range(1, 6):
+        for m, n in ((1, 1), (500, 300), (37, 3000)):
+            a, b = rng.random((m, d)), rng.random((n, d))
+            assert np.array_equal(cross_distance_matrix(a, b), loop_cross_distance(a, b))
+        # the 500-row case spans several chunks of rows of a
+        assert 500 > 2 * (domains._CHUNK_ENTRIES // (300 * d))
+
+
+def test_pairwise_distances_exactly_symmetric_across_chunks():
+    pts = make_rng(24).random((400, 3))
+    assert pts.shape[0] > 2 * (domains._CHUNK_ENTRIES // pts.size)
+    dist = pairwise_distance_matrix(pts)
+    assert np.array_equal(dist, dist.T)
+    assert (np.diag(dist) == 0.0).all()
+    assert np.array_equal(dist, loop_cross_distance(pts, pts))
 
 
 def test_sphere_counterexample_exact_unit_distances():

@@ -191,6 +191,8 @@ def test_monte_carlo_validation():
         monte_carlo(ThinPlateSpline(1), unit_box(2), Uniform(), [3], 0, 1)
     with pytest.raises(ValueError):
         monte_carlo(ThinPlateSpline(1), unit_box(2), Uniform(), [3], 5, 1, threads=0)
+    with pytest.raises(ValueError):
+        monte_carlo(ThinPlateSpline(1), unit_box(2), Uniform(), [1, 1], 3, 1)
 
 
 def test_records_csv_header_and_shape():
