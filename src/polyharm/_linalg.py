@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
-from ._serialize import to_dict
+from ._serialize import NOT_SERIALIZED, to_dict
 
 __all__ = [
     "MatrixDiagnostics",
@@ -36,6 +36,9 @@ class MatrixDiagnostics:
     matrix containing an exactly zero row or column reports sigma_min = 0.0
     exactly.  singular_verdict is true iff sigma_max == 0, or
     sigma_min <= rel_threshold * sigma_max, or det_sign == 0.
+
+    lu_piv is the (lu, piv) pair of that LU factorization, which every solve
+    with the matrix reuses; it takes no part in ==, hash, repr or to_dict.
     """
 
     det_sign: int
@@ -45,6 +48,8 @@ class MatrixDiagnostics:
     condition: float
     singular_verdict: bool
     rel_threshold: float
+    lu_piv: tuple | None = field(default=None, repr=False, compare=False,
+                                 metadata=NOT_SERIALIZED)
 
     to_dict = to_dict
 
@@ -80,22 +85,24 @@ def lu_factorize(matrix: np.ndarray):
         return scipy.linalg.lu_factor(matrix, check_finite=False)
 
 
-def lu_sign_logabs(matrix) -> tuple[int, float]:
-    """Determinant of a square matrix as (sign, log|det|) from pivoted LU.
-
-    An exactly zero pivot yields (0, -inf).
-    """
-    arr = _as_square(matrix)
-    lu, piv = lu_factorize(arr)
+def _sign_logabs(lu: np.ndarray, piv: np.ndarray) -> tuple[int, float]:
     diag = np.diag(lu)
     if np.any(diag == 0.0):
         return 0, -math.inf
-    swaps = int(np.sum(piv != np.arange(arr.shape[0])))
+    swaps = int(np.sum(piv != np.arange(lu.shape[0])))
     sign = -1 if swaps % 2 else 1
     if int(np.sum(diag < 0.0)) % 2:
         sign = -sign
     log_abs = float(np.sum(np.log(np.abs(diag))))
     return sign, log_abs
+
+
+def lu_sign_logabs(matrix) -> tuple[int, float]:
+    """Determinant of a square matrix as (sign, log|det|) from pivoted LU.
+
+    An exactly zero pivot yields (0, -inf).
+    """
+    return _sign_logabs(*lu_factorize(_as_square(matrix)))
 
 
 def lu_solve_refined(lu_piv, matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -133,7 +140,6 @@ def diagnostics(matrix, tau: float = 1e-12) -> MatrixDiagnostics:
     if not math.isfinite(tau) or tau <= 0.0:
         raise ValueError("relative threshold tau must be a positive finite real")
 
-    det_sign, log_abs_det = lu_sign_logabs(arr)
     svals = _singular_values(arr)
     sigma_max = float(svals[0])
     sigma_min = float(svals[-1])
@@ -145,6 +151,9 @@ def diagnostics(matrix, tau: float = 1e-12) -> MatrixDiagnostics:
         if not (row_alive.all() and col_alive.all()):
             sigma_min = 0.0
     condition = sigma_max / sigma_min if sigma_min > 0.0 else math.inf
+    # factorize after the SVD: factors alive during it would raise the peak memory
+    lu_piv = lu_factorize(arr)
+    det_sign, log_abs_det = _sign_logabs(*lu_piv)
     return MatrixDiagnostics(
         det_sign=det_sign,
         log_abs_det=log_abs_det,
@@ -153,4 +162,5 @@ def diagnostics(matrix, tau: float = 1e-12) -> MatrixDiagnostics:
         condition=condition,
         singular_verdict=is_singular(det_sign, sigma_min, sigma_max, tau),
         rel_threshold=tau,
+        lu_piv=lu_piv,
     )

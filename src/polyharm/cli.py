@@ -87,6 +87,12 @@ def _parse_floats(text: str, what: str) -> list[float]:
         raise ValueError(f"bad {what} {text!r}: expected comma-separated numbers") from None
 
 
+def _integral(value: float, what: str) -> int:
+    if not value.is_integer():  # false for 5.7, inf and nan
+        raise ValueError(f"bad {what} {value!r}: expected an integer")
+    return int(value)
+
+
 def _parse_domain(text: str | None, dim: int | None):
     if text is None:
         if dim is None:
@@ -172,6 +178,8 @@ def _is_exploratory(kernel, dimension: int) -> bool:
 # interp
 
 def cmd_interp(args) -> int:
+    if args.pred and not args.eval:
+        raise ValueError("--pred needs --eval: there are no predictions to write")
     kernel = parse_kernel(args.kernel)
     points, values = read_points_csv(args.points)
     if values is None:
@@ -233,7 +241,7 @@ def cmd_verify(args) -> int:
     kernel = parse_kernel(args.kernel)
     domain = _parse_domain(args.domain, args.dim)
     density = _parse_density(args.density, domain.dimension)
-    n_list = [int(v) for v in _parse_floats(args.n, "size list")]
+    n_list = [_integral(v, "size in --n") for v in _parse_floats(args.n, "size list")]
     seed = _resolve_seed(args.seed)
     report = monte_carlo(kernel, domain, density, n_list, args.trials, seed,
                          tau=args.tau, eps=args.eps, threads=args.threads)
@@ -432,7 +440,7 @@ def cmd_field(args) -> int:
         if len(grid) != 6:
             raise ValueError("bad --grid: expected x0,x1,y0,y1,nx,ny")
         gx0, gx1, gy0, gy1 = grid[:4]
-        nx, ny = int(grid[4]), int(grid[5])
+        nx, ny = (_integral(v, "lattice size in --grid") for v in grid[4:])
     else:
         lo = points.points.min(axis=0)
         hi = points.points.max(axis=0)

@@ -3,9 +3,9 @@
 The interpolation matrix has entries kernel(eps * ||x_i - x_j||); it is
 exactly symmetric with an exactly zero diagonal, because the distance
 matrix is (fl(a - b) = -fl(b - a) and x - x = 0) and the kernel vanishes
-at r = 0.  Solvers are dense and direct: a pivoted LU factorization with
-one step of iterative refinement, gated by the numerical-singularity
-verdict of the diagnostics module.
+at r = 0.  Solvers are dense and direct: they reuse the pivoted LU
+factorization of the matrix's diagnostics, with one step of iterative
+refinement, and are gated by the diagnostics' singularity verdict.
 
 Interpolants may be augmented with a polynomial tail.  The tail basis is
 the monomials of total degree <= q in graded lexicographic order, and the
@@ -21,13 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._linalg import (
-    MatrixDiagnostics,
-    SingularSystemError,
-    diagnostics,
-    lu_factorize,
-    lu_solve_refined,
-)
+from ._linalg import MatrixDiagnostics, SingularSystemError, diagnostics, lu_solve_refined
 from ._serialize import to_dict
 from .domains import PointSet, cross_distance_matrix, make_rng, pairwise_distance_matrix
 from .kernels import Kernel, RadialPower, ThinPlateSpline, kernel_spec, parse_kernel
@@ -142,11 +136,11 @@ def _check_values(values, n: int) -> np.ndarray:
     return arr
 
 
-def _nonsingular_diagnostics(matrix: np.ndarray, tau: float, what: str) -> MatrixDiagnostics:
+def _solve(matrix: np.ndarray, rhs: np.ndarray, tau: float, what: str):
     diag = diagnostics(matrix, tau)
     if diag.singular_verdict:
         raise SingularSystemError(f"{what} is numerically singular: {diag.describe()}", diag)
-    return diag
+    return lu_solve_refined(diag.lu_piv, matrix, rhs), diag
 
 
 def solve_unaugmented(points: PointSet, values, kernel: Kernel, eps: float = 1.0,
@@ -158,9 +152,7 @@ def solve_unaugmented(points: PointSet, values, kernel: Kernel, eps: float = 1.0
     """
     matrix = assemble(points, kernel, eps)
     rhs = _check_values(values, points.n)
-    diag = _nonsingular_diagnostics(matrix.entries, tau, "interpolation matrix")
-    lu_piv = lu_factorize(matrix.entries)
-    coeffs = lu_solve_refined(lu_piv, matrix.entries, rhs)
+    coeffs, diag = _solve(matrix.entries, rhs, tau, "interpolation matrix")
     return InterpolationModel(
         points=points,
         kernel=kernel,
@@ -233,10 +225,8 @@ def solve_augmented(points: PointSet, values, kernel: Kernel, eps: float = 1.0,
     saddle[:n, :n] = matrix.entries
     saddle[:n, n:] = poly
     saddle[n:, :n] = poly.T
-    diag = _nonsingular_diagnostics(saddle, tau, "augmented interpolation matrix")
     full_rhs = np.concatenate([rhs, np.zeros(p)])
-    lu_piv = lu_factorize(saddle)
-    solution = lu_solve_refined(lu_piv, saddle, full_rhs)
+    solution, diag = _solve(saddle, full_rhs, tau, "augmented interpolation matrix")
     return InterpolationModel(
         points=points,
         kernel=kernel,
@@ -271,14 +261,11 @@ def cardinal_values(points: PointSet, kernel: Kernel, eps: float, queries,
     are reproduced; no such claim is made here.
     """
     matrix = assemble(points, kernel, eps)
-    _nonsingular_diagnostics(matrix.entries, tau, "interpolation matrix")
     q = np.atleast_2d(np.asarray(queries, dtype=float))
     if q.shape[1] != points.dimension:
         raise ValueError("query dimension does not match node dimension")
     cross = kernel.value_scaled(eps, cross_distance_matrix(q, points.points))
-    lu_piv = lu_factorize(matrix.entries)
-    solved = lu_solve_refined(lu_piv, matrix.entries, cross.T)
-    return solved.T
+    return _solve(matrix.entries, cross.T, tau, "interpolation matrix")[0].T
 
 
 _QUERY_SEED = 901159
@@ -365,10 +352,12 @@ def scale_invariance_check(points: PointSet, values, kernel: Kernel,
     for eps in scales:
         if degree is None:
             model = solve_unaugmented(points, values, kernel, eps, tau)
+            conditions.append(model.diagnostics.condition)
         else:
             model = solve_augmented(points, values, kernel, eps, degree, tau)
+            # model.diagnostics belongs to the saddle matrix, not the kernel matrix
+            conditions.append(diagnostics(assemble(points, kernel, eps).entries, tau).condition)
         surfaces.append(evaluate(model, q))
-        conditions.append(diagnostics(assemble(points, kernel, eps).entries, tau).condition)
 
     stack = np.vstack(surfaces)
     spread = float((stack.max(axis=0) - stack.min(axis=0)).max())

@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy.linalg
 
-from ._linalg import SingularSystemError, diagnostics, is_singular, lu_factorize, lu_sign_logabs
+from ._linalg import SingularSystemError, diagnostics, is_singular, lu_sign_logabs
 from ._serialize import to_dict
 from .domains import Density, Domain, PointSet, cross_distance_matrix, mix_seed, sample
 from .interpolation import InterpMatrix, assemble
@@ -77,8 +77,8 @@ class BorderedSystem:
     column with a zero corner.  determinant(x) is its determinant:
 
     * route "schur": -det(base) * (border @ base^{-1} @ border), available
-      when the base matrix is numerically nonsingular (the base is
-      factorized once and reused);
+      when the base matrix is numerically nonsingular (it reuses the LU
+      factorization of base_diagnostics);
     * route "direct": pivoted LU of the full (n + 1) x (n + 1) matrix;
     * route "auto": Schur when available, direct otherwise.
 
@@ -89,13 +89,6 @@ class BorderedSystem:
         self.base = base
         self.tau = float(tau)
         self.base_diagnostics = diagnostics(base.entries, self.tau)
-        self._lu_piv = None
-        self._base_det = None
-        if not self.base_diagnostics.singular_verdict:
-            self._lu_piv = lu_factorize(base.entries)
-            self._base_det = self.base_diagnostics.det_sign * math.exp(
-                self.base_diagnostics.log_abs_det
-            )
 
     def border(self, point) -> np.ndarray:
         """Kernel values between one point (d,) and every node, shape (n,)."""
@@ -115,17 +108,18 @@ class BorderedSystem:
         if method not in ("auto", "schur", "direct"):
             raise ValueError("method must be 'auto', 'schur' or 'direct'")
         border = self.border(point)
+        diag = self.base_diagnostics
         if method == "auto":
-            method = "direct" if self._lu_piv is None else "schur"
+            method = "direct" if diag.singular_verdict else "schur"
         if method == "schur":
-            if self._lu_piv is None:
+            if diag.singular_verdict:
                 raise SingularSystemError(
                     "Schur route unavailable: base matrix is numerically singular: "
-                    f"{self.base_diagnostics.describe()}",
-                    self.base_diagnostics,
+                    f"{diag.describe()}",
+                    diag,
                 )
-            solved = scipy.linalg.lu_solve(self._lu_piv, border, check_finite=False)
-            return -self._base_det * float(border @ solved)
+            solved = scipy.linalg.lu_solve(diag.lu_piv, border, check_finite=False)
+            return -diag.det_sign * math.exp(diag.log_abs_det) * float(border @ solved)
         n = self.base.n
         bordered = np.zeros((n + 1, n + 1))
         bordered[:n, :n] = self.base.entries
@@ -325,32 +319,30 @@ def incremental_growth(kernel: Kernel, domain: Domain, density: Density,
     route: Schur when the base is nonsingular, direct otherwise) is compared
     with an independent pivoted factorization of the grown kernel matrix.
     Relative disagreement above 1e-6 is flagged as an ill-conditioning
-    event.  The determinant sign chain covers sizes 2 through n_max.
+    event.  The determinant sign chain covers sizes 2 through n_max.  The
+    grown system of one step is the base system of the next, so every
+    prefix is assembled and diagnosed once.
     """
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
-    all_points = sample(domain, density, int(n_max), seed)
-    pts = all_points.points
+    pts = sample(domain, density, int(n_max), seed).points
 
-    steps = []
-    det_signs = []
-    for n in range(1, int(n_max)):
-        base_points = PointSet(
+    def prefix_system(n: int) -> BorderedSystem:
+        prefix = PointSet(
             points=pts[:n],
             provenance={"kind": "deterministic",
                         "label": f"growth-prefix(seed={int(seed)}, n={n})"},
         )
-        system = BorderedSystem(assemble(base_points, kernel, eps), tau)
-        incoming = pts[n]
-        f_value = system.determinant(incoming, method="auto")
+        return BorderedSystem(assemble(prefix, kernel, eps), tau)
 
-        grown = PointSet(
-            points=pts[: n + 1],
-            provenance={"kind": "deterministic",
-                        "label": f"growth-prefix(seed={int(seed)}, n={n + 1})"},
-        )
-        sign, log_abs = lu_sign_logabs(assemble(grown, kernel, eps).entries)
-        det_next = 0.0 if sign == 0 else sign * math.exp(log_abs)
+    steps = []
+    det_signs = []
+    system = prefix_system(1)
+    for n in range(1, int(n_max)):
+        f_value = system.determinant(pts[n], method="auto")
+        grown = prefix_system(n + 1)
+        sign = grown.base_diagnostics.det_sign
+        det_next = 0.0 if sign == 0 else sign * math.exp(grown.base_diagnostics.log_abs_det)
         rel = abs(f_value - det_next) / max(abs(det_next), 1e-300)
         steps.append(GrowthStep(
             n=n,
@@ -362,6 +354,7 @@ def incremental_growth(kernel: Kernel, domain: Domain, density: Density,
             flagged=bool(rel > 1e-6),
         ))
         det_signs.append(sign)
+        system = grown
 
     config = _run_config(kernel, eps, domain, density, {"n_max": int(n_max)}, seed, tau)
     return GrowthReport(config=config, steps=tuple(steps), det_signs=tuple(det_signs))

@@ -3,12 +3,27 @@
 Everything here is deliberately naive: pure-Python Laplace expansion for
 determinants, explicit coordinate loops for distances, closed forms for
 tiny matrices.  The point is to share no code path with the functions
-under test, so agreement is evidence rather than tautology.
+under test, so agreement is evidence rather than tautology.  The last two
+references are the exception: they rebuild a loop of the library from its
+parts, assembling and factorizing every matrix afresh, so that bitwise
+agreement shows the library's reuse of matrices and factors changes nothing.
 """
 
 import math
 
 import numpy as np
+
+from polyharm import (
+    BorderedSystem,
+    GrowthReport,
+    GrowthStep,
+    PointSet,
+    assemble,
+    diagnostics,
+    lu_sign_logabs,
+    sample,
+)
+from polyharm.unisolvence import _run_config
 
 
 def cofactor_det(matrix):
@@ -85,3 +100,37 @@ def triple_determinant(a, b, c):
     Laplace expansion of [[0, a, b], [a, 0, c], [b, c, 0]] gives 2*a*b*c.
     """
     return 2.0 * a * b * c
+
+
+def fresh_growth(kernel, domain, density, n_max, seed, tau=1e-12, eps=1.0):
+    """incremental_growth with a fresh base system and grown matrix per step.
+
+    Every prefix is assembled twice, once as step n's grown matrix and once
+    as step n + 1's base, and the grown matrix gets its own LU.
+    """
+    pts = sample(domain, density, int(n_max), seed).points
+
+    def prefix(n):
+        return PointSet(points=pts[:n], provenance={
+            "kind": "deterministic", "label": f"growth-prefix(seed={int(seed)}, n={n})"})
+
+    steps, det_signs = [], []
+    for n in range(1, int(n_max)):
+        system = BorderedSystem(assemble(prefix(n), kernel, eps), tau)
+        f_value = system.determinant(pts[n], method="auto")
+        sign, log_abs = lu_sign_logabs(assemble(prefix(n + 1), kernel, eps).entries)
+        det_next = 0.0 if sign == 0 else sign * math.exp(log_abs)
+        rel = abs(f_value - det_next) / max(abs(det_next), 1e-300)
+        steps.append(GrowthStep(n=n, f_value=float(f_value), f_abs=abs(float(f_value)),
+                                det_next=float(det_next), rel_disagreement=float(rel),
+                                cond_base=system.base_diagnostics.condition,
+                                flagged=bool(rel > 1e-6)))
+        det_signs.append(sign)
+    config = _run_config(kernel, eps, domain, density, {"n_max": int(n_max)}, seed, tau)
+    return GrowthReport(config=config, steps=tuple(steps), det_signs=tuple(det_signs))
+
+
+def fresh_kernel_conditions(points, kernel, eps_list, tau=1e-12):
+    """Kernel-matrix condition numbers, assembled and diagnosed afresh per scale."""
+    return tuple(diagnostics(assemble(points, kernel, eps).entries, tau).condition
+                 for eps in eps_list)

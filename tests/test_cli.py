@@ -323,14 +323,39 @@ def test_field_rejects_bad_grid_and_dimension(run_cli, tmp_path):
         "field", "--kernel", "tps:k=1", "--points", str(line), "--out", str(out_csv),
     ])
     assert code == 1 and "planar" in err
+    for sizes in ("inf,3", "3.9,2.5", "3,nan"):
+        code, _, err = run_cli([
+            "field", "--kernel", "tps:k=1", "--n", "4", "--seed", "1",
+            f"--grid=0,1,0,1,{sizes}", "--out", str(out_csv),
+        ])
+        assert code == 1 and "--grid" in err
 
 
-def test_usage_errors_exit_1(run_cli):
+def test_integer_fields_accept_integral_floats(run_cli, tmp_path):
+    code, out, _ = run_cli([
+        "verify", "--kernel", "tps:k=1", "--dim", "2", "--n", "3.0,1e1", "--trials", "1",
+    ])
+    assert code == 0 and json.loads(out)["config"]["n_list"] == [3, 10]
+    code, out, _ = run_cli([
+        "field", "--kernel", "tps:k=1", "--n", "4", "--grid=0,1,0,1,3e0,2.0",
+        "--out", str(tmp_path / "field.csv"),
+    ])
+    assert code == 0 and json.loads(out)["config"]["grid"][4:] == [3, 2]
+
+
+def test_usage_errors_exit_1(run_cli, tmp_path):
     assert run_cli(["unknown-command"])[0] == 1
     assert run_cli(["interp", "--kernel", "tps:k=1"])[0] == 1
     assert run_cli(["verify", "--kernel", "nope:x=1", "--dim", "2", "--n", "4"])[0] == 1
     assert run_cli(["verify", "--kernel", "tps:k=1", "--dim", "2", "--n", "5,5"])[0] == 1
+    assert run_cli(["verify", "--kernel", "tps:k=1", "--dim", "2", "--n", "5.7,20"])[0] == 1
+    assert run_cli(["verify", "--kernel", "tps:k=1", "--dim", "2", "--n", "inf"])[0] == 1
     assert run_cli(["interp", "--kernel", "tps:k=1", "--points", "missing.csv"])[0] == 1
+    data, pred = tmp_path / "data.csv", tmp_path / "pred.csv"
+    make_data_csv(data)
+    code, _, err = run_cli(["interp", "--kernel", "tps:k=1", "--points", str(data),
+                            "--pred", str(pred)])
+    assert code == 1 and "--eval" in err and not pred.exists()
     assert run_cli([])[0] == 1
 
 
