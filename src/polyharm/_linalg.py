@@ -61,12 +61,14 @@ class MatrixDiagnostics:
 class SingularSystemError(RuntimeError):
     """Raised when a linear system is numerically singular.
 
-    Carries the MatrixDiagnostics that triggered the verdict.
+    Carries the MatrixDiagnostics that triggered the verdict.  The
+    interpolation solvers also attach the diagnosed matrix as ``matrix``.
     """
 
     def __init__(self, message: str, diag: MatrixDiagnostics):
         super().__init__(message)
         self.diagnostics = diag
+        self.matrix = None
 
 
 def _as_square(matrix) -> np.ndarray:

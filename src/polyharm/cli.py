@@ -42,6 +42,7 @@ from .domains import (
     sphere_counterexample,
     unit_box,
     write_points_csv,
+    _csv_lines,
 )
 from .interpolation import (
     AugmentationRankError,
@@ -203,7 +204,8 @@ def cmd_interp(args) -> int:
             model = solve_augmented(points, values, kernel, args.eps, degree, args.tau)
     except SingularSystemError as exc:
         message = str(exc)
-        entries = assemble(points, kernel, args.eps).entries
+        # the leading n x n block of the diagnosed matrix is the kernel matrix
+        entries = exc.matrix[: points.n, : points.n]
         dead = [int(i) for i in np.flatnonzero(~np.any(entries != 0.0, axis=1))]
         if dead:
             message += f"; the matrix has exactly zero row(s) at node index {dead}"
@@ -466,11 +468,10 @@ def cmd_field(args) -> int:
         "out": str(args.out),
         "svg": args.svg,
     }
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")  # x-major rows
+    table = np.column_stack([gx.ravel(), gy.ravel(), field.ravel()])
     with open(args.out, "w", newline="") as handle:
-        handle.write("x,y,value\n")
-        for i, x in enumerate(xs):
-            for j, y in enumerate(ys):
-                handle.write(f"{float(x)!r},{float(y)!r},{float(field[i, j])!r}\n")
+        handle.writelines(_csv_lines(("x", "y", "value"), table, "\n"))
     if args.svg:
         svg = _field_svg(xs, ys, field, json.dumps(config))
         with open(args.svg, "w") as handle:

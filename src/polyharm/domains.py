@@ -10,8 +10,8 @@ entropy-mixing, so per-trial work can run concurrently and still produce
 bitwise-identical results in any execution order.
 
 Point sets record their provenance (random sampling parameters, a
-deterministic construction label, or a source file) and their exact minimum
-pairwise distance.
+deterministic construction label, or a source file) and report their exact
+minimum pairwise distance, computed on first read.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Union
 
@@ -269,24 +270,17 @@ class CustomDensity:
 Density = Union[Uniform, TruncatedGaussian, CustomDensity]
 
 
-def _min_pairwise_distance(points: np.ndarray) -> float:
-    if points.shape[0] < 2:
-        return math.inf
-    dist, _ = cKDTree(points).query(points, k=2)
-    return float(dist[:, 1].min())
-
-
 @dataclass(frozen=True, eq=False)
 class PointSet:
     """An ordered set of points in R**d with provenance.
 
     min_pairwise_distance is the exact minimum over all pairs (0 when
-    duplicates exist, +inf for a single point).
+    duplicates exist, +inf for a single point).  It is not a constructor
+    argument: it is computed from the points on first read and cached.
     """
 
     points: np.ndarray
     provenance: dict
-    min_pairwise_distance: float = field(default=None)
 
     def __post_init__(self) -> None:
         pts = np.ascontiguousarray(np.asarray(self.points, dtype=float))
@@ -295,8 +289,13 @@ class PointSet:
         if not np.isfinite(pts).all():
             raise ValueError("point coordinates must be finite")
         object.__setattr__(self, "points", pts)
-        if self.min_pairwise_distance is None:
-            object.__setattr__(self, "min_pairwise_distance", _min_pairwise_distance(pts))
+
+    @cached_property
+    def min_pairwise_distance(self) -> float:
+        if self.n < 2:
+            return math.inf
+        dist, _ = cKDTree(self.points).query(self.points, k=2)
+        return float(dist[:, 1].min())
 
     @property
     def n(self) -> int:
@@ -467,31 +466,31 @@ def duplicate_pair(dimension: int, base_seed: int) -> PointSet:
     )
 
 
+def _csv_lines(header, table: np.ndarray, newline: str):
+    # repr floats round-trip exactly and need no quoting; one row's text at a time
+    yield ",".join(header) + newline
+    for row in table:
+        yield ",".join(map(repr, row.tolist())) + newline
+
+
 def write_points_csv(path, points, values=None) -> None:
     """Write points (and an optional value column) as CSV.
 
     The header is x1,...,xd optionally followed by value; floats are written
-    in full round-trip precision.
+    in full round-trip precision, and lines end in CRLF.
     """
-    pts = points.points if isinstance(points, PointSet) else np.asarray(points, dtype=float)
-    if pts.ndim != 2:
+    table = points.points if isinstance(points, PointSet) else np.asarray(points, dtype=float)
+    if table.ndim != 2:
         raise ValueError("points must form a 2-d array")
-    d = pts.shape[1]
-    header = [f"x{i + 1}" for i in range(d)]
-    vals = None
+    header = [f"x{i + 1}" for i in range(table.shape[1])]
     if values is not None:
         vals = np.asarray(values, dtype=float)
-        if vals.shape != (pts.shape[0],):
+        if vals.shape != (table.shape[0],):
             raise ValueError("values must supply one number per point")
         header.append("value")
+        table = np.column_stack([table, vals])
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for i in range(pts.shape[0]):
-            row = [repr(float(v)) for v in pts[i]]
-            if vals is not None:
-                row.append(repr(float(vals[i])))
-            writer.writerow(row)
+        handle.writelines(_csv_lines(header, table, "\r\n"))
 
 
 def read_points_csv(path) -> tuple[PointSet, np.ndarray | None]:

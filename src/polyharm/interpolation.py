@@ -24,7 +24,7 @@ import numpy as np
 from ._linalg import MatrixDiagnostics, SingularSystemError, diagnostics, lu_solve_refined
 from ._serialize import to_dict
 from .domains import PointSet, cross_distance_matrix, make_rng, pairwise_distance_matrix
-from .kernels import Kernel, RadialPower, ThinPlateSpline, kernel_spec, parse_kernel
+from .kernels import Kernel, RadialPower, ThinPlateSpline, _check_scale, kernel_spec, parse_kernel
 
 __all__ = [
     "InterpMatrix",
@@ -82,34 +82,27 @@ class InterpolationModel:
     diagnostics: Optional[MatrixDiagnostics] = None
 
     def to_dict(self) -> dict:
-        doc = {
+        return {
             "kernel": kernel_spec(self.kernel),
             "epsilon": self.epsilon,
-            "points": [[float(v) for v in row] for row in self.points.points],
+            "points": self.points.points.tolist(),
             "coefficients": [float(v) for v in self.coefficients],
-            "tail": None,
-        }
-        if self.tail is not None:
-            doc["tail"] = {
+            "tail": None if self.tail is None else {
                 "degree": self.tail.degree,
                 "coeffs": [float(v) for v in self.tail.coefficients],
-            }
-        return doc
+            },
+        }
 
     @classmethod
     def from_dict(cls, doc: dict) -> "InterpolationModel":
-        tail = None
-        if doc.get("tail") is not None:
-            tail = PolynomialTail(
-                degree=int(doc["tail"]["degree"]),
-                coefficients=np.asarray(doc["tail"]["coeffs"], dtype=float),
-            )
+        tail = doc.get("tail")
         return cls(
             points=PointSet.from_array(np.asarray(doc["points"], dtype=float), label="model-json"),
             kernel=parse_kernel(doc["kernel"]),
             epsilon=float(doc["epsilon"]),
             coefficients=np.asarray(doc["coefficients"], dtype=float),
-            tail=tail,
+            tail=None if tail is None else PolynomialTail(
+                degree=int(tail["degree"]), coefficients=np.asarray(tail["coeffs"], dtype=float)),
         )
 
 
@@ -120,9 +113,7 @@ def assemble(points: PointSet, kernel: Kernel, eps: float = 1.0) -> InterpMatrix
     symmetric, because fl(a - b) = -fl(b - a), and its diagonal is exactly
     zero, because x - x = 0 and the kernel is 0 at r = 0.
     """
-    eps = float(eps)
-    if not math.isfinite(eps) or eps <= 0.0:
-        raise ValueError("scale parameter must be a positive finite real")
+    eps = _check_scale(eps)
     entries = kernel.value_scaled(eps, pairwise_distance_matrix(points.points))
     return InterpMatrix(entries=entries, kernel=kernel, epsilon=eps, points=points)
 
@@ -139,7 +130,9 @@ def _check_values(values, n: int) -> np.ndarray:
 def _solve(matrix: np.ndarray, rhs: np.ndarray, tau: float, what: str):
     diag = diagnostics(matrix, tau)
     if diag.singular_verdict:
-        raise SingularSystemError(f"{what} is numerically singular: {diag.describe()}", diag)
+        error = SingularSystemError(f"{what} is numerically singular: {diag.describe()}", diag)
+        error.matrix = matrix
+        raise error
     return lu_solve_refined(diag.lu_piv, matrix, rhs), diag
 
 
@@ -158,7 +151,6 @@ def solve_unaugmented(points: PointSet, values, kernel: Kernel, eps: float = 1.0
         kernel=kernel,
         epsilon=matrix.epsilon,
         coefficients=coeffs,
-        tail=None,
         diagnostics=diag,
     )
 
@@ -202,6 +194,11 @@ def solve_augmented(points: PointSet, values, kernel: Kernel, eps: float = 1.0,
     (points on a low-degree algebraic variety), and SingularSystemError when
     the saddle matrix is numerically singular.
     """
+    return _solve_augmented(points, values, kernel, eps, degree, tau)[0]
+
+
+def _solve_augmented(points: PointSet, values, kernel: Kernel, eps, degree, tau) -> tuple:
+    # solve_augmented, also returning the kernel matrix it assembled
     if degree is None:
         degree = kernel.info().cpd_order - 1
     degree = int(degree)
@@ -234,7 +231,7 @@ def solve_augmented(points: PointSet, values, kernel: Kernel, eps: float = 1.0,
         coefficients=solution[:n],
         tail=PolynomialTail(degree=degree, coefficients=solution[n:]),
         diagnostics=diag,
-    )
+    ), matrix
 
 
 def evaluate(model: InterpolationModel, queries) -> np.ndarray:
@@ -354,9 +351,9 @@ def scale_invariance_check(points: PointSet, values, kernel: Kernel,
             model = solve_unaugmented(points, values, kernel, eps, tau)
             conditions.append(model.diagnostics.condition)
         else:
-            model = solve_augmented(points, values, kernel, eps, degree, tau)
+            model, matrix = _solve_augmented(points, values, kernel, eps, degree, tau)
             # model.diagnostics belongs to the saddle matrix, not the kernel matrix
-            conditions.append(diagnostics(assemble(points, kernel, eps).entries, tau).condition)
+            conditions.append(diagnostics(matrix.entries, tau).condition)
         surfaces.append(evaluate(model, q))
 
     stack = np.vstack(surfaces)

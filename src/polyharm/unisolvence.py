@@ -130,12 +130,12 @@ class BorderedSystem:
             return 0.0
         return sign * math.exp(log_abs)
 
-    def grid(self, x_coords, y_coords, method: str = "auto") -> np.ndarray:
+    def grid(self, x_coords, y_coords) -> np.ndarray:
         """determinant() over a rectangular lattice; planar nodes only.
 
         Returns an array of shape (len(x_coords), len(y_coords)) whose
-        (i, j) entry is the determinant at (x_coords[i], y_coords[j]); each
-        entry comes from the same code path as a single-point call.
+        (i, j) entry is the determinant at (x_coords[i], y_coords[j]), from
+        the code path of a single-point call on the "auto" route.
         """
         if self.base.points.dimension != 2:
             raise ValueError("grid evaluation requires planar (d = 2) nodes")
@@ -144,7 +144,7 @@ class BorderedSystem:
         out = np.empty((xs.size, ys.size))
         for i, x in enumerate(xs):
             for j, y in enumerate(ys):
-                out[i, j] = self.determinant(np.array([x, y]), method=method)
+                out[i, j] = self.determinant(np.array([x, y]))
         return out
 
 
@@ -191,8 +191,9 @@ class UnisolvenceReport:
     def total_failures(self) -> int:
         return sum(a.failures for a in self.aggregates)
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        """The to_dict() document as JSON, indented by 2 spaces."""
+        return json.dumps(self.to_dict(), indent=2)
 
     def records_csv(self) -> str:
         """Flat per-trial records under the pinned header."""

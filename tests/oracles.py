@@ -2,13 +2,15 @@
 
 Everything here is deliberately naive: pure-Python Laplace expansion for
 determinants, explicit coordinate loops for distances, closed forms for
-tiny matrices.  The point is to share no code path with the functions
-under test, so agreement is evidence rather than tautology.  The last two
-references are the exception: they rebuild a loop of the library from its
-parts, assembling and factorizing every matrix afresh, so that bitwise
-agreement shows the library's reuse of matrices and factors changes nothing.
+tiny matrices, one row at a time for CSV text.  The point is to share no
+code path with the functions under test, so agreement is evidence rather
+than tautology.  fresh_growth and fresh_kernel_conditions are the
+exception: they rebuild a loop of the library from its parts, assembling
+and factorizing every matrix afresh, so that bitwise agreement shows the
+library's reuse of matrices and factors changes nothing.
 """
 
+import csv
 import math
 
 import numpy as np
@@ -134,3 +136,28 @@ def fresh_kernel_conditions(points, kernel, eps_list, tau=1e-12):
     """Kernel-matrix condition numbers, assembled and diagnosed afresh per scale."""
     return tuple(diagnostics(assemble(points, kernel, eps).entries, tau).condition
                  for eps in eps_list)
+
+
+def row_loop_points_csv(path, points, values=None):
+    """A points CSV written row by row through csv.writer (CRLF line ends)."""
+    pts = np.asarray(points, dtype=float)
+    header = [f"x{i + 1}" for i in range(pts.shape[1])]
+    if values is not None:
+        header.append("value")
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        for i in range(pts.shape[0]):
+            row = [repr(float(v)) for v in pts[i]]
+            if values is not None:
+                row.append(repr(float(values[i])))
+            writer.writerow(row)
+
+
+def row_loop_field_csv(path, xs, ys, field):
+    """A field CSV written one lattice point at a time, x-major, LF line ends."""
+    with open(path, "w", newline="") as handle:
+        handle.write("x,y,value\n")
+        for i, x in enumerate(xs):
+            for j, y in enumerate(ys):
+                handle.write(f"{float(x)!r},{float(y)!r},{float(field[i, j])!r}\n")

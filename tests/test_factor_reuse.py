@@ -20,7 +20,9 @@ from polyharm import (
     scale_invariance_check,
     solve_augmented,
     solve_unaugmented,
+    sphere_counterexample,
     unit_box,
+    write_points_csv,
 )
 from polyharm import _linalg
 
@@ -98,6 +100,31 @@ def test_scale_check_conditions_match_fresh_diagnostics(kernel, degree):
     report = scale_invariance_check(pts, values, kernel, scales, degree=degree)
     reference = fresh_kernel_conditions(pts, kernel, scales)
     assert [c.hex() for c in report.conditions] == [c.hex() for c in reference]
+
+
+@pytest.mark.parametrize("degree", [None, 1])
+def test_scale_check_assembles_once_per_scale(monkeypatch, degree):
+    assemble_calls = counting(monkeypatch, assemble)
+    pts = random_points(20, 2, 35)
+    scale_invariance_check(pts, np.sin(pts.points[:, 0]), ThinPlateSpline(1),
+                           (0.25, 1.0, 4.0), degree=degree)
+    assert len(assemble_calls) == 3
+
+
+@pytest.mark.parametrize("nodes, augment, dead", [
+    (sphere_counterexample(2, 5).points, [], "[0]"),
+    # two nodes at distance 1: the kernel block of the saddle matrix is all zeros
+    (np.array([[0.0, 0.0], [1.0, 0.0]]), ["--augment", "poly:0"], "[0, 1]"),
+])
+def test_interp_singular_exit_assembles_once(monkeypatch, run_cli, tmp_path, nodes, augment,
+                                             dead):
+    data = tmp_path / "nodes.csv"
+    write_points_csv(data, nodes, np.ones(len(nodes)))
+    assemble_calls = counting(monkeypatch, assemble)
+    code, _, err = run_cli(["interp", "--kernel", "tps:k=1", *augment, "--points", str(data)])
+    assert code == 2
+    assert len(assemble_calls) == 1
+    assert err.endswith(f"zero row(s) at node index {dead}\n")
 
 
 def test_diagnostics_keep_factors_out_of_equality_and_output():

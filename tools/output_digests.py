@@ -1,0 +1,259 @@
+"""Hash the output bytes of a fixed set of polyharm runs.
+
+Run it against a checkout with
+
+    PYTHONPATH=<checkout>/src python tools/output_digests.py
+
+It prints one ``name exit sha256`` line per run.  Each run executes in
+process, in its own fresh temporary directory, and names its files by
+relative paths, so the configuration that the CLI echoes is the same from
+any checkout.  The hash covers stdout, stderr and every file left in the
+directory (the inputs too), so two checkouts whose lines agree wrote the
+same bytes.  Input files are written here with NumPy and plain ``repr``
+text, not with polyharm's own writer.
+
+The runs are CLI argv lists (the four benchmark workloads at seed 1, with
+interp_eval cut to 20,000 queries to keep memory small, and the other
+subcommand paths) and library calls whose results are written as JSON or
+raw array bytes.  ``repr`` of library objects is not an output contract and
+is left out.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from polyharm import (
+    Ball,
+    CustomDensity,
+    InterpolationModel,
+    RadialPower,
+    ThinPlateSpline,
+    TruncatedGaussian,
+    Uniform,
+    cardinal_values,
+    cli,
+    evaluate,
+    incremental_growth,
+    monte_carlo,
+    read_points_csv,
+    sample,
+    scale_invariance_check,
+    unit_box,
+    write_points_csv,
+)
+
+
+def _write_csv(path: str, header: str, table) -> None:
+    text = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in np.asarray(table))
+    Path(path).write_text(header + "\n" + text)
+
+
+def _data_csv(path: str = "data.csv", n: int = 20, d: int = 2, seed: int = 11) -> None:
+    rng = np.random.default_rng(seed)
+    nodes = rng.random((n, d))
+    _write_csv(path, ",".join(f"x{i + 1}" for i in range(d)) + ",value",
+               np.column_stack([nodes, np.sin(3.0 * nodes[:, 0]) + nodes[:, -1] ** 2]))
+
+
+def _sphere_csv(path: str = "sphere.csv") -> None:
+    # sphere_counterexample(2, 5): the center and its four unit neighbours on the axes
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    _write_csv(path, "x1,x2,value", np.column_stack([pts, np.ones(5)]))
+
+
+def _unit_pair_csv(path: str = "pair.csv") -> None:
+    # two nodes at distance 1: the thin-plate kernel matrix is all zeros
+    _write_csv(path, "x1,x2,value", [[0.0, 0.0, 1.0], [1.0, 0.0, 2.0]])
+
+
+def _interp_eval_inputs(queries: int = 20_000) -> None:
+    # the interp_eval benchmark inputs at seed 1, with fewer queries
+    rng = np.random.default_rng([1, 2])
+    nodes = rng.random((200, 2))
+    values = np.sin(2.0 * np.pi * nodes[:, 0]) * np.cos(np.pi * nodes[:, 1]) + nodes[:, 0] ** 2
+    _write_csv("nodes.csv", "x1,x2,value", np.column_stack([nodes, values]))
+    _write_csv("queries.csv", "x1,x2", np.vstack([rng.random((queries, 2)), nodes]))
+
+
+def _dump(path: str, doc) -> None:
+    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# library runs: each writes its results into the working directory
+
+def _cardinal_values() -> int:
+    pts = sample(unit_box(2), Uniform(), 15, 21)
+    queries = np.random.default_rng(22).random((30, 2))
+    Path("cardinal.bin").write_bytes(cardinal_values(pts, ThinPlateSpline(1), 1.0, queries).tobytes())
+    return 0
+
+
+def _custom_density() -> int:
+    density = CustomDensity(fn=lambda p: np.exp(-np.sum((p - 0.5) ** 2, axis=1)), bound=1.0)
+    report = monte_carlo(ThinPlateSpline(1), unit_box(2), density, [6, 12], 8, 23)
+    Path("report.json").write_text(report.to_json() + "\n")
+    Path("records.csv").write_text(report.records_csv())
+    return 0
+
+
+def _growth(kernel, domain, density, n_max: int, seed: int):
+    def run() -> int:
+        _dump("growth.json", incremental_growth(kernel, domain, density, n_max, seed).to_dict())
+        return 0
+    return run
+
+
+def _scale_api(degree):
+    def run() -> int:
+        pts = sample(unit_box(2), Uniform(), 20, 33)
+        values = np.cos(pts.points[:, 1])
+        report = scale_invariance_check(pts, values, ThinPlateSpline(1), (0.25, 1.0, 4.0),
+                                        degree=degree)
+        _dump("scale.json", report.to_dict())
+        return 0
+    return run
+
+
+def _points_csv_round_trip() -> int:
+    rng = np.random.default_rng(41)
+    pts = rng.standard_normal((6, 3))
+    pts[0, 0] = -0.0
+    pts[1, 1] = 5e-324
+    pts[2, 2] = 1e300
+    pts[3, 0] = 7.0
+    values = rng.standard_normal(6)
+    values[4] = -0.0
+    write_points_csv("first.csv", pts, values)
+    read_back, read_values = read_points_csv("first.csv")
+    write_points_csv("second.csv", read_back, read_values)
+    write_points_csv("points_only.csv", read_back)
+    return 0
+
+
+def _model_reload() -> int:
+    _data_csv()
+    code = cli.main(["interp", "--kernel", "tps:k=1", "--augment", "poly",
+                     "--points", "data.csv", "--out", "model.json"])
+    model = InterpolationModel.from_dict(json.loads(Path("model.json").read_text()))
+    queries = np.random.default_rng(42).random((50, 2))
+    Path("reloaded.bin").write_bytes(evaluate(model, queries).tobytes())
+    _dump("reloaded.json", model.to_dict())
+    return code
+
+
+# ---------------------------------------------------------------------------
+# run table: name -> (input writer or None, argv list or library callable)
+
+FIELD_GRID = "--grid=-1.5,1.5,-1.5,1.5,128,128"
+
+RUNS = {
+    "cardinal_values": (None, _cardinal_values),
+    "ce_rp": (None, ["counterexample", "--dim", "3", "--n", "7", "--kernel", "rp:nu=1"]),
+    "ce_tps": (None, ["counterexample", "--dim", "2", "--n", "9"]),
+    "custom_density": (None, _custom_density),
+    "field": (None, ["field", "--kernel", "tps:k=1", "--n", "6", "--seed", "1", FIELD_GRID,
+                     "--out", "field.csv", "--svg", "field.svg"]),
+    "field_default_grid": (None, ["field", "--kernel", "tps:k=1", "--n", "8", "--seed", "2",
+                                  "--out", "field.csv"]),
+    "field_singular_base": (_sphere_csv, ["field", "--kernel", "tps:k=1", "--points",
+                                          "sphere.csv", "--grid=-2,2,-2,2,9,7",
+                                          "--out", "field.csv"]),
+    "field_svg": (None, ["field", "--kernel", "rp:nu=1.5", "--n", "10", "--seed", "3",
+                         "--grid=0,1,0,1,17,13", "--out", "field.csv", "--svg", "field.svg"]),
+    "growth_rp15_120": (None, _growth(RadialPower(1.5), unit_box(3), Uniform(), 120, 4)),
+    "growth_tps1_200": (None, _growth(ThinPlateSpline(1), unit_box(2), Uniform(), 200, 3)),
+    "growth_tps2_gauss_40": (None, _growth(
+        ThinPlateSpline(2), Ball(center=(0.0, 0.0), radius=1.0),
+        TruncatedGaussian(mean=(0.0, 0.0), sd=(0.5, 0.5)), 40, 5)),
+    "interp_aug": (_data_csv, ["interp", "--kernel", "tps:k=1", "--augment", "poly",
+                               "--points", "data.csv", "--out", "model.json"]),
+    "interp_eval": (_interp_eval_inputs, [
+        "interp", "--kernel", "tps:k=1", "--augment", "poly", "--points", "nodes.csv",
+        "--eval", "queries.csv", "--pred", "pred.csv", "--out", "model.json"]),
+    "interp_plain": (_data_csv, ["interp", "--kernel", "rp:nu=1.5", "--points", "data.csv"]),
+    "interp_plain_pred": (_data_csv, ["interp", "--kernel", "rp:nu=1.5", "--points", "data.csv",
+                                      "--eval", "data.csv", "--pred", "pred.csv"]),
+    "interp_singular": (_sphere_csv, ["interp", "--kernel", "tps:k=1", "--points", "sphere.csv"]),
+    "interp_singular_aug": (_sphere_csv, ["interp", "--kernel", "tps:k=1", "--augment", "poly",
+                                          "--points", "sphere.csv"]),
+    "interp_singular_saddle": (_unit_pair_csv, ["interp", "--kernel", "tps:k=1", "--augment",
+                                                "poly:0", "--points", "pair.csv"]),
+    "model_reload": (None, _model_reload),
+    "points_csv_round_trip": (None, _points_csv_round_trip),
+    "scale_api_deg1": (None, _scale_api(1)),
+    "scale_api_degNone": (None, _scale_api(None)),
+    "scale_rp": (None, ["scale-check", "--kernel", "rp:nu=1.5", "--eps", "0.5,1,2",
+                        "--dim", "2", "--n", "20", "--seed", "4"]),
+    "scale_tps_aug": (_data_csv, ["scale-check", "--kernel", "tps:k=1", "--augment", "poly:1",
+                                  "--eps", "0.25,1,4", "--points", "data.csv"]),
+    "scale_tps_plain": (_data_csv, ["scale-check", "--kernel", "tps:k=1", "--eps", "0.25,1,4",
+                                    "--points", "data.csv"]),
+    "scale_tps_plain_sampled": (None, ["scale-check", "--kernel", "tps:k=1", "--eps", "0.5,2",
+                                       "--dim", "2", "--n", "15", "--seed", "5"]),
+    "verify_ball": (None, ["verify", "--kernel", "tps:k=1", "--domain", "ball:0,0,1",
+                           "--n", "5,10", "--trials", "10", "--seed", "6",
+                           "--out", "report.json", "--csv", "records.csv"]),
+    "verify_exit2": (None, ["verify", "--kernel", "tps:k=1", "--dim", "2", "--n", "4",
+                            "--trials", "3", "--seed", "7", "--tau", "0.5"]),
+    "verify_gauss_t2": (None, ["verify", "--kernel", "rp:nu=1", "--dim", "2",
+                               "--density", "gauss:mu=0.5,sd=0.2", "--n", "8,16",
+                               "--trials", "12", "--seed", "8", "--threads", "2",
+                               "--csv", "records.csv"]),
+    "verify_large": (None, ["verify", "--kernel", "rp:nu=1.5", "--dim", "3",
+                            "--density", "gauss:mu=0.5,sd=0.25", "--n", "400,800",
+                            "--trials", "4", "--threads", "2", "--seed", "1",
+                            "--out", "report.json", "--csv", "records.csv"]),
+    "verify_small": (None, ["verify", "--kernel", "tps:k=1", "--dim", "2", "--n", "5,20,50,100",
+                            "--trials", "200", "--threads", "1", "--seed", "1",
+                            "--out", "report.json", "--csv", "records.csv"]),
+}
+
+
+def _digest(stdout: str, stderr: str, directory: Path) -> str:
+    sha = hashlib.sha256()
+    parts = [("<stdout>", stdout.encode()), ("<stderr>", stderr.encode())]
+    parts += [(p.name, p.read_bytes()) for p in sorted(directory.iterdir())]
+    for name, data in parts:
+        sha.update(f"{name}\0{len(data)}\0".encode())
+        sha.update(data)
+    return sha.hexdigest()
+
+
+def run(name: str) -> tuple[int, str]:
+    """Exit code and digest of one run, in a fresh temporary directory."""
+    inputs, action = RUNS[name]
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as workdir:
+        os.chdir(workdir)
+        try:
+            if inputs is not None:
+                inputs()
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(action) if isinstance(action, list) else action()
+            return code, _digest(out.getvalue(), err.getvalue(), Path(workdir))
+        finally:
+            os.chdir(home)
+
+
+def main(names=None) -> int:
+    os.environ.pop("RBF_SEED", None)  # every seeded run passes --seed
+    for name in names or sorted(RUNS):
+        code, digest = run(name)
+        print(f"{name} {code} {digest}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
