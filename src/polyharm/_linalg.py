@@ -28,13 +28,13 @@ def is_singular(det_sign: int, sigma_min: float, sigma_max: float, tau: float) -
 
 @dataclass(frozen=True)
 class MatrixDiagnostics:
-    """Numerical singularity evidence for a square matrix.
+    """Numerical singularity evidence for an exactly symmetric matrix.
 
     det_sign is -1, 0 or +1 and log_abs_det is the natural log of |det|
     (-inf when the determinant is exactly zero), both read off a pivoted LU
-    factorization.  sigma_min and sigma_max come from the SVD, except that a
-    matrix containing an exactly zero row or column reports sigma_min = 0.0
-    exactly.  singular_verdict is true iff sigma_max == 0, or
+    factorization.  sigma_min and sigma_max are the extreme |lambda| of its
+    eigenvalues, except that a matrix containing an exactly zero row reports
+    sigma_min = 0.0 exactly.  singular_verdict is true iff sigma_max == 0, or
     sigma_min <= rel_threshold * sigma_max, or det_sign == 0.
 
     lu_piv is the (lu, piv) pair of that LU factorization, which every solve
@@ -114,21 +114,29 @@ def lu_solve_refined(lu_piv, matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x + scipy.linalg.lu_solve(lu_piv, residual, check_finite=False)
 
 
-def _singular_values(arr: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.svd(arr, compute_uv=False)
-    except np.linalg.LinAlgError:
-        # rare non-convergence of the divide-and-conquer driver
-        return scipy.linalg.svd(arr, compute_uv=False, lapack_driver="gesvd")
+def _sigma_extremes(arr: np.ndarray) -> tuple[float, float, float]:
+    """(sigma_min, sigma_max, condition) of a finite exactly symmetric matrix: sigma = |lambda|."""
+    if not np.array_equal(arr, arr.T):
+        raise ValueError("expected an exactly symmetric matrix")
+    sigma = np.abs(np.linalg.eigvalsh(arr))
+    sigma_max = float(sigma.max())
+    sigma_min = float(sigma.min())
+    # an exactly zero row (and column) makes the matrix exactly rank deficient;
+    # report that structurally instead of trusting eigensolver rounding
+    if not np.any(arr != 0.0, axis=1).all():
+        sigma_min = 0.0
+    condition = sigma_max / sigma_min if sigma_min > 0.0 else math.inf
+    return sigma_min, sigma_max, condition
 
 
 def diagnostics(matrix, tau: float = 1e-12) -> MatrixDiagnostics:
-    """Compute MatrixDiagnostics for a square matrix.
+    """Compute MatrixDiagnostics for an exactly symmetric matrix.
 
     Parameters
     ----------
     matrix : array_like
-        Square matrix with finite entries.
+        Square, exactly symmetric and finite, or ValueError; an eigvalsh that
+        fails to converge raises numpy.linalg.LinAlgError, a ValueError too.
     tau : float
         Positive relative threshold; the matrix is declared numerically
         singular when sigma_min <= tau * sigma_max.
@@ -142,18 +150,8 @@ def diagnostics(matrix, tau: float = 1e-12) -> MatrixDiagnostics:
     if not math.isfinite(tau) or tau <= 0.0:
         raise ValueError("relative threshold tau must be a positive finite real")
 
-    svals = _singular_values(arr)
-    sigma_max = float(svals[0])
-    sigma_min = float(svals[-1])
-    # a matrix with an exactly zero row or column is exactly rank deficient;
-    # report that structurally instead of trusting SVD rounding
-    if sigma_min != 0.0:
-        row_alive = np.any(arr != 0.0, axis=1)
-        col_alive = np.any(arr != 0.0, axis=0)
-        if not (row_alive.all() and col_alive.all()):
-            sigma_min = 0.0
-    condition = sigma_max / sigma_min if sigma_min > 0.0 else math.inf
-    # factorize after the SVD: factors alive during it would raise the peak memory
+    sigma_min, sigma_max, condition = _sigma_extremes(arr)
+    # factorize after the eigensolve: factors alive during it would raise the peak memory
     lu_piv = lu_factorize(arr)
     det_sign, log_abs_det = _sign_logabs(*lu_piv)
     return MatrixDiagnostics(

@@ -512,14 +512,19 @@ def read_points_csv(path) -> tuple[PointSet, np.ndarray | None]:
     if d < 1 or coord_names != [f"x{i + 1}" for i in range(d)]:
         raise ValueError(f"{path}: header must be x1,...,xd with an optional trailing value column")
     width = d + 1 if has_values else d
-    data = np.empty((len(rows) - 1, width))
     for i, row in enumerate(rows[1:], start=2):
         if len(row) != width:
             raise ValueError(f"{path}: row {i} has {len(row)} fields, expected {width}")
-        try:
-            data[i - 2] = [float(cell) for cell in row]
-        except ValueError:
-            raise ValueError(f"{path}: row {i} contains a non-numeric field") from None
+    try:
+        data = np.array(rows[1:], dtype=float)
+    except ValueError:
+        # name the first offending row; NumPy parses each field as float() does
+        for i, row in enumerate(rows[1:], start=2):
+            try:
+                [float(cell) for cell in row]
+            except ValueError:
+                raise ValueError(f"{path}: row {i} contains a non-numeric field") from None
+        raise
     if data.shape[0] < 1:
         raise ValueError(f"{path}: no data rows")
     if not np.isfinite(data).all():

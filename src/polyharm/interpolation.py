@@ -21,7 +21,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._linalg import MatrixDiagnostics, SingularSystemError, diagnostics, lu_solve_refined
+from ._linalg import (MatrixDiagnostics, SingularSystemError, _sigma_extremes, diagnostics,
+                      lu_solve_refined)
 from ._serialize import to_dict
 from .domains import PointSet, cross_distance_matrix, make_rng, pairwise_distance_matrix
 from .kernels import Kernel, RadialPower, ThinPlateSpline, _check_scale, kernel_spec, parse_kernel
@@ -234,16 +235,26 @@ def _solve_augmented(points: PointSet, values, kernel: Kernel, eps, degree, tau)
     ), matrix
 
 
+# a fixed multiple of 4 keeps BLAS's row grouping and so the bits of the one-block product
+_EVAL_ROWS = 1024
+
+
 def evaluate(model: InterpolationModel, queries) -> np.ndarray:
-    """Evaluate an interpolant at query points (m, d)."""
+    """Evaluate an interpolant at query points (m, d), 1024 query rows at a time.
+
+    Memory beyond the result and a tail's (m, p) monomial matrix is a few
+    1024 x n arrays for n nodes, whatever m is.
+    """
     q = np.atleast_2d(np.asarray(queries, dtype=float))
     if q.shape[1] != model.points.dimension:
         raise ValueError(
             f"query dimension {q.shape[1]} does not match node dimension "
             f"{model.points.dimension}"
         )
-    dist = cross_distance_matrix(q, model.points.points)
-    out = model.kernel.value_scaled(model.epsilon, dist) @ model.coefficients
+    out = np.empty(q.shape[0])
+    for i in range(0, q.shape[0], _EVAL_ROWS):
+        dist = cross_distance_matrix(q[i:i + _EVAL_ROWS], model.points.points)
+        out[i:i + _EVAL_ROWS] = model.kernel.value_scaled(model.epsilon, dist) @ model.coefficients
     if model.tail is not None:
         out = out + monomial_matrix(q, model.tail.degree) @ model.tail.coefficients
     return out
@@ -353,7 +364,7 @@ def scale_invariance_check(points: PointSet, values, kernel: Kernel,
         else:
             model, matrix = _solve_augmented(points, values, kernel, eps, degree, tau)
             # model.diagnostics belongs to the saddle matrix, not the kernel matrix
-            conditions.append(diagnostics(matrix.entries, tau).condition)
+            conditions.append(_sigma_extremes(matrix.entries)[2])
         surfaces.append(evaluate(model, q))
 
     stack = np.vstack(surfaces)

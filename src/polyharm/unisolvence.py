@@ -1,7 +1,7 @@
 """Numerical experiments on the nonsingularity of random kernel matrices.
 
 The central objects are the matrix diagnostics (determinant sign and log
-magnitude from pivoted LU, extreme singular values from SVD, and a relative
+magnitude from pivoted LU, singular values as |eigenvalues|, and a relative
 singularity verdict) and the bordered system: the kernel matrix of n nodes
 extended by the kernel-value column of a free point x with a zero corner.
 Its determinant, as a function of x, evaluates at a fresh point to the

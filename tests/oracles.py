@@ -7,7 +7,9 @@ code path with the functions under test, so agreement is evidence rather
 than tautology.  fresh_growth and fresh_kernel_conditions are the
 exception: they rebuild a loop of the library from its parts, assembling
 and factorizing every matrix afresh, so that bitwise agreement shows the
-library's reuse of matrices and factors changes nothing.
+library's reuse of matrices and factors changes nothing.  whole_evaluate is
+the other: it evaluates all queries in one block, so that bitwise agreement
+shows the library's blocking of the queries changes nothing.
 """
 
 import csv
@@ -21,8 +23,10 @@ from polyharm import (
     GrowthStep,
     PointSet,
     assemble,
+    cross_distance_matrix,
     diagnostics,
     lu_sign_logabs,
+    monomial_matrix,
     sample,
 )
 from polyharm.unisolvence import _run_config
@@ -91,6 +95,12 @@ def rp_scalar(nu, r):
     return math.pow(r, nu)
 
 
+def svd_sigma_extremes(matrix):
+    """(sigma_min, sigma_max) from a general SVD, which ignores symmetry."""
+    svals = np.linalg.svd(np.asarray(matrix, dtype=float), compute_uv=False)
+    return float(svals[-1]), float(svals[0])
+
+
 def pair_determinant(phi_r):
     """det [[0, v], [v, 0]] = -v**2."""
     return -phi_r * phi_r
@@ -136,6 +146,16 @@ def fresh_kernel_conditions(points, kernel, eps_list, tau=1e-12):
     """Kernel-matrix condition numbers, assembled and diagnosed afresh per scale."""
     return tuple(diagnostics(assemble(points, kernel, eps).entries, tau).condition
                  for eps in eps_list)
+
+
+def whole_evaluate(model, queries):
+    """An interpolant at the queries from the whole (m, n) kernel matrix at once."""
+    q = np.atleast_2d(np.asarray(queries, dtype=float))
+    dist = cross_distance_matrix(q, model.points.points)
+    out = model.kernel.value_scaled(model.epsilon, dist) @ model.coefficients
+    if model.tail is not None:
+        out = out + monomial_matrix(q, model.tail.degree) @ model.tail.coefficients
+    return out
 
 
 def row_loop_points_csv(path, points, values=None):

@@ -291,6 +291,10 @@ def test_points_csv_rejects_malformed(tmp_path):
     ragged = tmp_path / "ragged.csv"
     with pytest.raises(ValueError, match="row 3"):
         read_points_csv(ragged)
+    text = tmp_path / "text3.csv"
+    text.write_text("x1,x2\n0.0,1.0\n2.0,bar\n3.0,4.0\n")
+    with pytest.raises(ValueError, match="row 3 contains a non-numeric field"):
+        read_points_csv(text)
 
 
 def test_unit_distance_construction_failure():

@@ -111,6 +111,16 @@ def test_scale_check_assembles_once_per_scale(monkeypatch, degree):
     assert len(assemble_calls) == 3
 
 
+@pytest.mark.parametrize("degree", [None, 1])
+def test_scale_check_factorizes_once_per_scale(monkeypatch, degree):
+    lu_calls = counting(monkeypatch, _linalg.lu_factorize)
+    pts = random_points(20, 2, 36)
+    scale_invariance_check(pts, np.sin(pts.points[:, 0]), ThinPlateSpline(1),
+                           (0.25, 1.0, 4.0), degree=degree)
+    # the augmented check reads the kernel matrix's condition from its spectrum alone
+    assert len(lu_calls) == 3
+
+
 @pytest.mark.parametrize("nodes, augment, dead", [
     (sphere_counterexample(2, 5).points, [], "[0]"),
     # two nodes at distance 1: the kernel block of the saddle matrix is all zeros

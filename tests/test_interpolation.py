@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import brute_kernel_matrix, tps_scalar
+from oracles import brute_kernel_matrix, tps_scalar, whole_evaluate
 from polyharm import (
     AugmentationRankError,
     InterpolationModel,
@@ -28,6 +28,7 @@ from polyharm import (
     sphere_counterexample,
     unit_box,
 )
+from polyharm.interpolation import _EVAL_ROWS
 
 
 def random_points(n, d, seed):
@@ -225,3 +226,17 @@ def test_scale_invariance_needs_two_scales():
     pts = random_points(5, 2, 66)
     with pytest.raises(ValueError):
         scale_invariance_check(pts, np.ones(5), RadialPower(1.5), (1.0,))
+
+
+# one query, exactly one block, and several blocks plus a remainder
+@pytest.mark.parametrize("m", [1, _EVAL_ROWS, 3 * _EVAL_ROWS + 128])
+@pytest.mark.parametrize("degree", [None, 1])
+def test_blocked_evaluate_matches_the_whole_matrix_bitwise(degree, m):
+    pts = random_points(200, 2, 61)
+    values = np.sin(3.0 * pts.points[:, 0]) + pts.points[:, 1] ** 2
+    if degree is None:
+        model = solve_unaugmented(pts, values, RadialPower(1.5))
+    else:
+        model = solve_augmented(pts, values, ThinPlateSpline(1), degree=degree)
+    queries = np.random.default_rng(62).random((m, 2))
+    assert evaluate(model, queries).tobytes() == whole_evaluate(model, queries).tobytes()

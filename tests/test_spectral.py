@@ -1,0 +1,53 @@
+"""The symmetric spectral pass: sigma = |eigenvalue|, checked against an SVD."""
+
+import numpy as np
+import pytest
+
+from oracles import svd_sigma_extremes
+from polyharm import (
+    ThinPlateSpline,
+    Uniform,
+    assemble,
+    diagnostics,
+    parse_kernel,
+    sample,
+    solve_augmented,
+    unit_box,
+)
+
+
+def random_points(n, d, seed):
+    return sample(unit_box(d), Uniform(), n, seed)
+
+
+def assert_sigma_near_svd(diag, matrix):
+    ref_min, ref_max = svd_sigma_extremes(matrix)
+    # the bound the benchmark's output check allows
+    bound = 1e-14 * matrix.shape[0] * ref_max
+    assert abs(diag.sigma_min - ref_min) <= bound
+    assert abs(diag.sigma_max - ref_max) <= bound
+    assert diag.condition == diag.sigma_max / diag.sigma_min
+
+
+@pytest.mark.parametrize("spec", ["tps:k=1", "tps:k=2", "rp:nu=1", "rp:nu=1.5", "rp:nu=3",
+                                  "rp:nu=5"])
+@pytest.mark.parametrize("n", [5, 20, 60])
+def test_kernel_matrix_sigma_matches_svd(spec, n):
+    matrix = assemble(random_points(n, 2, 70 + n), parse_kernel(spec)).entries
+    assert_sigma_near_svd(diagnostics(matrix), matrix)
+
+
+def test_saddle_matrix_sigma_matches_svd():
+    pts = random_points(30, 2, 71)
+    model = solve_augmented(pts, np.sin(pts.points[:, 0]), ThinPlateSpline(1), degree=1)
+    poly = np.column_stack([np.ones(pts.n), pts.points])
+    saddle = np.block([[assemble(pts, ThinPlateSpline(1)).entries, poly],
+                       [poly.T, np.zeros((3, 3))]])
+    assert_sigma_near_svd(model.diagnostics, saddle)
+
+
+def test_non_symmetric_matrix_is_rejected():
+    matrix = assemble(random_points(8, 2, 72), ThinPlateSpline(1)).entries
+    matrix[0, 1] = np.nextafter(matrix[0, 1], np.inf)
+    with pytest.raises(ValueError, match="symmetric"):
+        diagnostics(matrix)

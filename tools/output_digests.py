@@ -4,12 +4,15 @@ Run it against a checkout with
 
     PYTHONPATH=<checkout>/src python tools/output_digests.py
 
-It prints one ``name exit sha256`` line per run.  Each run executes in
+It prints one ``name exit sha256`` line per run, followed by one
+``name file sha256`` line for each of its outputs.  Each run executes in
 process, in its own fresh temporary directory, and names its files by
 relative paths, so the configuration that the CLI echoes is the same from
-any checkout.  The hash covers stdout, stderr and every file left in the
-directory (the inputs too), so two checkouts whose lines agree wrote the
-same bytes.  Input files are written here with NumPy and plain ``repr``
+any checkout.  The run's hash covers stdout, stderr and every file left in
+the directory (the inputs too), so two checkouts whose lines agree wrote
+the same bytes; the per-output lines (stdout and stderr appear as
+``<stdout>`` and ``<stderr>``) show which outputs differ when a run's hash
+does.  Input files are written here with NumPy and plain ``repr``
 text, not with polyharm's own writer.
 
 The runs are CLI argv lists (the four benchmark workloads at seed 1, with
@@ -220,18 +223,22 @@ RUNS = {
 }
 
 
-def _digest(stdout: str, stderr: str, directory: Path) -> str:
+def _digests(stdout: str, stderr: str, directory: Path) -> tuple[str, list]:
+    # the run's combined digest and a (name, digest) pair per output
     sha = hashlib.sha256()
     parts = [("<stdout>", stdout.encode()), ("<stderr>", stderr.encode())]
     parts += [(p.name, p.read_bytes()) for p in sorted(directory.iterdir())]
     for name, data in parts:
         sha.update(f"{name}\0{len(data)}\0".encode())
         sha.update(data)
-    return sha.hexdigest()
+    return sha.hexdigest(), [(name, hashlib.sha256(data).hexdigest()) for name, data in parts]
 
 
-def run(name: str) -> tuple[int, str]:
-    """Exit code and digest of one run, in a fresh temporary directory."""
+def run(name: str) -> tuple[int, str, list]:
+    """Exit code, combined digest and per-output digests of one run.
+
+    The run executes in a fresh temporary directory.
+    """
     inputs, action = RUNS[name]
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as workdir:
@@ -242,7 +249,7 @@ def run(name: str) -> tuple[int, str]:
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = cli.main(action) if isinstance(action, list) else action()
-            return code, _digest(out.getvalue(), err.getvalue(), Path(workdir))
+            return (code, *_digests(out.getvalue(), err.getvalue(), Path(workdir)))
         finally:
             os.chdir(home)
 
@@ -250,8 +257,10 @@ def run(name: str) -> tuple[int, str]:
 def main(names=None) -> int:
     os.environ.pop("RBF_SEED", None)  # every seeded run passes --seed
     for name in names or sorted(RUNS):
-        code, digest = run(name)
+        code, digest, parts = run(name)
         print(f"{name} {code} {digest}", flush=True)
+        for part, part_digest in parts:
+            print(f"{name} {part} {part_digest}", flush=True)
     return 0
 
 
