@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,14 +60,14 @@ class MatrixDiagnostics:
 class SingularSystemError(RuntimeError):
     """Raised when a linear system is numerically singular.
 
-    Carries the MatrixDiagnostics that triggered the verdict.  The
-    interpolation solvers also attach the diagnosed matrix as ``matrix``.
+    Carries the MatrixDiagnostics that triggered the verdict.  Every
+    interpolation solve's message also names the node indices of the exactly
+    zero rows of its kernel matrix, when there are any.
     """
 
     def __init__(self, message: str, diag: MatrixDiagnostics):
         super().__init__(message)
         self.diagnostics = diag
-        self.matrix = None
 
 
 def _as_square(matrix) -> np.ndarray:
@@ -81,10 +80,16 @@ def _as_square(matrix) -> np.ndarray:
 
 
 def lu_factorize(matrix: np.ndarray):
-    """Pivoted LU factorization with singular-matrix warnings silenced."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return scipy.linalg.lu_factor(matrix, check_finite=False)
+    """Pivoted LU factorization (lu, piv), piv 0-based, straight from LAPACK getrf.
+
+    An exactly zero pivot stays on lu's diagonal for _sign_logabs, with no warning
+    and no warning filter touched, so worker threads may factorize concurrently.
+    """
+    getrf, = scipy.linalg.get_lapack_funcs(("getrf",), (matrix,))
+    lu, piv, info = getrf(matrix)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK getrf")
+    return lu, piv
 
 
 def _sign_logabs(lu: np.ndarray, piv: np.ndarray) -> tuple[int, float]:

@@ -197,20 +197,10 @@ def cmd_interp(args) -> int:
         "eval": args.eval,
         "pred": args.pred,
     }
-    try:
-        if degree is None:
-            model = solve_unaugmented(points, values, kernel, args.eps, args.tau)
-        else:
-            model = solve_augmented(points, values, kernel, args.eps, degree, args.tau)
-    except SingularSystemError as exc:
-        message = str(exc)
-        # the leading n x n block of the diagnosed matrix is the kernel matrix
-        entries = exc.matrix[: points.n, : points.n]
-        dead = [int(i) for i in np.flatnonzero(~np.any(entries != 0.0, axis=1))]
-        if dead:
-            message += f"; the matrix has exactly zero row(s) at node index {dead}"
-        print(f"error: {message}", file=sys.stderr)
-        return 2
+    if degree is None:
+        model = solve_unaugmented(points, values, kernel, args.eps, args.tau)
+    else:
+        model = solve_augmented(points, values, kernel, args.eps, degree, args.tau)
 
     doc = {"command": "interp", "config": config,
            "diagnostics": model.diagnostics.to_dict()}
@@ -471,7 +461,7 @@ def cmd_field(args) -> int:
     gx, gy = np.meshgrid(xs, ys, indexing="ij")  # x-major rows
     table = np.column_stack([gx.ravel(), gy.ravel(), field.ravel()])
     with open(args.out, "w", newline="") as handle:
-        handle.writelines(_csv_lines(("x", "y", "value"), table, "\n"))
+        handle.writelines(_csv_lines(("x", "y", "value"), (row.tolist() for row in table), "\n"))
     if args.svg:
         svg = _field_svg(xs, ys, field, json.dumps(config))
         with open(args.svg, "w") as handle:

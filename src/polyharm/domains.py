@@ -466,11 +466,11 @@ def duplicate_pair(dimension: int, base_seed: int) -> PointSet:
     )
 
 
-def _csv_lines(header, table: np.ndarray, newline: str):
-    # repr floats round-trip exactly and need no quoting; one row's text at a time
+def _csv_lines(header, rows, newline: str):
+    # rows of Python numbers, whose repr round-trips exactly; one row's text at a time
     yield ",".join(header) + newline
-    for row in table:
-        yield ",".join(map(repr, row.tolist())) + newline
+    for row in rows:
+        yield ",".join(map(repr, row)) + newline
 
 
 def write_points_csv(path, points, values=None) -> None:
@@ -490,7 +490,7 @@ def write_points_csv(path, points, values=None) -> None:
         header.append("value")
         table = np.column_stack([table, vals])
     with open(path, "w", newline="") as handle:
-        handle.writelines(_csv_lines(header, table, "\r\n"))
+        handle.writelines(_csv_lines(header, (row.tolist() for row in table), "\r\n"))
 
 
 def read_points_csv(path) -> tuple[PointSet, np.ndarray | None]:

@@ -5,7 +5,9 @@ exactly symmetric with an exactly zero diagonal, because the distance
 matrix is (fl(a - b) = -fl(b - a) and x - x = 0) and the kernel vanishes
 at r = 0.  Solvers are dense and direct: they reuse the pivoted LU
 factorization of the matrix's diagnostics, with one step of iterative
-refinement, and are gated by the diagnostics' singularity verdict.
+refinement, and are gated by the diagnostics' singularity verdict.  The
+SingularSystemError of a singular verdict names the node indices of the
+kernel matrix's exactly zero rows, when there are any.
 
 Interpolants may be augmented with a polynomial tail.  The tail basis is
 the monomials of total degree <= q in graded lexicographic order, and the
@@ -128,12 +130,15 @@ def _check_values(values, n: int) -> np.ndarray:
     return arr
 
 
-def _solve(matrix: np.ndarray, rhs: np.ndarray, tau: float, what: str):
+def _solve(matrix: np.ndarray, rhs: np.ndarray, tau: float, what: str, n: int):
+    # n is the size of the leading kernel block; a singular verdict names its zero rows
     diag = diagnostics(matrix, tau)
     if diag.singular_verdict:
-        error = SingularSystemError(f"{what} is numerically singular: {diag.describe()}", diag)
-        error.matrix = matrix
-        raise error
+        message = f"{what} is numerically singular: {diag.describe()}"
+        dead = np.flatnonzero(~np.any(matrix[:n, :n] != 0.0, axis=1)).tolist()
+        if dead:
+            message += f"; the matrix has exactly zero row(s) at node index {dead}"
+        raise SingularSystemError(message, diag)
     return lu_solve_refined(diag.lu_piv, matrix, rhs), diag
 
 
@@ -144,16 +149,7 @@ def solve_unaugmented(points: PointSet, values, kernel: Kernel, eps: float = 1.0
     Raises SingularSystemError, carrying the matrix diagnostics, when the
     kernel matrix is numerically singular at relative threshold tau.
     """
-    matrix = assemble(points, kernel, eps)
-    rhs = _check_values(values, points.n)
-    coeffs, diag = _solve(matrix.entries, rhs, tau, "interpolation matrix")
-    return InterpolationModel(
-        points=points,
-        kernel=kernel,
-        epsilon=matrix.epsilon,
-        coefficients=coeffs,
-        diagnostics=diag,
-    )
+    return _fit(points, values, kernel, eps, None, tau)[0]
 
 
 def _compositions(total: int, parts: int):
@@ -195,44 +191,36 @@ def solve_augmented(points: PointSet, values, kernel: Kernel, eps: float = 1.0,
     (points on a low-degree algebraic variety), and SingularSystemError when
     the saddle matrix is numerically singular.
     """
-    return _solve_augmented(points, values, kernel, eps, degree, tau)[0]
-
-
-def _solve_augmented(points: PointSet, values, kernel: Kernel, eps, degree, tau) -> tuple:
-    # solve_augmented, also returning the kernel matrix it assembled
     if degree is None:
         degree = kernel.info().cpd_order - 1
-    degree = int(degree)
-    if degree < 0:
-        raise ValueError("tail degree must be nonnegative")
+    return _fit(points, values, kernel, eps, degree, tau)[0]
+
+
+def _fit(points: PointSet, values, kernel: Kernel, eps, degree, tau) -> tuple:
+    # the plain (degree None) or tailed solve, also returning the kernel matrix it assembled
+    if degree is not None:
+        degree = int(degree)
+        if degree < 0:
+            raise ValueError("tail degree must be nonnegative")
     matrix = assemble(points, kernel, eps)
     rhs = _check_values(values, points.n)
-    poly = monomial_matrix(points.points, degree)
-    n, p = poly.shape
-    if n < p:
-        raise AugmentationRankError(
-            f"degree {degree} tail needs at least {p} points in dimension "
-            f"{points.dimension}, got {n}"
-        )
-    if np.linalg.matrix_rank(poly) < p:
-        raise AugmentationRankError(
-            f"monomial block of degree {degree} is rank deficient; the points "
-            "lie on a low-degree algebraic variety"
-        )
-    saddle = np.zeros((n + p, n + p))
-    saddle[:n, :n] = matrix.entries
-    saddle[:n, n:] = poly
-    saddle[n:, :n] = poly.T
-    full_rhs = np.concatenate([rhs, np.zeros(p)])
-    solution, diag = _solve(saddle, full_rhs, tau, "augmented interpolation matrix")
-    return InterpolationModel(
-        points=points,
-        kernel=kernel,
-        epsilon=matrix.epsilon,
-        coefficients=solution[:n],
-        tail=PolynomialTail(degree=degree, coefficients=solution[n:]),
-        diagnostics=diag,
-    ), matrix
+    system, n, what = matrix.entries, points.n, "interpolation matrix"
+    if degree is not None:
+        poly = monomial_matrix(points.points, degree)
+        p = poly.shape[1]
+        if n < p:
+            raise AugmentationRankError(f"degree {degree} tail needs at least {p} points in "
+                                        f"dimension {points.dimension}, got {n}")
+        if np.linalg.matrix_rank(poly) < p:
+            raise AugmentationRankError(f"monomial block of degree {degree} is rank deficient; "
+                                        "the points lie on a low-degree algebraic variety")
+        system = np.block([[system, poly], [poly.T, np.zeros((p, p))]])
+        rhs = np.concatenate([rhs, np.zeros(p)])
+        what = "augmented interpolation matrix"
+    solution, diag = _solve(system, rhs, tau, what, n)
+    tail = None if degree is None else PolynomialTail(degree=degree, coefficients=solution[n:])
+    return InterpolationModel(points=points, kernel=kernel, epsilon=matrix.epsilon,
+                              coefficients=solution[:n], tail=tail, diagnostics=diag), matrix
 
 
 # a fixed multiple of 4 keeps BLAS's row grouping and so the bits of the one-block product
@@ -273,7 +261,7 @@ def cardinal_values(points: PointSet, kernel: Kernel, eps: float, queries,
     if q.shape[1] != points.dimension:
         raise ValueError("query dimension does not match node dimension")
     cross = kernel.value_scaled(eps, cross_distance_matrix(q, points.points))
-    return _solve(matrix.entries, cross.T, tau, "interpolation matrix")[0].T
+    return _solve(matrix.entries, cross.T, tau, "interpolation matrix", points.n)[0].T
 
 
 _QUERY_SEED = 901159
@@ -358,13 +346,10 @@ def scale_invariance_check(points: PointSet, values, kernel: Kernel,
     surfaces = []
     conditions = []
     for eps in scales:
-        if degree is None:
-            model = solve_unaugmented(points, values, kernel, eps, tau)
-            conditions.append(model.diagnostics.condition)
-        else:
-            model, matrix = _solve_augmented(points, values, kernel, eps, degree, tau)
-            # model.diagnostics belongs to the saddle matrix, not the kernel matrix
-            conditions.append(_sigma_extremes(matrix.entries)[2])
+        model, matrix = _fit(points, values, kernel, eps, degree, tau)
+        # with a tail, model.diagnostics belongs to the saddle matrix, not the kernel matrix
+        conditions.append(model.diagnostics.condition if degree is None
+                          else _sigma_extremes(matrix.entries)[2])
         surfaces.append(evaluate(model, q))
 
     stack = np.vstack(surfaces)

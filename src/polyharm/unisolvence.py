@@ -19,8 +19,6 @@ regardless of how many worker threads are used.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -32,7 +30,8 @@ import scipy.linalg
 
 from ._linalg import SingularSystemError, diagnostics, is_singular, lu_sign_logabs
 from ._serialize import to_dict
-from .domains import Density, Domain, PointSet, cross_distance_matrix, mix_seed, sample
+from .domains import (Density, Domain, PointSet, _csv_lines, cross_distance_matrix, mix_seed,
+                      sample)
 from .interpolation import InterpMatrix, assemble
 from .kernels import Kernel, kernel_spec
 
@@ -197,12 +196,8 @@ class UnisolvenceReport:
 
     def records_csv(self) -> str:
         """Flat per-trial records under the pinned header."""
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        # CSV_HEADER names the TrialRecord fields in order; csv writes floats by repr
-        writer.writerows(r.to_dict().values() for r in self.records)
-        return buffer.getvalue()
+        # CSV_HEADER names the TrialRecord fields in order
+        return "".join(_csv_lines(CSV_HEADER, (r.to_dict().values() for r in self.records), "\n"))
 
 
 def _run_config(kernel: Kernel, eps: float, domain: Domain, density: Density,

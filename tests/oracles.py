@@ -10,18 +10,25 @@ and factorizing every matrix afresh, so that bitwise agreement shows the
 library's reuse of matrices and factors changes nothing.  whole_evaluate is
 the other: it evaluates all queries in one block, so that bitwise agreement
 shows the library's blocking of the queries changes nothing.
+separate_solves and csv_writer_records keep earlier library bodies (two
+solve bodies, the csv module), so that bitwise agreement shows the one
+solve body and the one CSV writer change nothing.
 """
 
 import csv
+import io
 import math
 
 import numpy as np
 
 from polyharm import (
+    CSV_HEADER,
     BorderedSystem,
     GrowthReport,
     GrowthStep,
+    InterpolationModel,
     PointSet,
+    PolynomialTail,
     assemble,
     cross_distance_matrix,
     diagnostics,
@@ -29,6 +36,7 @@ from polyharm import (
     monomial_matrix,
     sample,
 )
+from polyharm._linalg import lu_solve_refined
 from polyharm.unisolvence import _run_config
 
 
@@ -156,6 +164,43 @@ def whole_evaluate(model, queries):
     if model.tail is not None:
         out = out + monomial_matrix(q, model.tail.degree) @ model.tail.coefficients
     return out
+
+
+def separate_solves(points, values, kernel, eps=1.0, degree=None, tau=1e-12):
+    """A fitted model from one of two solve bodies: plain, or tailed with degree.
+
+    The tailed body fills a zeroed saddle matrix slice by slice.  Neither
+    checks its inputs or raises on a singular verdict.
+    """
+    matrix = assemble(points, kernel, eps)
+    rhs = np.asarray(values, dtype=float)
+    if degree is None:
+        diag = diagnostics(matrix.entries, tau)
+        coeffs = lu_solve_refined(diag.lu_piv, matrix.entries, rhs)
+        return InterpolationModel(points=points, kernel=kernel, epsilon=matrix.epsilon,
+                                  coefficients=coeffs, diagnostics=diag)
+    poly = monomial_matrix(points.points, degree)
+    n, p = poly.shape
+    saddle = np.zeros((n + p, n + p))
+    saddle[:n, :n] = matrix.entries
+    saddle[:n, n:] = poly
+    saddle[n:, :n] = poly.T
+    full_rhs = np.concatenate([rhs, np.zeros(p)])
+    diag = diagnostics(saddle, tau)
+    solution = lu_solve_refined(diag.lu_piv, saddle, full_rhs)
+    return InterpolationModel(points=points, kernel=kernel, epsilon=matrix.epsilon,
+                              coefficients=solution[:n],
+                              tail=PolynomialTail(degree=degree, coefficients=solution[n:]),
+                              diagnostics=diag)
+
+
+def csv_writer_records(records):
+    """Per-trial records CSV text written through csv.writer (LF line ends)."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(CSV_HEADER)
+    writer.writerows(r.to_dict().values() for r in records)
+    return buffer.getvalue()
 
 
 def row_loop_points_csv(path, points, values=None):

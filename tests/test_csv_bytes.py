@@ -1,15 +1,20 @@
 """CSV writers produce the bytes of a row-by-row reference writer."""
 
+import math
+
 import numpy as np
 import pytest
 
-from oracles import row_loop_field_csv, row_loop_points_csv
+from oracles import csv_writer_records, row_loop_field_csv, row_loop_points_csv
 from polyharm import (
     BorderedSystem,
     PointSet,
     ThinPlateSpline,
+    TrialRecord,
     Uniform,
+    UnisolvenceReport,
     assemble,
+    monte_carlo,
     sample,
     unit_box,
     write_points_csv,
@@ -46,3 +51,16 @@ def test_field_csv_matches_the_lattice_loop(run_cli, tmp_path):
     want = tmp_path / "want.csv"
     row_loop_field_csv(want, xs, ys, field)
     assert out.read_bytes() == want.read_bytes()
+
+
+def test_records_csv_matches_the_csv_writer():
+    odd = (-math.inf, math.inf, -0.0, 5e-324, 1e300)
+    records = tuple(
+        TrialRecord(n=5, trial=i, det_sign=(-1, 0, 1)[i % 3], log_abs_det=odd[i],
+                    sigma_min=odd[(i + 1) % 5], sigma_max=odd[(i + 2) % 5],
+                    condition=odd[(i + 3) % 5], min_pairwise_distance=odd[(i + 4) % 5])
+        for i in range(len(odd)))
+    report = UnisolvenceReport(config={}, aggregates=(), records=records)
+    assert report.records_csv() == csv_writer_records(records)
+    sampled = monte_carlo(ThinPlateSpline(1), unit_box(2), Uniform(), [2, 6], 4, 3)
+    assert sampled.records_csv() == csv_writer_records(sampled.records)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -174,6 +175,14 @@ def test_monte_carlo_thread_count_does_not_change_output():
     threaded = monte_carlo(RadialPower(1.5), unit_box(2), Uniform(), threads=4, **kwargs)
     assert serial.to_json() == threaded.to_json()
     assert serial.records_csv() == threaded.records_csv()
+
+
+def test_threaded_monte_carlo_leaves_the_warning_filters_alone():
+    # filters saved and restored by overlapping threads would leak an "ignore" filter
+    before = list(warnings.filters)
+    for seed in range(10):
+        monte_carlo(ThinPlateSpline(1), unit_box(2), Uniform(), [5, 20], 100, seed, threads=2)
+        assert warnings.filters == before
 
 
 def test_monte_carlo_density_and_domain_in_config():

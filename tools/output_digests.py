@@ -39,7 +39,9 @@ from polyharm import (
     Ball,
     CustomDensity,
     InterpolationModel,
+    PointSet,
     RadialPower,
+    SingularSystemError,
     ThinPlateSpline,
     TruncatedGaussian,
     Uniform,
@@ -51,6 +53,9 @@ from polyharm import (
     read_points_csv,
     sample,
     scale_invariance_check,
+    solve_augmented,
+    solve_unaugmented,
+    sphere_counterexample,
     unit_box,
     write_points_csv,
 )
@@ -128,6 +133,24 @@ def _scale_api(degree):
     return run
 
 
+def _solve_singular_messages() -> int:
+    sphere = sphere_counterexample(2, 5)
+    pair = PointSet.from_array([[0.0, 0.0], [1.0, 0.0]])
+    calls = (
+        lambda: solve_unaugmented(sphere, np.ones(5), ThinPlateSpline(1)),
+        lambda: solve_augmented(pair, [1.0, 2.0], ThinPlateSpline(1), degree=0),
+        lambda: cardinal_values(sphere, ThinPlateSpline(1), 1.0, np.array([[0.5, 0.5]])),
+    )
+    messages = []
+    for call in calls:
+        try:
+            call()
+        except SingularSystemError as exc:
+            messages.append(str(exc))
+    _dump("messages.json", messages)
+    return 0
+
+
 def _points_csv_round_trip() -> int:
     rng = np.random.default_rng(41)
     pts = rng.standard_normal((6, 3))
@@ -198,12 +221,15 @@ RUNS = {
     "scale_api_degNone": (None, _scale_api(None)),
     "scale_rp": (None, ["scale-check", "--kernel", "rp:nu=1.5", "--eps", "0.5,1,2",
                         "--dim", "2", "--n", "20", "--seed", "4"]),
+    "scale_singular": (_sphere_csv, ["scale-check", "--kernel", "tps:k=1", "--eps", "1,2",
+                                     "--points", "sphere.csv"]),
     "scale_tps_aug": (_data_csv, ["scale-check", "--kernel", "tps:k=1", "--augment", "poly:1",
                                   "--eps", "0.25,1,4", "--points", "data.csv"]),
     "scale_tps_plain": (_data_csv, ["scale-check", "--kernel", "tps:k=1", "--eps", "0.25,1,4",
                                     "--points", "data.csv"]),
     "scale_tps_plain_sampled": (None, ["scale-check", "--kernel", "tps:k=1", "--eps", "0.5,2",
                                        "--dim", "2", "--n", "15", "--seed", "5"]),
+    "solve_singular_messages": (None, _solve_singular_messages),
     "verify_ball": (None, ["verify", "--kernel", "tps:k=1", "--domain", "ball:0,0,1",
                            "--n", "5,10", "--trials", "10", "--seed", "6",
                            "--out", "report.json", "--csv", "records.csv"]),
