@@ -364,27 +364,40 @@ _SVG_ZERO = "#111111"
 
 
 def _field_svg(xs: np.ndarray, ys: np.ndarray, values: np.ndarray, desc: str) -> str:
+    """SVG of a (len(xs), len(ys)) field: one rect per lattice cell.
+
+    A cell whose four corners change sign or touch zero is drawn in
+    _SVG_ZERO; any other takes the palette band of its corner mean on a
+    signed log scale.  Corner minima, maxima and means come from whole-array
+    operations on the four corner slices, and the rect coordinates are
+    formatted once per lattice column and row.
+    """
     size, margin = 640, 20
     plot = size - 2 * margin
     x0, x1 = float(xs[0]), float(xs[-1])
     y0, y1 = float(ys[0]), float(ys[-1])
     vmax = float(np.abs(values).max())
     floor = vmax * 1e-9 if vmax > 0.0 else 1.0
+    scale = math.log1p(vmax / floor)
 
-    def px(x):
-        return margin + (x - x0) / (x1 - x0) * plot
+    px = (margin + (xs - x0) / (x1 - x0) * plot).tolist()
+    py = (margin + (y1 - ys) / (y1 - y0) * plot).tolist()
+    left = [f"{x:.2f}" for x in px[:-1]]
+    width = [f"{b - a:.2f}" for a, b in zip(px[:-1], px[1:])]
+    top = [f"{y:.2f}" for y in py[1:]]
+    height = [f"{b - a:.2f}" for a, b in zip(py[1:], py[:-1])]
 
-    def py(y):
-        return margin + (y1 - y) / (y1 - y0) * plot
+    a, b, c, d = values[:-1, :-1], values[:-1, 1:], values[1:, :-1], values[1:, 1:]
+    low = np.minimum(np.minimum(a, b), np.minimum(c, d))
+    high = np.maximum(np.maximum(a, b), np.maximum(c, d))
+    crosses = ((low < 0.0) & (0.0 < high)) | (low == 0.0) | (high == 0.0)
+    # this order of additions has the bits of values[i:i + 2, j:j + 2].mean(); the means
+    # of cells that cross zero are never read, so their overflow must not warn either
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = (((a + b) + c) + d) / 4.0
 
-    def color(cell):
-        low, high = float(cell.min()), float(cell.max())
-        if low < 0.0 < high or low == 0.0 or high == 0.0:
-            return _SVG_ZERO
-        if vmax == 0.0:
-            return _SVG_PALETTE[4]
-        mean = float(cell.mean())
-        t = math.copysign(math.log1p(abs(mean) / floor) / math.log1p(vmax / floor), mean)
+    def color(mean):
+        t = math.copysign(math.log1p(abs(mean) / floor) / scale, mean)
         band = min(8, max(0, int((t + 1.0) / 2.0 * 9.0)))
         return _SVG_PALETTE[band]
 
@@ -393,14 +406,11 @@ def _field_svg(xs: np.ndarray, ys: np.ndarray, values: np.ndarray, desc: str) ->
         f"<desc>{escape(desc)}</desc>",
         f'<rect x="0" y="0" width="{size}" height="{size}" fill="#ffffff"/>',
     ]
-    for i in range(len(xs) - 1):
-        for j in range(len(ys) - 1):
-            cell = values[i : i + 2, j : j + 2]
-            cx, cy = px(xs[i]), py(ys[j + 1])
-            w, h = px(xs[i + 1]) - cx, py(ys[j]) - cy
+    for i, (column_means, column_crosses) in enumerate(zip(means, crosses)):
+        for j, (mean, cross) in enumerate(zip(column_means.tolist(), column_crosses.tolist())):
             parts.append(
-                f'<rect x="{cx:.2f}" y="{cy:.2f}" width="{w:.2f}" height="{h:.2f}" '
-                f'fill="{color(cell)}"/>'
+                f'<rect x="{left[i]}" y="{top[j]}" width="{width[i]}" height="{height[j]}" '
+                f'fill="{_SVG_ZERO if cross else color(mean)}"/>'
             )
     parts.append(
         f'<rect x="{margin}" y="{margin}" width="{plot}" height="{plot}" '

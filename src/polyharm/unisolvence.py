@@ -68,6 +68,15 @@ def det3_null_diag(matrix) -> float:
     return float(arr[0, 1] * arr[1, 2] * arr[2, 0] + arr[0, 2] * arr[1, 0] * arr[2, 1])
 
 
+def _exp_log_abs(log_abs: float, matrix: str) -> float:
+    """exp(log|det|) of the named matrix, or ValueError beyond double range."""
+    try:
+        return math.exp(log_abs)
+    except OverflowError:
+        raise ValueError(f"bordered determinant exceeds double range: log|det| of the "
+                         f"{matrix} matrix is {log_abs!r}") from None
+
+
 class BorderedSystem:
     """Kernel matrix of n nodes bordered by a free evaluation point.
 
@@ -88,6 +97,9 @@ class BorderedSystem:
         self.base = base
         self.tau = float(tau)
         self.base_diagnostics = diagnostics(base.entries, self.tau)
+        # the LAPACK routine scipy.linalg.lu_solve calls, looked up once, not per point
+        lu, _ = self.base_diagnostics.lu_piv
+        self._getrs, = scipy.linalg.get_lapack_funcs(("getrs",), (lu,))
 
     def border(self, point) -> np.ndarray:
         """Kernel values between one point (d,) and every node, shape (n,)."""
@@ -102,7 +114,11 @@ class BorderedSystem:
 
         At a fresh point this equals the determinant of the kernel matrix
         grown by that point; at an existing node it is zero because the
-        bordered matrix repeats a row.
+        bordered matrix repeats a row.  The Schur route solves with the base
+        LU through one LAPACK getrs call, the call (and the bits) of
+        scipy.linalg.lu_solve, on a private copy of the pivots.  ValueError
+        when the route's |det| (of the base matrix for "schur", of the
+        bordered one for "direct") exceeds double range.
         """
         if method not in ("auto", "schur", "direct"):
             raise ValueError("method must be 'auto', 'schur' or 'direct'")
@@ -117,8 +133,12 @@ class BorderedSystem:
                     f"{diag.describe()}",
                     diag,
                 )
-            solved = scipy.linalg.lu_solve(diag.lu_piv, border, check_finite=False)
-            return -diag.det_sign * math.exp(diag.log_abs_det) * float(border @ solved)
+            lu, piv = diag.lu_piv
+            # getrs makes piv 1-based in place while it runs without the GIL, so threads
+            # sharing this system pass their own copy; info is nonzero only for an
+            # illegal argument, which these shapes rule out
+            solved, _ = self._getrs(lu, piv.copy(), border)
+            return -diag.det_sign * _exp_log_abs(diag.log_abs_det, "base") * float(border @ solved)
         n = self.base.n
         bordered = np.zeros((n + 1, n + 1))
         bordered[:n, :n] = self.base.entries
@@ -127,7 +147,7 @@ class BorderedSystem:
         sign, log_abs = lu_sign_logabs(bordered)
         if sign == 0:
             return 0.0
-        return sign * math.exp(log_abs)
+        return sign * _exp_log_abs(log_abs, "bordered")
 
     def grid(self, x_coords, y_coords) -> np.ndarray:
         """determinant() over a rectangular lattice; planar nodes only.

@@ -10,16 +10,20 @@ and factorizing every matrix afresh, so that bitwise agreement shows the
 library's reuse of matrices and factors changes nothing.  whole_evaluate is
 the other: it evaluates all queries in one block, so that bitwise agreement
 shows the library's blocking of the queries changes nothing.
-separate_solves and csv_writer_records keep earlier library bodies (two
-solve bodies, the csv module), so that bitwise agreement shows the one
-solve body and the one CSV writer change nothing.
+separate_solves, csv_writer_records, cell_loop_field_svg and
+lu_solve_determinant keep earlier library bodies (two solve bodies, the csv
+module, a per-cell SVG loop, scipy.linalg.lu_solve), so that bitwise
+agreement shows the one solve body, the one CSV writer, the whole-array SVG
+and the Schur route's bound getrs change nothing.
 """
 
 import csv
 import io
 import math
+from xml.sax.saxutils import escape
 
 import numpy as np
+import scipy.linalg
 
 from polyharm import (
     CSV_HEADER,
@@ -37,6 +41,7 @@ from polyharm import (
     sample,
 )
 from polyharm._linalg import lu_solve_refined
+from polyharm.cli import _SVG_PALETTE, _SVG_ZERO
 from polyharm.unisolvence import _run_config
 
 
@@ -226,3 +231,59 @@ def row_loop_field_csv(path, xs, ys, field):
         for i, x in enumerate(xs):
             for j, y in enumerate(ys):
                 handle.write(f"{float(x)!r},{float(y)!r},{float(field[i, j])!r}\n")
+
+
+def cell_loop_field_svg(xs, ys, values, desc):
+    """A field SVG built one lattice cell at a time, NumPy reductions per cell."""
+    size, margin = 640, 20
+    plot = size - 2 * margin
+    x0, x1 = float(xs[0]), float(xs[-1])
+    y0, y1 = float(ys[0]), float(ys[-1])
+    vmax = float(np.abs(values).max())
+    floor = vmax * 1e-9 if vmax > 0.0 else 1.0
+
+    def px(x):
+        return margin + (x - x0) / (x1 - x0) * plot
+
+    def py(y):
+        return margin + (y1 - y) / (y1 - y0) * plot
+
+    def color(cell):
+        low, high = float(cell.min()), float(cell.max())
+        if low < 0.0 < high or low == 0.0 or high == 0.0:
+            return _SVG_ZERO
+        if vmax == 0.0:
+            return _SVG_PALETTE[4]
+        mean = float(cell.mean())
+        t = math.copysign(math.log1p(abs(mean) / floor) / math.log1p(vmax / floor), mean)
+        band = min(8, max(0, int((t + 1.0) / 2.0 * 9.0)))
+        return _SVG_PALETTE[band]
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {size} {size}">',
+        f"<desc>{escape(desc)}</desc>",
+        f'<rect x="0" y="0" width="{size}" height="{size}" fill="#ffffff"/>',
+    ]
+    for i in range(len(xs) - 1):
+        for j in range(len(ys) - 1):
+            cell = values[i : i + 2, j : j + 2]
+            cx, cy = px(xs[i]), py(ys[j + 1])
+            w, h = px(xs[i + 1]) - cx, py(ys[j]) - cy
+            parts.append(
+                f'<rect x="{cx:.2f}" y="{cy:.2f}" width="{w:.2f}" height="{h:.2f}" '
+                f'fill="{color(cell)}"/>'
+            )
+    parts.append(
+        f'<rect x="{margin}" y="{margin}" width="{plot}" height="{plot}" '
+        'fill="none" stroke="#333333" stroke-width="1"/>'
+    )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+def lu_solve_determinant(system, point):
+    """The Schur route of BorderedSystem.determinant through scipy.linalg.lu_solve."""
+    border = system.border(point)
+    diag = system.base_diagnostics
+    solved = scipy.linalg.lu_solve(diag.lu_piv, border, check_finite=False)
+    return -diag.det_sign * math.exp(diag.log_abs_det) * float(border @ solved)

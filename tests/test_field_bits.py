@@ -1,0 +1,194 @@
+"""The field's fast paths keep every bit: Schur determinants, SVG bytes, overflow."""
+
+import math
+import sys
+import warnings
+from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
+import pytest
+
+from oracles import cell_loop_field_svg, lu_solve_determinant
+from polyharm import (
+    BorderedSystem,
+    Box,
+    RadialPower,
+    ThinPlateSpline,
+    Uniform,
+    assemble,
+    parse_kernel,
+    sample,
+    unit_box,
+)
+from polyharm.cli import _field_svg
+
+KERNELS = ("tps:k=1", "tps:k=2", "rp:nu=1.5", "rp:nu=3")
+
+
+def schur_system(spec, n=12, seed=61):
+    system = BorderedSystem(assemble(sample(unit_box(2), Uniform(), n, seed), parse_kernel(spec)))
+    assert not system.base_diagnostics.singular_verdict
+    return system
+
+
+def probe_points(system, seed=62):
+    # random points in and around the unit box, then every node
+    off = np.random.default_rng(seed).uniform(-0.5, 1.5, (40, 2))
+    return np.vstack([off, system.base.points.points])
+
+
+@pytest.mark.parametrize("spec", KERNELS)
+def test_schur_determinant_has_the_bits_of_lu_solve(spec):
+    system = schur_system(spec)
+    points = probe_points(system)
+    expected = [lu_solve_determinant(system, p) for p in points]
+    for method in ("auto", "schur"):
+        got = [system.determinant(p, method=method) for p in points]
+        assert np.array_equal(np.array(got), np.array(expected)), (spec, method)
+    # at the nodes the value is zero up to rounding, and still the oracle's bits
+    assert max(abs(v) for v in expected[-system.base.n:]) < 1e-9 * max(abs(v) for v in expected)
+
+
+@pytest.mark.parametrize("spec", KERNELS)
+def test_schur_determinant_bits_from_threads_sharing_one_system(spec):
+    # SciPy's getrs wrapper shifts the pivots it is given in place while LAPACK runs
+    # without the GIL: threads passing one shared pivot array got garbage values
+    system = schur_system(spec, seed=63)
+    points = list(probe_points(system, seed=64)) * 20
+    expected = np.array([lu_solve_determinant(system, p) for p in points])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for threads in (1, 2, 4):
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                got = np.array(list(pool.map(system.determinant, points, timeout=60)))
+            assert np.array_equal(got, expected), (spec, threads)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def overflow_system():
+    # the field repro below: log|det| of the base matrix is 1156.2, of the bordered one 1171-1174
+    nodes = sample(Box(lower=(0.0, 0.0), upper=(1000.0, 1000.0)), Uniform(), 80, 1)
+    return BorderedSystem(assemble(nodes, RadialPower(3.0)))
+
+
+@pytest.mark.parametrize("method", ["schur", "direct"])
+def test_determinant_beyond_double_range_is_a_value_error(method):
+    system = overflow_system()
+    assert system.base_diagnostics.log_abs_det > 709.8
+    with pytest.raises(ValueError, match="exceeds double range: log\\|det\\|"):
+        system.determinant([500.0, 500.0], method=method)
+
+
+def test_field_beyond_double_range_exits_1_with_one_error_line(run_cli, tmp_path):
+    code, out, err = run_cli([
+        "field", "--kernel", "rp:nu=3", "--domain", "box:0,0,1000,1000", "--n", "80",
+        "--seed", "1", "--grid=0,1000,0,1000,3,3", "--out", str(tmp_path / "f.csv"),
+    ])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: bordered determinant exceeds double range: log|det| of the base")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def assert_svg_bytes(xs, ys, values):
+    desc = '{"command": "field", "note": "<&>"}'
+    assert _field_svg(xs, ys, values, desc) == cell_loop_field_svg(xs, ys, values, desc)
+
+
+def test_svg_bytes_on_a_non_square_lattice():
+    rng = np.random.default_rng(71)
+    xs, ys = np.linspace(-0.3, 2.1, 9), np.linspace(0.0, 1.0, 5)
+    assert_svg_bytes(xs, ys, rng.standard_normal((9, 5)))
+    assert_svg_bytes(ys, xs, rng.standard_normal((5, 9)) + 3.0)
+
+
+def test_svg_bytes_with_sign_changes_and_zero_corners():
+    rng = np.random.default_rng(72)
+    values = rng.standard_normal((17, 13))
+    values[::4, ::3] = 0.0
+    values[2::5, 1::4] = -0.0
+    assert_svg_bytes(np.linspace(0.0, 1.0, 17), np.linspace(0.0, 1.0, 13), values)
+
+
+def test_svg_bytes_on_an_all_zero_field():
+    values = np.zeros((6, 7))
+    values[1, 2] = -0.0
+    assert_svg_bytes(np.linspace(0.0, 1.0, 6), np.linspace(-1.0, 1.0, 7), values)
+
+
+def test_svg_bytes_without_warnings_where_crossing_cells_overflow():
+    # rows alternate in sign, so every cell crosses zero and its corner sum overflows
+    values = np.where(np.arange(5)[:, None] % 2 == 0, 1.5e308, -1.5e308) * np.ones((5, 4))
+    values[0, 0], values[1, 0] = math.inf, -math.inf  # inf + -inf is nan
+    xs, ys = np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        svg = _field_svg(xs, ys, values, "")
+        assert svg == cell_loop_field_svg(xs, ys, values, "")
+
+
+def test_svg_bytes_on_values_from_subnormal_to_1e300():
+    rng = np.random.default_rng(73)
+    exponents = rng.uniform(-323.3, 300.0, (33, 29))
+    signs = np.where(rng.random((33, 29)) < 0.2, -1.0, 1.0)
+    values = signs * 10.0 ** exponents
+    values[0, 0], values[-1, -1] = 5e-324, 1e300
+    assert_svg_bytes(np.linspace(0.0, 3.0, 33), np.linspace(0.0, 2.0, 29), values)
+    assert_svg_bytes(np.linspace(0.0, 3.0, 33), np.linspace(0.0, 2.0, 29), np.abs(values))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_svg_bytes_on_the_benchmark_shape(seed):
+    system = BorderedSystem(assemble(sample(unit_box(2), Uniform(), 6, seed), ThinPlateSpline(1)))
+    xs = ys = np.linspace(-1.5, 1.5, 128)
+    assert_svg_bytes(xs, ys, system.grid(xs, ys))
+
+
+def palette_band(mean, vmax):
+    # the SVG's band of a cell mean, for a field whose largest |value| is vmax > 0
+    floor = vmax * 1e-9
+    t = math.copysign(math.log1p(abs(mean) / floor) / math.log1p(vmax / floor), mean)
+    return min(8, max(0, int((t + 1.0) / 2.0 * 9.0)))
+
+
+def band_edge(band, vmax):
+    # the smallest positive double whose band is at least the given one
+    lo, hi = np.float64(vmax * 1e-30).view(np.int64), np.float64(vmax).view(np.int64)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if palette_band(float(np.int64(mid).view(np.float64)), vmax) >= band:
+            hi = mid
+        else:
+            lo = mid
+    return float(np.int64(hi).view(np.float64))
+
+
+ORDERS = (
+    lambda a, b, c, d: ((a + c) + (b + d)) / 4.0,
+    lambda a, b, c, d: ((a + b) + (c + d)) / 4.0,
+    lambda a, b, c, d: (((a + c) + b) + d) / 4.0,
+)
+
+
+def test_svg_bytes_at_palette_band_edges():
+    # corner blocks whose mean, summed in another order, rounds across a band edge:
+    # only the bits of values[i:i + 2, j:j + 2].mean() give the per-cell loop's colour
+    rng = np.random.default_rng(74)
+    rows = []
+    for band in (5, 6, 7, 8):
+        edge = band_edge(band, 1.0)
+        for other in ORDERS:
+            found = 0
+            while found < 2:
+                a, b, c = (edge * (1.0 + 0.3 * rng.standard_normal(3))).tolist()
+                d = 4.0 * edge - a - b - c + int(rng.integers(-4, 5)) * math.ulp(edge)
+                mean = float(np.array([[a, b], [c, d]]).mean())
+                if palette_band(mean, 1.0) != palette_band(other(a, b, c, d), 1.0):
+                    for sign in (1.0, -1.0):
+                        rows += [[sign * a, sign * b, sign * edge], [sign * c, sign * d, sign * edge]]
+                    found += 1
+    rows.append([1.0, 1.0, 1.0])
+    values = np.array(rows)
+    assert_svg_bytes(np.linspace(0.0, 1.0, len(rows)), np.linspace(0.0, 1.0, 3), values)

@@ -66,6 +66,17 @@ def test_negative_radius_rejected():
         ThinPlateSpline(1).value(-0.1)
     with pytest.raises(ValueError):
         RadialPower(1.5).value(np.array([0.5, -0.5]))
+    for kernel in (ThinPlateSpline(1), RadialPower(1.5)):
+        with pytest.raises(ValueError):
+            kernel.value(np.array(-0.1))  # 0-d
+        with pytest.raises(ValueError):
+            kernel.value(np.array([0.5, 0.2, -1e-300, 0.1, 2.0, 0.0]))
+        with pytest.raises(ValueError):
+            kernel.value_scaled(2.0, np.array(-0.1))
+        # -0.0 is not below zero
+        assert kernel.value(-0.0) == 0.0
+        expected = [0.0, 0.0, kernel.value(1.0)]
+        assert np.array_equal(kernel.value(np.array([-0.0, 0.0, 1.0])), expected)
 
 
 def test_value_scaled_is_value_of_scaled_radius():

@@ -195,6 +195,12 @@ RUNS = {
     "field_singular_base": (_sphere_csv, ["field", "--kernel", "tps:k=1", "--points",
                                           "sphere.csv", "--grid=-2,2,-2,2,9,7",
                                           "--out", "field.csv"]),
+    "field_overflow": (None, ["field", "--kernel", "rp:nu=3", "--domain", "box:0,0,1000,1000",
+                              "--n", "80", "--seed", "1", "--grid=0,1000,0,1000,3,3",
+                              "--out", "f.csv"]),
+    "field_singular_base_svg": (_sphere_csv, ["field", "--kernel", "tps:k=1", "--points",
+                                              "sphere.csv", "--grid=-2,2,-2,2,9,7",
+                                              "--out", "field.csv", "--svg", "field.svg"]),
     "field_svg": (None, ["field", "--kernel", "rp:nu=1.5", "--n", "10", "--seed", "3",
                          "--grid=0,1,0,1,17,13", "--out", "field.csv", "--svg", "field.svg"]),
     "growth_rp15_120": (None, _growth(RadialPower(1.5), unit_box(3), Uniform(), 120, 4)),
@@ -260,10 +266,12 @@ def _digests(stdout: str, stderr: str, directory: Path) -> tuple[str, list]:
     return sha.hexdigest(), [(name, hashlib.sha256(data).hexdigest()) for name, data in parts]
 
 
-def run(name: str) -> tuple[int, str, list]:
+def run(name: str) -> tuple[int | str, str, list]:
     """Exit code, combined digest and per-output digests of one run.
 
-    The run executes in a fresh temporary directory.
+    The run executes in a fresh temporary directory.  A run that raises
+    reports the exception's class name in place of the exit code, and its
+    message joins stderr.
     """
     inputs, action = RUNS[name]
     home = os.getcwd()
@@ -274,7 +282,11 @@ def run(name: str) -> tuple[int, str, list]:
                 inputs()
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = cli.main(action) if isinstance(action, list) else action()
+                try:
+                    code = cli.main(action) if isinstance(action, list) else action()
+                except Exception as exc:  # a crash is an outcome too: name it, hash its message
+                    code = type(exc).__name__
+                    print(f"{code}: {exc}", file=sys.stderr)
             return (code, *_digests(out.getvalue(), err.getvalue(), Path(workdir)))
         finally:
             os.chdir(home)
