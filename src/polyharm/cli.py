@@ -471,7 +471,7 @@ def cmd_field(args) -> int:
     gx, gy = np.meshgrid(xs, ys, indexing="ij")  # x-major rows
     table = np.column_stack([gx.ravel(), gy.ravel(), field.ravel()])
     with open(args.out, "w", newline="") as handle:
-        handle.writelines(_csv_lines(("x", "y", "value"), (row.tolist() for row in table), "\n"))
+        handle.writelines(_csv_lines(("x", "y", "value"), table, "\n"))
     if args.svg:
         svg = _field_svg(xs, ys, field, json.dumps(config))
         with open(args.svg, "w") as handle:

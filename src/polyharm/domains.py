@@ -20,6 +20,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Union
 
@@ -85,18 +86,30 @@ _CHUNK_ENTRIES = 2**16
 def cross_distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Euclidean distances between the rows of a (m, d) and b (n, d).
 
-    Rows of a are taken in chunks whose (rows, n, d) difference temporary
-    holds at most _CHUNK_ENTRIES entries (and at least one row), so memory
-    beyond the (m, n) result stays bounded.
+    Each coordinate's squared differences form one (rows, n) slice, and the
+    slices are summed in two lanes: the even-indexed coordinates in turn,
+    the odd-indexed ones in turn, then the two lanes.  That order is fixed
+    for every d and platform; for d <= 7 it is also the order of NumPy's
+    einsum reduction on x86-64.  Rows of a are taken in chunks whose
+    (d, rows, n) temporary holds at most _CHUNK_ENTRIES entries (and at
+    least one row), so memory beyond the (m, n) result stays bounded.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     out = np.empty((a.shape[0], b.shape[0]))
+    coords = np.ascontiguousarray(b.T)[:, None, :]  # (d, 1, n): the inner loops run over n
     step = max(1, _CHUNK_ENTRIES // max(b.size, 1))
     for start in range(0, a.shape[0], step):
-        rows = slice(start, start + step)
-        diff = b[None] - a[rows, None]
-        out[rows] = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        block = out[start:start + step]
+        squares = coords - a[start:start + step].T[:, :, None]
+        squares *= squares
+        for k in range(2, squares.shape[0]):
+            squares[k % 2] += squares[k]
+        if squares.shape[0] > 1:
+            np.add(squares[0], squares[1], out=block)
+        else:
+            squares.sum(axis=0, out=block)  # d = 1 copies its one lane, d = 0 sums to zero
+        np.sqrt(block, out=block)
     return out
 
 
@@ -466,11 +479,24 @@ def duplicate_pair(dimension: int, base_seed: int) -> PointSet:
     )
 
 
-def _csv_lines(header, rows, newline: str):
-    # rows of Python numbers, whose repr round-trips exactly; one row's text at a time
+# rows per formatted block: one block's numbers and text take a few hundred KiB
+_CSV_ROWS = 4096
+
+
+def _csv_lines(header, table, newline: str):
+    """The header line, then the rows of a 2-d table, one block of rows at a time.
+
+    Each field is the repr of its Python number, which round-trips floats
+    exactly and keeps the int columns of an object table as ints.  A block
+    of _CSV_ROWS rows is formatted with one "%r,...,%r" template from the
+    block's own tolist(), so memory beyond the table is one block's numbers
+    and text, whatever the number of rows.
+    """
     yield ",".join(header) + newline
-    for row in rows:
-        yield ",".join(map(repr, row)) + newline
+    line = ",".join(["%r"] * len(header)) + newline
+    for start in range(0, len(table), _CSV_ROWS):
+        block = table[start:start + _CSV_ROWS]
+        yield (line * len(block)) % tuple(block.ravel().tolist())
 
 
 def write_points_csv(path, points, values=None) -> None:
@@ -490,7 +516,7 @@ def write_points_csv(path, points, values=None) -> None:
         header.append("value")
         table = np.column_stack([table, vals])
     with open(path, "w", newline="") as handle:
-        handle.writelines(_csv_lines(header, (row.tolist() for row in table), "\r\n"))
+        handle.writelines(_csv_lines(header, table, "\r\n"))
 
 
 def read_points_csv(path) -> tuple[PointSet, np.ndarray | None]:
@@ -516,9 +542,11 @@ def read_points_csv(path) -> tuple[PointSet, np.ndarray | None]:
         if len(row) != width:
             raise ValueError(f"{path}: row {i} has {len(row)} fields, expected {width}")
     try:
-        data = np.array(rows[1:], dtype=float)
+        # float() parses each field, as NumPy's string conversion would
+        data = np.fromiter(map(float, chain.from_iterable(rows[1:])), float,
+                           (len(rows) - 1) * width).reshape(-1, width)
     except ValueError:
-        # name the first offending row; NumPy parses each field as float() does
+        # name the first offending row
         for i, row in enumerate(rows[1:], start=2):
             try:
                 [float(cell) for cell in row]

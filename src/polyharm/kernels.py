@@ -99,10 +99,10 @@ class ThinPlateSpline:
         arr = np.asarray(r, dtype=float)
         _check_radii(arr)
         power = 2 * self.k
-        # log is only evaluated at strictly positive radii
-        positive = arr > 0.0
-        safe = np.where(positive, arr, 1.0)
-        out = np.where(positive, safe**power * np.log(safe), 0.0)
+        # log is only evaluated at strictly positive radii; log(1) * 1 is +0.0 at r = 0
+        safe = np.where(arr > 0.0, arr, 1.0)
+        out = np.log(safe)
+        out *= safe**power
         if arr.ndim == 0:
             return float(out)
         return out

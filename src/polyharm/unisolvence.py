@@ -118,7 +118,9 @@ class BorderedSystem:
         LU through one LAPACK getrs call, the call (and the bits) of
         scipy.linalg.lu_solve, on a private copy of the pivots.  ValueError
         when the route's |det| (of the base matrix for "schur", of the
-        bordered one for "direct") exceeds double range.
+        bordered one for "direct") exceeds double range, and when the Schur
+        product of |det| of the base matrix and border @ base^-1 @ border
+        is not finite.
         """
         if method not in ("auto", "schur", "direct"):
             raise ValueError("method must be 'auto', 'schur' or 'direct'")
@@ -138,7 +140,13 @@ class BorderedSystem:
             # sharing this system pass their own copy; info is nonzero only for an
             # illegal argument, which these shapes rule out
             solved, _ = self._getrs(lu, piv.copy(), border)
-            return -diag.det_sign * _exp_log_abs(diag.log_abs_det, "base") * float(border @ solved)
+            quadratic = float(border @ solved)
+            value = -diag.det_sign * _exp_log_abs(diag.log_abs_det, "base") * quadratic
+            if not math.isfinite(value):
+                raise ValueError(f"bordered determinant exceeds double range: log|det| of the "
+                                 f"base matrix is {diag.log_abs_det!r}, and |det| times "
+                                 f"border @ base^-1 @ border = {quadratic!r} is not finite")
+            return value
         n = self.base.n
         bordered = np.zeros((n + 1, n + 1))
         bordered[:n, :n] = self.base.entries
@@ -216,8 +224,9 @@ class UnisolvenceReport:
 
     def records_csv(self) -> str:
         """Flat per-trial records under the pinned header."""
-        # CSV_HEADER names the TrialRecord fields in order
-        return "".join(_csv_lines(CSV_HEADER, (r.to_dict().values() for r in self.records), "\n"))
+        # CSV_HEADER names the TrialRecord fields in order; an object table keeps the ints
+        table = np.array([tuple(r.to_dict().values()) for r in self.records], dtype=object)
+        return "".join(_csv_lines(CSV_HEADER, table, "\n"))
 
 
 def _run_config(kernel: Kernel, eps: float, domain: Domain, density: Density,
@@ -337,7 +346,8 @@ def incremental_growth(kernel: Kernel, domain: Domain, density: Density,
     Relative disagreement above 1e-6 is flagged as an ill-conditioning
     event.  The determinant sign chain covers sizes 2 through n_max.  The
     grown system of one step is the base system of the next, so every
-    prefix is assembled and diagnosed once.
+    prefix is assembled and diagnosed once.  ValueError, as from
+    BorderedSystem.determinant, once a determinant exceeds double range.
     """
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
@@ -358,7 +368,8 @@ def incremental_growth(kernel: Kernel, domain: Domain, density: Density,
         f_value = system.determinant(pts[n], method="auto")
         grown = prefix_system(n + 1)
         sign = grown.base_diagnostics.det_sign
-        det_next = 0.0 if sign == 0 else sign * math.exp(grown.base_diagnostics.log_abs_det)
+        det_next = 0.0 if sign == 0 else sign * _exp_log_abs(
+            grown.base_diagnostics.log_abs_det, "grown")
         rel = abs(f_value - det_next) / max(abs(det_next), 1e-300)
         steps.append(GrowthStep(
             n=n,

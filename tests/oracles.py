@@ -10,11 +10,12 @@ and factorizing every matrix afresh, so that bitwise agreement shows the
 library's reuse of matrices and factors changes nothing.  whole_evaluate is
 the other: it evaluates all queries in one block, so that bitwise agreement
 shows the library's blocking of the queries changes nothing.
-separate_solves, csv_writer_records, cell_loop_field_svg and
-lu_solve_determinant keep earlier library bodies (two solve bodies, the csv
-module, a per-cell SVG loop, scipy.linalg.lu_solve), so that bitwise
-agreement shows the one solve body, the one CSV writer, the whole-array SVG
-and the Schur route's bound getrs change nothing.
+separate_solves, csv_writer_records, row_loop_csv_lines,
+cell_loop_field_svg and lu_solve_determinant keep earlier library bodies
+(two solve bodies, the csv module, a per-row CSV writer, a per-cell SVG
+loop, scipy.linalg.lu_solve), so that bitwise agreement shows the one solve
+body, the block-formatted CSV writer, the whole-array SVG and the Schur
+route's bound getrs change nothing.
 """
 
 import csv
@@ -79,6 +80,25 @@ def loop_cross_distance(a, b):
     for i in range(a.shape[0]):
         diff = b - a[i]
         out[i] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    return out
+
+
+def two_lane_distance(a, b):
+    """Distances between the rows of a and b, one pair at a time in Python floats.
+
+    The squared coordinate differences of a pair are summed in the library's
+    documented order: the even-indexed coordinates in turn in one lane, the
+    odd-indexed ones in turn in another, then the two lanes.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    out = np.empty((a.shape[0], b.shape[0]))
+    for i, x in enumerate(a.tolist()):
+        for j, y in enumerate(b.tolist()):
+            lanes = [0.0, 0.0]
+            for k, (p, q) in enumerate(zip(x, y)):
+                lanes[k % 2] += (q - p) * (q - p)
+            out[i, j] = math.sqrt(lanes[0] + lanes[1])
     return out
 
 
@@ -206,6 +226,13 @@ def csv_writer_records(records):
     writer.writerow(CSV_HEADER)
     writer.writerows(r.to_dict().values() for r in records)
     return buffer.getvalue()
+
+
+def row_loop_csv_lines(header, rows, newline):
+    """CSV lines one row of Python numbers at a time: an earlier library writer."""
+    yield ",".join(header) + newline
+    for row in rows:
+        yield ",".join(map(repr, row)) + newline
 
 
 def row_loop_points_csv(path, points, values=None):

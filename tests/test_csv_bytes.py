@@ -1,11 +1,12 @@
-"""CSV writers produce the bytes of a row-by-row reference writer."""
+"""CSV writers produce the bytes of row-by-row reference writers; the reader parses as float()."""
 
 import math
 
 import numpy as np
 import pytest
 
-from oracles import csv_writer_records, row_loop_field_csv, row_loop_points_csv
+from oracles import (csv_writer_records, row_loop_csv_lines, row_loop_field_csv,
+                     row_loop_points_csv)
 from polyharm import (
     BorderedSystem,
     PointSet,
@@ -15,10 +16,12 @@ from polyharm import (
     UnisolvenceReport,
     assemble,
     monte_carlo,
+    read_points_csv,
     sample,
     unit_box,
     write_points_csv,
 )
+from polyharm.domains import _CSV_ROWS, _csv_lines
 
 SPECIAL = (-0.0, 5e-324, 1e300, 7.0)
 
@@ -64,3 +67,81 @@ def test_records_csv_matches_the_csv_writer():
     assert report.records_csv() == csv_writer_records(records)
     sampled = monte_carlo(ThinPlateSpline(1), unit_box(2), Uniform(), [2, 6], 4, 3)
     assert sampled.records_csv() == csv_writer_records(sampled.records)
+
+
+EDGE_VALUES = (-0.0, 5e-324, 1e300, 1e16, 1e-5)
+BLOCK_SIZES = (_CSV_ROWS - 1, _CSV_ROWS, _CSV_ROWS + 1)
+
+
+def edge_table(rows, width, seed):
+    table = np.random.default_rng(seed).standard_normal((rows, width))
+    table.flat[: len(EDGE_VALUES)] = EDGE_VALUES
+    table.flat[-len(EDGE_VALUES):] = EDGE_VALUES
+    return table
+
+
+@pytest.mark.parametrize("rows", (0, 1) + BLOCK_SIZES)
+@pytest.mark.parametrize("newline", ["\r\n", "\n"])
+def test_block_lines_match_the_row_loop(rows, newline):
+    header = ("x1", "x2", "value")
+    table = edge_table(rows, 3, rows)
+    want = "".join(row_loop_csv_lines(header, table.tolist(), newline))
+    assert "".join(_csv_lines(header, table, newline)) == want
+
+
+@pytest.mark.parametrize("rows", BLOCK_SIZES)
+def test_points_csv_across_block_boundaries(tmp_path, rows):
+    table = edge_table(rows, 3, rows)
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_points_csv(got, table[:, :2], table[:, 2])
+    with open(want, "w", newline="") as handle:
+        handle.writelines(row_loop_csv_lines(("x1", "x2", "value"), table.tolist(), "\r\n"))
+    assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("count", BLOCK_SIZES)
+def test_records_csv_keeps_int_columns_across_blocks(count):
+    records = tuple(
+        TrialRecord(n=7, trial=i, det_sign=(-1, 0, 1)[i % 3],
+                    log_abs_det=EDGE_VALUES[i % 5], sigma_min=EDGE_VALUES[(i + 1) % 5],
+                    sigma_max=float(i), condition=math.inf if i % 7 == 0 else 2.5,
+                    min_pairwise_distance=EDGE_VALUES[(i + 3) % 5])
+        for i in range(count))
+    text = UnisolvenceReport(config={}, aggregates=(), records=records).records_csv()
+    assert text == csv_writer_records(records)
+    assert text.splitlines()[-1].startswith(f"7,{count - 1},")
+
+
+def test_reader_parses_fields_as_float_does(tmp_path):
+    fields = ['"1.5"', " 2.5 ", "1_000", "-0", "+3e-2", "5e-324", " -1e300", '" 7 "']
+    path = tmp_path / "quoted.csv"
+    path.write_text("x1,x2\n" + "".join(f"{a},{b}\n" for a, b in zip(fields, fields[1:])))
+    points, values = read_points_csv(path)
+    want = [[float(a.strip('"')), float(b.strip('"'))] for a, b in zip(fields, fields[1:])]
+    assert values is None
+    assert points.points.tobytes() == np.array(want).tobytes()
+
+
+def test_reader_skips_blank_lines(tmp_path):
+    path = tmp_path / "blank.csv"
+    path.write_text("\nx1,x2,value\n\n0.5,1.5,2.5\r\n\r\n3.5,4.5,5.5\n\n")
+    points, values = read_points_csv(path)
+    assert points.points.tolist() == [[0.5, 1.5], [3.5, 4.5]]
+    assert values.tolist() == [2.5, 5.5]
+
+
+@pytest.mark.parametrize("body, message", [
+    ("x1,x2\n0.0,1.0\n2.0\n", "row 3 has 1 fields, expected 2"),
+    ("x1,x2,value\n0,1,2\n\n3,4,5,6\n", "row 3 has 4 fields, expected 3"),
+    ("x1,x2\n0.0,1.0\n2.0,bar\n3.0,4.0\n", "row 3 contains a non-numeric field"),
+    ("x1,x2\n0.0,1.0\n2.0,1__0\n", "row 3 contains a non-numeric field"),
+    ("x1,x2\n0.0,1.0\n2.0,infinity\n", "non-finite value in data rows"),
+    ("x1,x2\n0.0,-inf\n", "non-finite value in data rows"),
+    ("x1,x2\n0.0,nan\n", "non-finite value in data rows"),
+])
+def test_reader_error_messages(tmp_path, body, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(body)
+    with pytest.raises(ValueError) as caught:
+        read_points_csv(path)
+    assert str(caught.value) == f"{path}: {message}"

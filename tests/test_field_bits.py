@@ -92,6 +92,42 @@ def test_field_beyond_double_range_exits_1_with_one_error_line(run_cli, tmp_path
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+SCHUR_OVERFLOW_ARGV = ["field", "--kernel", "rp:nu=3", "--domain", "box:0,0,150,150", "--n", "80",
+                       "--seed", "1", "--grid=0,150,0,150,4,4"]
+
+
+def schur_overflow_system():
+    # the repro below: log|det| of the base matrix is 700.9, finite alone, but not times b^T A^-1 b
+    nodes = sample(Box(lower=(0.0, 0.0), upper=(150.0, 150.0)), Uniform(), 80, 1)
+    return BorderedSystem(assemble(nodes, RadialPower(3.0)))
+
+
+def test_non_finite_schur_product_is_a_value_error():
+    system = schur_overflow_system()
+    assert 700.0 < system.base_diagnostics.log_abs_det < 709.78
+    with pytest.raises(ValueError, match="exceeds double range: log\\|det\\| of the base matrix "
+                                         "is 700.89.*is not finite"):
+        system.determinant([0.0, 0.0], method="schur")
+    # the direct route's own log|det| is beyond double range there
+    with pytest.raises(ValueError, match="log\\|det\\| of the bordered matrix"):
+        system.determinant([0.0, 0.0], method="direct")
+    # a finite product still returns its value
+    assert math.isfinite(system.determinant(system.base.points.points[0] + 1e-9))
+
+
+@pytest.mark.parametrize("svg", [False, True])
+def test_field_with_a_non_finite_schur_product_exits_1(run_cli, tmp_path, svg):
+    argv = SCHUR_OVERFLOW_ARGV + ["--out", str(tmp_path / "f.csv")]
+    if svg:
+        argv += ["--svg", str(tmp_path / "f.svg")]
+    code, out, err = run_cli(argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: bordered determinant exceeds double range: log|det| of the base")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "f.svg").exists()
+
+
 def assert_svg_bytes(xs, ys, values):
     desc = '{"command": "field", "note": "<&>"}'
     assert _field_svg(xs, ys, values, desc) == cell_loop_field_svg(xs, ys, values, desc)

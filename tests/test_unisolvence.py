@@ -11,6 +11,7 @@ from oracles import cofactor_det, pair_determinant, triple_determinant
 from polyharm import (
     CSV_HEADER,
     BorderedSystem,
+    Box,
     PointSet,
     RadialPower,
     SingularSystemError,
@@ -244,3 +245,19 @@ def test_incremental_growth_first_step_uses_direct_route():
 def test_incremental_growth_validation():
     with pytest.raises(ValueError):
         incremental_growth(ThinPlateSpline(1), unit_box(2), Uniform(), 1, 3)
+
+
+@pytest.mark.parametrize("width", [150.0, 1000.0])
+def test_incremental_growth_beyond_double_range_is_a_value_error(width):
+    # the grown matrix crosses log|det| = 709.78 at the step whose Schur product overflows
+    domain = Box(lower=(0.0, 0.0), upper=(width, width))
+    with pytest.raises(ValueError, match="exceeds double range: log\\|det\\| of the base matrix"):
+        incremental_growth(RadialPower(3.0), domain, Uniform(), 90, 1)
+
+
+def test_incremental_growth_guards_the_grown_determinant(monkeypatch):
+    # with every bordered determinant finite, exp(log|det|) of the grown matrix is what overflows
+    monkeypatch.setattr(BorderedSystem, "determinant", lambda self, point, method="auto": 1.0)
+    domain = Box(lower=(0.0, 0.0), upper=(150.0, 150.0))
+    with pytest.raises(ValueError, match="exceeds double range: log\\|det\\| of the grown matrix"):
+        incremental_growth(RadialPower(3.0), domain, Uniform(), 90, 1)

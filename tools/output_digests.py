@@ -198,6 +198,9 @@ RUNS = {
     "field_overflow": (None, ["field", "--kernel", "rp:nu=3", "--domain", "box:0,0,1000,1000",
                               "--n", "80", "--seed", "1", "--grid=0,1000,0,1000,3,3",
                               "--out", "f.csv"]),
+    "field_schur_overflow": (None, ["field", "--kernel", "rp:nu=3", "--domain", "box:0,0,150,150",
+                                    "--n", "80", "--seed", "1", "--grid=0,150,0,150,4,4",
+                                    "--out", "f.csv"]),
     "field_singular_base_svg": (_sphere_csv, ["field", "--kernel", "tps:k=1", "--points",
                                               "sphere.csv", "--grid=-2,2,-2,2,9,7",
                                               "--out", "field.csv", "--svg", "field.svg"]),
@@ -239,6 +242,9 @@ RUNS = {
     "verify_ball": (None, ["verify", "--kernel", "tps:k=1", "--domain", "ball:0,0,1",
                            "--n", "5,10", "--trials", "10", "--seed", "6",
                            "--out", "report.json", "--csv", "records.csv"]),
+    "verify_dim8": (None, ["verify", "--kernel", "tps:k=1", "--dim", "8", "--n", "6,14",
+                           "--trials", "5", "--seed", "9", "--out", "report.json",
+                           "--csv", "records.csv"]),
     "verify_exit2": (None, ["verify", "--kernel", "tps:k=1", "--dim", "2", "--n", "4",
                             "--trials", "3", "--seed", "7", "--tau", "0.5"]),
     "verify_gauss_t2": (None, ["verify", "--kernel", "rp:nu=1", "--dim", "2",
