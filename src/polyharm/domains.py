@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain
 from pathlib import Path
 from typing import Callable, Union
@@ -93,19 +93,24 @@ def cross_distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     einsum reduction on x86-64.  Rows of a are taken in chunks whose
     (d, rows, n) temporary holds at most _CHUNK_ENTRIES entries (and at
     least one row), so memory beyond the (m, n) result stays bounded.
+    ValueError unless a and b are 2-d with the same number of columns.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    out = np.empty((a.shape[0], b.shape[0]))
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
+        raise ValueError(f"distances need two (rows, d) arrays of one dimension d, "
+                         f"got shapes {a.shape} and {b.shape}")
+    (m, d), n = a.shape, b.shape[0]
+    out = np.empty((m, n))
     coords = np.ascontiguousarray(b.T)[:, None, :]  # (d, 1, n): the inner loops run over n
-    step = max(1, _CHUNK_ENTRIES // max(b.size, 1))
-    for start in range(0, a.shape[0], step):
+    step = max(1, _CHUNK_ENTRIES // max(n * d, 1))
+    for start in range(0, m, step):
         block = out[start:start + step]
         squares = coords - a[start:start + step].T[:, :, None]
         squares *= squares
-        for k in range(2, squares.shape[0]):
+        for k in range(2, d):
             squares[k % 2] += squares[k]
-        if squares.shape[0] > 1:
+        if d > 1:
             np.add(squares[0], squares[1], out=block)
         else:
             squares.sum(axis=0, out=block)  # d = 1 copies its one lane, d = 0 sums to zero
@@ -154,7 +159,9 @@ class Box:
         return lo + width * rng.random((count, self.dimension))
 
     def contains(self, points: np.ndarray) -> bool:
-        pts = np.asarray(points, dtype=float)
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        if pts.ndim != 2 or pts.shape[1] != self.dimension:
+            raise ValueError(f"points of shape {pts.shape} are not {self.dimension}-d points")
         return bool(np.all(pts >= self.lower) and np.all(pts <= self.upper))
 
 
@@ -519,42 +526,73 @@ def write_points_csv(path, points, values=None) -> None:
         handle.writelines(_csv_lines(header, table, "\r\n"))
 
 
-def read_points_csv(path) -> tuple[PointSet, np.ndarray | None]:
-    """Read a points CSV with header x1,...,xd and optional value column.
+def _float_rejected_space(path: Path) -> bool:
+    # whether the file holds one of \x1c-\x1f, which str.strip() and NumPy's tokenizer
+    # strip from a field and float() rejects; read 64 KiB at a time
+    with open(path, "rb") as raw:
+        return any(any(c in chunk for c in (b"\x1c", b"\x1d", b"\x1e", b"\x1f"))
+                   for chunk in iter(partial(raw.read, 1 << 16), b""))
 
-    Ragged rows, non-numeric fields and non-finite values are rejected.
-    Returns the point set (with file provenance) and the value column or
-    None when absent.
-    """
-    path = Path(path)
+
+def _scan_rows(path: Path, width: int) -> np.ndarray:
+    # the rows after the header through csv.reader and float(), naming the first bad row
     with open(path, newline="") as handle:
-        rows = [row for row in csv.reader(handle) if row]
-    if not rows:
-        raise ValueError(f"{path}: empty points file")
-    header = [h.strip().lower() for h in rows[0]]
-    has_values = header[-1] == "value"
-    coord_names = header[:-1] if has_values else header
-    d = len(coord_names)
-    if d < 1 or coord_names != [f"x{i + 1}" for i in range(d)]:
-        raise ValueError(f"{path}: header must be x1,...,xd with an optional trailing value column")
-    width = d + 1 if has_values else d
-    for i, row in enumerate(rows[1:], start=2):
+        rows = [row for row in csv.reader(handle) if row][1:]
+    for i, row in enumerate(rows, start=2):
         if len(row) != width:
             raise ValueError(f"{path}: row {i} has {len(row)} fields, expected {width}")
     try:
-        # float() parses each field, as NumPy's string conversion would
-        data = np.fromiter(map(float, chain.from_iterable(rows[1:])), float,
-                           (len(rows) - 1) * width).reshape(-1, width)
+        return np.fromiter(map(float, chain.from_iterable(rows)), float,
+                           len(rows) * width).reshape(-1, width)
     except ValueError:
-        # name the first offending row
-        for i, row in enumerate(rows[1:], start=2):
+        for i, row in enumerate(rows, start=2):
             try:
                 [float(cell) for cell in row]
             except ValueError:
                 raise ValueError(f"{path}: row {i} contains a non-numeric field") from None
         raise
-    if data.shape[0] < 1:
-        raise ValueError(f"{path}: no data rows")
+
+
+def read_points_csv(path) -> tuple[PointSet, np.ndarray | None]:
+    """Read a points CSV with header x1,...,xd and optional value column.
+
+    The header is read with csv.reader.  The body goes from the same handle
+    through NumPy's C tokenizer (np.loadtxt), which takes one line at a time
+    and parses each field with PyOS_string_to_double, the correctly rounded
+    routine behind float(), so memory beyond the result array stays small.
+    The body is scanned again with csv.reader and float() when loadtxt
+    raises ValueError, when it finds the wrong number of columns, and when
+    the file holds one of the characters \\x1c-\\x1f, which loadtxt strips
+    from a field and float() does not.  That scan names the first ragged or
+    non-numeric row, and it still reads what only float() accepts, such as
+    1_000, so every field is read as float() reads it.  Blank lines are
+    skipped; non-finite values are rejected.  Returns the point set (with
+    file provenance) and the value column or None when absent.
+    """
+    path = Path(path)
+    with open(path, newline="") as handle:
+        header = next((row for row in csv.reader(handle) if row), None)
+        if header is None:
+            raise ValueError(f"{path}: empty points file")
+        header = [h.strip().lower() for h in header]
+        has_values = header[-1] == "value"
+        coord_names = header[:-1] if has_values else header
+        d = len(coord_names)
+        if d < 1 or coord_names != [f"x{i + 1}" for i in range(d)]:
+            raise ValueError(
+                f"{path}: header must be x1,...,xd with an optional trailing value column")
+        width = d + 1 if has_values else d
+        # loadtxt warns on an empty body, so the first data line is found here
+        first = next((line for line in handle if line.strip("\r\n")), None)
+        if first is None:
+            raise ValueError(f"{path}: no data rows")
+        try:
+            data = np.loadtxt(chain([first], handle), delimiter=",", comments=None,
+                              quotechar='"', ndmin=2)
+        except ValueError:
+            data = None
+    if data is None or data.shape[1] != width or _float_rejected_space(path):
+        data = _scan_rows(path, width)
     if not np.isfinite(data).all():
         raise ValueError(f"{path}: non-finite value in data rows")
     pts = PointSet(

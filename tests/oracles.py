@@ -11,16 +11,19 @@ library's reuse of matrices and factors changes nothing.  whole_evaluate is
 the other: it evaluates all queries in one block, so that bitwise agreement
 shows the library's blocking of the queries changes nothing.
 separate_solves, csv_writer_records, row_loop_csv_lines,
-cell_loop_field_svg and lu_solve_determinant keep earlier library bodies
-(two solve bodies, the csv module, a per-row CSV writer, a per-cell SVG
-loop, scipy.linalg.lu_solve), so that bitwise agreement shows the one solve
-body, the block-formatted CSV writer, the whole-array SVG and the Schur
-route's bound getrs change nothing.
+cell_loop_field_svg, lu_solve_determinant and row_scan_points_csv keep
+earlier library bodies (two solve bodies, the csv module, a per-row CSV
+writer, a per-cell SVG loop, scipy.linalg.lu_solve, a csv.reader and
+float() points reader), so that bitwise agreement shows the one solve body,
+the block-formatted CSV writer, the whole-array SVG, the Schur route's bound
+getrs and the C-parsed points reader change nothing.
 """
 
 import csv
 import io
 import math
+from itertools import chain
+from pathlib import Path
 from xml.sax.saxutils import escape
 
 import numpy as np
@@ -314,3 +317,48 @@ def lu_solve_determinant(system, point):
     diag = system.base_diagnostics
     solved = scipy.linalg.lu_solve(diag.lu_piv, border, check_finite=False)
     return -diag.det_sign * math.exp(diag.log_abs_det) * float(border @ solved)
+
+
+def row_scan_points_csv(path):
+    """A points CSV read whole through csv.reader and float(): an earlier library reader.
+
+    Ragged rows, non-numeric fields and non-finite values are rejected.
+    Returns the point set (with file provenance) and the value column or
+    None when absent.
+    """
+    path = Path(path)
+    with open(path, newline="") as handle:
+        rows = [row for row in csv.reader(handle) if row]
+    if not rows:
+        raise ValueError(f"{path}: empty points file")
+    header = [h.strip().lower() for h in rows[0]]
+    has_values = header[-1] == "value"
+    coord_names = header[:-1] if has_values else header
+    d = len(coord_names)
+    if d < 1 or coord_names != [f"x{i + 1}" for i in range(d)]:
+        raise ValueError(f"{path}: header must be x1,...,xd with an optional trailing value column")
+    width = d + 1 if has_values else d
+    for i, row in enumerate(rows[1:], start=2):
+        if len(row) != width:
+            raise ValueError(f"{path}: row {i} has {len(row)} fields, expected {width}")
+    try:
+        # float() parses each field, as NumPy's string conversion would
+        data = np.fromiter(map(float, chain.from_iterable(rows[1:])), float,
+                           (len(rows) - 1) * width).reshape(-1, width)
+    except ValueError:
+        # name the first offending row
+        for i, row in enumerate(rows[1:], start=2):
+            try:
+                [float(cell) for cell in row]
+            except ValueError:
+                raise ValueError(f"{path}: row {i} contains a non-numeric field") from None
+        raise
+    if data.shape[0] < 1:
+        raise ValueError(f"{path}: no data rows")
+    if not np.isfinite(data).all():
+        raise ValueError(f"{path}: non-finite value in data rows")
+    pts = PointSet(
+        points=data[:, :d],
+        provenance={"kind": "file", "path": str(path)},
+    )
+    return pts, (data[:, d].copy() if has_values else None)

@@ -85,6 +85,24 @@ def test_box_validation_and_sampling():
         Box(lower=(0.0,), upper=(math.inf,))
 
 
+def test_distances_and_containment_reject_mismatched_dimensions():
+    # a one-coordinate side used to broadcast against d coordinates
+    for a, b in (([[3.0]], [[0.0, 0.0]]), ([[0.0, 0.0]], [[3.0]]), ([3.0, 0.0], [[0.0, 0.0]]),
+                 (np.zeros((2, 3)), np.zeros((4, 2)))):
+        with pytest.raises(ValueError, match="one dimension d"):
+            cross_distance_matrix(a, b)
+    with pytest.raises(ValueError):
+        pairwise_distance_matrix(np.zeros(3))
+    ball = Ball(center=(0.0, 0.0), radius=1.0)
+    box = Box(lower=(0.0, 0.0), upper=(1.0, 1.0))
+    for domain in (ball, box):
+        for points in ([[0.5]], [[0.9]], [0.5], [[0.5, 0.5, 0.5]]):
+            with pytest.raises(ValueError):
+                domain.contains(points)
+        assert domain.contains([0.5, 0.5]) and domain.contains([[0.5, 0.5], [0.1, 0.2]])
+        assert not domain.contains([[0.5, 0.5], [1.5, 0.5]])
+
+
 def test_unit_box():
     box = unit_box(4)
     assert box.lower == (0.0,) * 4 and box.upper == (1.0,) * 4

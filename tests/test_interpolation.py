@@ -228,8 +228,10 @@ def test_scale_invariance_needs_two_scales():
         scale_invariance_check(pts, np.ones(5), RadialPower(1.5), (1.0,))
 
 
-# one query, exactly one block, and several blocks plus a remainder
-@pytest.mark.parametrize("m", [1, _EVAL_ROWS, 3 * _EVAL_ROWS + 128])
+# one query, exactly one block, several blocks plus a remainder, one-row remainders, and
+# the sizes of the earlier 1024-row blocks, whose one-row remainder went through dot
+@pytest.mark.parametrize("m", [1, _EVAL_ROWS, 3 * _EVAL_ROWS + 128, _EVAL_ROWS + 1,
+                               2 * _EVAL_ROWS + 1, 1024, 1025, 3200])
 @pytest.mark.parametrize("degree", [None, 1])
 def test_blocked_evaluate_matches_the_whole_matrix_bitwise(degree, m):
     pts = random_points(200, 2, 61)

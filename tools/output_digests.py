@@ -16,10 +16,11 @@ does.  Input files are written here with NumPy and plain ``repr``
 text, not with polyharm's own writer.
 
 The runs are CLI argv lists (the four benchmark workloads at seed 1, with
-interp_eval cut to 20,000 queries to keep memory small, and the other
-subcommand paths) and library calls whose results are written as JSON or
-raw array bytes.  ``repr`` of library objects is not an output contract and
-is left out.
+interp_eval cut to 20,000 queries to keep memory small; interp_eval cut to
+1,025 queries, one more than a multiple of evaluate's blocks; a points file
+that only float() reads; and the other subcommand paths) and library calls
+whose results are written as JSON or raw array bytes.  ``repr`` of library
+objects is not an output contract and is left out.
 """
 
 from __future__ import annotations
@@ -91,6 +92,17 @@ def _interp_eval_inputs(queries: int = 20_000) -> None:
     values = np.sin(2.0 * np.pi * nodes[:, 0]) * np.cos(np.pi * nodes[:, 1]) + nodes[:, 0] ** 2
     _write_csv("nodes.csv", "x1,x2,value", np.column_stack([nodes, values]))
     _write_csv("queries.csv", "x1,x2", np.vstack([rng.random((queries, 2)), nodes]))
+
+
+def _underscored_csv(path: str = "spelled.csv") -> None:
+    # every field spelled like 0.123_456, which float() reads and NumPy's loadtxt does not
+    rng = np.random.default_rng(12)
+    nodes = rng.random((20, 2))
+    table = np.column_stack([nodes, np.sin(3.0 * nodes[:, 0]) + nodes[:, 1] ** 2])
+    fields = [f"{v:.6f}" for v in table.ravel()]
+    spelled = [f"{f[:-3]}_{f[-3:]}" for f in fields]
+    rows = (",".join(spelled[i:i + 3]) + "\n" for i in range(0, len(spelled), 3))
+    Path(path).write_text("x1,x2,value\n" + "".join(rows))
 
 
 def _dump(path: str, doc) -> None:
@@ -216,6 +228,12 @@ RUNS = {
     "interp_eval": (_interp_eval_inputs, [
         "interp", "--kernel", "tps:k=1", "--augment", "poly", "--points", "nodes.csv",
         "--eval", "queries.csv", "--pred", "pred.csv", "--out", "model.json"]),
+    "interp_eval_1025": (lambda: _interp_eval_inputs(825), [
+        "interp", "--kernel", "tps:k=1", "--augment", "poly", "--points", "nodes.csv",
+        "--eval", "queries.csv", "--pred", "pred.csv", "--out", "model.json"]),
+    "interp_float_only_spellings": (_underscored_csv, [
+        "interp", "--kernel", "rp:nu=1.5", "--points", "spelled.csv", "--eval", "spelled.csv",
+        "--pred", "pred.csv"]),
     "interp_plain": (_data_csv, ["interp", "--kernel", "rp:nu=1.5", "--points", "data.csv"]),
     "interp_plain_pred": (_data_csv, ["interp", "--kernel", "rp:nu=1.5", "--points", "data.csv",
                                       "--eval", "data.csv", "--pred", "pred.csv"]),
