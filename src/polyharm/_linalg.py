@@ -93,15 +93,12 @@ def lu_factorize(matrix: np.ndarray):
 
 
 def _sign_logabs(lu: np.ndarray, piv: np.ndarray) -> tuple[int, float]:
-    diag = np.diag(lu)
-    if np.any(diag == 0.0):
+    diag = lu.diagonal()
+    if not diag.all():
         return 0, -math.inf
-    swaps = int(np.sum(piv != np.arange(lu.shape[0])))
-    sign = -1 if swaps % 2 else 1
-    if int(np.sum(diag < 0.0)) % 2:
-        sign = -sign
-    log_abs = float(np.sum(np.log(np.abs(diag))))
-    return sign, log_abs
+    # each row swap and each negative pivot flips the sign
+    flips = np.count_nonzero(piv != np.arange(lu.shape[0])) + np.count_nonzero(diag < 0.0)
+    return -1 if flips % 2 else 1, float(np.log(np.abs(diag)).sum())
 
 
 def lu_sign_logabs(matrix) -> tuple[int, float]:

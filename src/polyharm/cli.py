@@ -245,10 +245,11 @@ def cmd_verify(args) -> int:
                   "report-only.")
         print(banner)
 
+    report_doc = report.to_dict()
     doc = {
         "command": "verify",
         "exploratory": exploratory,
-        **report.to_dict(),
+        **report_doc,
         "total_failures": report.total_failures,
         "outputs": {"report": args.out, "csv": args.csv},
     }
@@ -257,7 +258,7 @@ def cmd_verify(args) -> int:
                          density_spec=_density_spec(density))
     if args.out:
         with open(args.out, "w") as handle:
-            handle.write(report.to_json() + "\n")
+            handle.write(json.dumps(report_doc, indent=2) + "\n")  # report.to_json()'s bytes
     if args.csv:
         with open(args.csv, "w", newline="") as handle:
             handle.write(report.records_csv())

@@ -25,7 +25,6 @@ from pathlib import Path
 from typing import Callable, Union
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from ._serialize import NOT_SERIALIZED, to_dict
 
@@ -83,16 +82,33 @@ def mix_seed(master_seed: int, *path: int) -> int:
 _CHUNK_ENTRIES = 2**16
 
 
+def _sum_squares(diffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Sum of squares over the first axis of diffs (d, ...), in the two-lane order.
+
+    diffs is squared in place; the even-indexed coordinates are summed in
+    turn into diffs[0], the odd-indexed ones in turn into diffs[1], then the
+    two lanes are added into out (d = 1 copies its one lane, d = 0 sums to
+    zero).  Every distance of this module goes through this order.
+    """
+    diffs *= diffs
+    for k in range(2, diffs.shape[0]):
+        diffs[k % 2] += diffs[k]
+    if diffs.shape[0] > 1:
+        return np.add(diffs[0], diffs[1], out=out)
+    return diffs.sum(axis=0, out=out)
+
+
 def cross_distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Euclidean distances between the rows of a (m, d) and b (n, d).
 
     Each coordinate's squared differences form one (rows, n) slice, and the
-    slices are summed in two lanes: the even-indexed coordinates in turn,
-    the odd-indexed ones in turn, then the two lanes.  That order is fixed
-    for every d and platform; for d <= 7 it is also the order of NumPy's
-    einsum reduction on x86-64.  Rows of a are taken in chunks whose
-    (d, rows, n) temporary holds at most _CHUNK_ENTRIES entries (and at
-    least one row), so memory beyond the (m, n) result stays bounded.
+    slices are summed in two lanes (_sum_squares): the even-indexed
+    coordinates in turn, the odd-indexed ones in turn, then the two lanes.
+    That order is fixed for every d and platform; for d <= 7 it is also the
+    order of NumPy's einsum reduction on x86-64, and
+    PointSet.min_pairwise_distance sums in it too.  Rows of a are taken in
+    chunks whose (d, rows, n) temporary holds at most _CHUNK_ENTRIES entries
+    (and at least one row), so memory beyond the (m, n) result stays bounded.
     ValueError unless a and b are 2-d with the same number of columns.
     """
     a = np.asarray(a, dtype=float)
@@ -106,16 +122,38 @@ def cross_distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     step = max(1, _CHUNK_ENTRIES // max(n * d, 1))
     for start in range(0, m, step):
         block = out[start:start + step]
-        squares = coords - a[start:start + step].T[:, :, None]
-        squares *= squares
-        for k in range(2, d):
-            squares[k % 2] += squares[k]
-        if d > 1:
-            np.add(squares[0], squares[1], out=block)
-        else:
-            squares.sum(axis=0, out=block)  # d = 1 copies its one lane, d = 0 sums to zero
+        _sum_squares(coords - a[start:start + step].T[:, :, None], out=block)
         np.sqrt(block, out=block)
     return out
+
+
+def _min_distance(points: np.ndarray) -> float:
+    """Smallest distance between two of the n >= 2 rows of points, by sort and sweep.
+
+    The points are sorted (stably) on the axis of largest extent and held as
+    a contiguous (d, n) array.  Offset w compares every pair (k, k + w) of
+    the sorted order, summing squares as cross_distance_matrix does, and
+    the sweep stops once the smallest squared gap along the sort axis at
+    offset w + 1 is no smaller than the best squared distance so far.  The
+    stop is exact in floating point: along the sorted axis a gap never
+    shrinks as the offset grows, rounding is monotone, and a sum of
+    nonnegative terms is no smaller than any of them.  As the square root
+    is monotone too, the result is bitwise the smallest off-diagonal entry
+    of pairwise_distance_matrix(points), with O(n d) memory.
+    """
+    axis = int(np.argmax(np.ptp(points, axis=0)))
+    coords = points.T.take(np.argsort(points[:, axis], kind="stable"), axis=1)
+    lead = coords[axis]
+    n = lead.size
+    best = math.inf
+    for w in range(1, n):
+        best = min(best, float(_sum_squares(coords[:, w:] - coords[:, :-w]).min()))
+        if w + 1 == n:
+            break
+        gap = float((lead[w + 1:] - lead[:-w - 1]).min())
+        if gap * gap >= best:
+            break
+    return math.sqrt(best)
 
 
 def pairwise_distance_matrix(points: np.ndarray) -> np.ndarray:
@@ -294,9 +332,11 @@ Density = Union[Uniform, TruncatedGaussian, CustomDensity]
 class PointSet:
     """An ordered set of points in R**d with provenance.
 
-    min_pairwise_distance is the exact minimum over all pairs (0 when
-    duplicates exist, +inf for a single point).  It is not a constructor
-    argument: it is computed from the points on first read and cached.
+    min_pairwise_distance is the minimum over all pairs (0 when duplicates
+    exist, +inf for a single point), bitwise the smallest off-diagonal entry
+    of pairwise_distance_matrix(points), found by a sort-and-sweep that
+    builds no n x n array.  It is not a constructor argument: it is
+    computed from the points on first read and cached.
     """
 
     points: np.ndarray
@@ -312,10 +352,7 @@ class PointSet:
 
     @cached_property
     def min_pairwise_distance(self) -> float:
-        if self.n < 2:
-            return math.inf
-        dist, _ = cKDTree(self.points).query(self.points, k=2)
-        return float(dist[:, 1].min())
+        return _min_distance(self.points) if self.n > 1 else math.inf
 
     @property
     def n(self) -> int:

@@ -22,7 +22,8 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -191,6 +192,9 @@ class TrialRecord:
     to_dict = to_dict
 
 
+_record_values = attrgetter(*(f.name for f in fields(TrialRecord)))
+
+
 @dataclass(frozen=True)
 class SizeAggregate:
     """Per-size summary of a Monte Carlo run."""
@@ -225,7 +229,7 @@ class UnisolvenceReport:
     def records_csv(self) -> str:
         """Flat per-trial records under the pinned header."""
         # CSV_HEADER names the TrialRecord fields in order; an object table keeps the ints
-        table = np.array([tuple(r.to_dict().values()) for r in self.records], dtype=object)
+        table = np.array([_record_values(r) for r in self.records], dtype=object)
         return "".join(_csv_lines(CSV_HEADER, table, "\n"))
 
 

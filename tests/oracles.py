@@ -11,12 +11,14 @@ library's reuse of matrices and factors changes nothing.  whole_evaluate is
 the other: it evaluates all queries in one block, so that bitwise agreement
 shows the library's blocking of the queries changes nothing.
 separate_solves, csv_writer_records, row_loop_csv_lines,
-cell_loop_field_svg, lu_solve_determinant and row_scan_points_csv keep
-earlier library bodies (two solve bodies, the csv module, a per-row CSV
-writer, a per-cell SVG loop, scipy.linalg.lu_solve, a csv.reader and
-float() points reader), so that bitwise agreement shows the one solve body,
-the block-formatted CSV writer, the whole-array SVG, the Schur route's bound
-getrs and the C-parsed points reader change nothing.
+cell_loop_field_svg, lu_solve_determinant, row_scan_points_csv and
+summed_sign_logabs keep earlier library bodies (two solve bodies, the csv
+module, a per-row CSV writer, a per-cell SVG loop, scipy.linalg.lu_solve, a
+csv.reader and float() points reader, np.diag and np.sum reductions), so
+that bitwise agreement shows the one solve body, the block-formatted CSV
+writer, the whole-array SVG, the Schur route's bound getrs, the C-parsed
+points reader and the method reductions of the LU determinant change
+nothing.
 """
 
 import csv
@@ -317,6 +319,19 @@ def lu_solve_determinant(system, point):
     diag = system.base_diagnostics
     solved = scipy.linalg.lu_solve(diag.lu_piv, border, check_finite=False)
     return -diag.det_sign * math.exp(diag.log_abs_det) * float(border @ solved)
+
+
+def summed_sign_logabs(lu, piv):
+    """(sign, log|det|) read off a pivoted LU through np.diag and np.sum: an earlier library body."""
+    diag = np.diag(lu)
+    if np.any(diag == 0.0):
+        return 0, -math.inf
+    swaps = int(np.sum(piv != np.arange(lu.shape[0])))
+    sign = -1 if swaps % 2 else 1
+    if int(np.sum(diag < 0.0)) % 2:
+        sign = -sign
+    log_abs = float(np.sum(np.log(np.abs(diag))))
+    return sign, log_abs
 
 
 def row_scan_points_csv(path):

@@ -145,3 +145,14 @@ def test_reader_error_messages(tmp_path, body, message):
     with pytest.raises(ValueError) as caught:
         read_points_csv(path)
     assert str(caught.value) == f"{path}: {message}"
+
+
+def test_verify_files_are_the_report_bytes(run_cli, tmp_path):
+    out, table = tmp_path / "report.json", tmp_path / "records.csv"
+    code, _, err = run_cli(["verify", "--kernel", "tps:k=1", "--dim", "2", "--n", "5,9",
+                            "--trials", "3", "--seed", "4", "--out", str(out),
+                            "--csv", str(table)])
+    assert code == 0, err
+    report = monte_carlo(ThinPlateSpline(1), unit_box(2), Uniform(), [5, 9], 3, 4)
+    assert out.read_bytes() == (report.to_json() + "\n").encode()
+    assert table.read_bytes() == report.records_csv().encode()

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from oracles import fresh_growth, fresh_kernel_conditions
+from oracles import fresh_growth, fresh_kernel_conditions, summed_sign_logabs
 from polyharm import (
     BorderedSystem,
     RadialPower,
@@ -145,3 +145,35 @@ def test_diagnostics_keep_factors_out_of_equality_and_output():
     assert hash(diag) == hash(diagnostics(matrix.copy()))
     assert "lu_piv" not in repr(diag)
     assert "lu_piv" not in diag.to_dict() and "lu_piv" not in diag.describe()
+
+
+def crafted_lus():
+    """(lu, piv) pairs with a zero pivot, odd and even swap counts and negative pivots."""
+    rng = np.random.default_rng(41)
+    upper = np.triu(rng.standard_normal((6, 6)) * 10.0 ** rng.integers(-200, 200, (6, 6)))
+    yield upper, np.arange(6, dtype=np.int32)  # no swaps
+    for pivots in ([1, 1, 2, 3, 4, 5], [1, 0, 3, 2, 4, 5], [5, 4, 3, 3, 4, 5],
+                   [2, 2, 2, 5, 5, 5]):  # 1, 4, 3 and 4 row swaps
+        piv = np.array(pivots, dtype=np.int32)
+        for negatives in ([], [0], [0, 3], [1, 2, 5], list(range(6))):
+            lu = upper.copy()
+            np.fill_diagonal(lu, np.abs(np.diag(lu)))
+            lu[negatives, negatives] *= -1.0
+            yield lu, piv
+            for zero in (0, 5):
+                dead = lu.copy()
+                dead[zero, zero] = 0.0 if negatives else -0.0
+                yield dead, piv
+    for _ in range(20):
+        yield _linalg.lu_factorize(rng.standard_normal((7, 7)))
+
+
+def test_sign_logabs_keeps_the_summed_bits():
+    seen = set()
+    for lu, piv in crafted_lus():
+        got = _linalg._sign_logabs(lu, piv)
+        want = summed_sign_logabs(lu, piv)
+        assert got[0] == want[0] and type(got[0]) is int
+        assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
+        seen.add(got[0])
+    assert seen == {-1, 0, 1}

@@ -23,26 +23,26 @@ from polyharm import (
 
 
 @pytest.fixture
-def trees(monkeypatch):
-    """The list that receives one entry per kd-tree built in domains."""
-    built = []
-    original = domains.cKDTree
+def sweeps(monkeypatch):
+    """The list that receives one entry per minimum-distance sweep run in domains."""
+    run = []
+    original = domains._min_distance
 
-    def counted(*args, **kwargs):
-        built.append(args)
-        return original(*args, **kwargs)
+    def counted(points):
+        run.append(points)
+        return original(points)
 
-    monkeypatch.setattr(domains, "cKDTree", counted)
-    return built
+    monkeypatch.setattr(domains, "_min_distance", counted)
+    return run
 
 
-def test_distance_is_computed_on_first_read_only(trees):
+def test_distance_is_computed_on_first_read_only(sweeps):
     ps = PointSet.from_array([[0.0, 0.0], [3.0, 4.0], [0.0, 1.0]])
-    assert trees == []
+    assert sweeps == []
     assert ps.min_pairwise_distance == 1.0
-    assert len(trees) == 1
+    assert len(sweeps) == 1
     assert ps.min_pairwise_distance == 1.0
-    assert len(trees) == 1
+    assert len(sweeps) == 1
 
 
 def test_distance_is_not_a_constructor_argument():
@@ -59,7 +59,7 @@ def test_replaced_points_report_their_own_distance():
     assert dataclasses.replace(ps, points=[[2.0, 2.0]]).min_pairwise_distance == math.inf
 
 
-def test_library_paths_build_no_tree(trees, tmp_path):
+def test_library_paths_compute_no_distance(sweeps, tmp_path):
     path = tmp_path / "points.csv"
     write_points_csv(path, np.random.default_rng(1).random((30, 2)), np.arange(30.0))
     read_points_csv(path)
@@ -68,15 +68,15 @@ def test_library_paths_build_no_tree(trees, tmp_path):
            "coefficients": [1.0, -1.0], "tail": None}
     InterpolationModel.from_dict(json.loads(json.dumps(doc)))
     incremental_growth(ThinPlateSpline(1), unit_box(2), Uniform(), 30, 3)
-    assert trees == []
+    assert sweeps == []
 
 
-def test_interp_eval_and_field_build_no_tree(trees, run_cli, tmp_path):
+def test_interp_eval_and_field_compute_no_distance(sweeps, run_cli, tmp_path):
     data, queries = tmp_path / "data.csv", tmp_path / "queries.csv"
     nodes = sample(unit_box(2), Uniform(), 12, 5)
     write_points_csv(data, nodes, np.sin(nodes.points[:, 0]))
     write_points_csv(queries, np.random.default_rng(6).random((40, 2)))
-    trees.clear()
+    sweeps.clear()
     code, _, err = run_cli(["interp", "--kernel", "tps:k=1", "--augment", "poly",
                             "--points", str(data), "--eval", str(queries),
                             "--pred", str(tmp_path / "pred.csv")])
@@ -85,16 +85,19 @@ def test_interp_eval_and_field_build_no_tree(trees, run_cli, tmp_path):
         code, _, err = run_cli(["field", "--kernel", "tps:k=1", *source,
                                 "--grid=0,1,0,1,4,3", "--out", str(tmp_path / "f.csv")])
         assert code == 0, err
-    assert trees == []
+    assert sweeps == []
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_monte_carlo_builds_one_tree_per_trial(trees, threads):
-    report = monte_carlo(ThinPlateSpline(1), unit_box(2), Uniform(), [5, 9], 6, 8,
-                         threads=threads)
-    assert len(trees) == len(report.records) == 12
-    for record in report.records:
-        pts = sample(unit_box(2), Uniform(), record.n,
-                     domains.mix_seed(8, record.n, record.trial)).points
-        dist = domains.pairwise_distance_matrix(pts)
-        assert record.min_pairwise_distance == dist[~np.eye(record.n, dtype=bool)].min()
+def test_monte_carlo_computes_one_distance_per_trial(sweeps, threads):
+    # d = 3 and d = 8 sum coordinates in an order where a plain-order sum can differ in the last bit
+    for d in (2, 3, 8):
+        sweeps.clear()
+        report = monte_carlo(ThinPlateSpline(1), unit_box(d), Uniform(), [5, 9], 6, 8,
+                             threads=threads)
+        assert len(sweeps) == len(report.records) == 12
+        for record in report.records:
+            pts = sample(unit_box(d), Uniform(), record.n,
+                         domains.mix_seed(8, record.n, record.trial)).points
+            dist = domains.pairwise_distance_matrix(pts)
+            assert record.min_pairwise_distance == dist[~np.eye(record.n, dtype=bool)].min()

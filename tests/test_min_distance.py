@@ -1,0 +1,83 @@
+"""The sort-and-sweep minimum distance is the distance matrix's own minimum, bit for bit."""
+
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import polyharm
+from polyharm import PointSet, pairwise_distance_matrix
+
+# a few lattice steps and mixed-scale reals
+COORDINATES = st.one_of(
+    st.integers(-3, 3).map(float),
+    st.integers(-3, 3).map(lambda k: 0.1 * k),
+    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def point_arrays(draw):
+    n, d = draw(st.integers(1, 60)), draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        # coordinates drawn from a small pool: lattice ties on every axis, and duplicates
+        pool = np.array(draw(st.lists(COORDINATES, min_size=1, max_size=6)))
+        pts = pool[rng.integers(0, pool.size, (n, d))]
+    else:
+        pts = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-6, 7, (n, d))
+    if draw(st.booleans()):
+        # one wide axis on which all points but the first share one coordinate
+        axis = draw(st.integers(0, d - 1))
+        pts[:, axis] = draw(COORDINATES)
+        pts[0, axis] += 1e7
+    for source, target in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                                  st.integers(0, n - 1)), max_size=3)):
+        pts[target] = pts[source]
+    return pts
+
+
+@settings(max_examples=1000, deadline=None, database=None)
+@given(point_arrays())
+def test_sweep_equals_the_matrix_minimum_bitwise(pts):
+    got = PointSet.from_array(pts).min_pairwise_distance
+    n = pts.shape[0]
+    if n == 1:
+        assert got == math.inf
+        return
+    want = pairwise_distance_matrix(pts)[~np.eye(n, dtype=bool)].min()
+    assert np.float64(got).tobytes() == want.tobytes()
+
+
+def test_lattice_ties_and_duplicates():
+    grid = np.array([[i, j, k] for i in range(4) for j in range(5) for k in range(3)], float)
+    assert PointSet.from_array(0.25 * grid).min_pairwise_distance == 0.25
+    assert PointSet.from_array(np.vstack([grid, grid[7]])).min_pairwise_distance == 0.0
+    # every point on the widest axis shares one coordinate but the last
+    column = np.zeros((50, 2))
+    column[:, 1] = np.arange(50.0) * 0.5
+    column[-1, 0] = 100.0
+    assert PointSet.from_array(column).min_pairwise_distance == 0.5
+
+
+def test_no_scipy_spatial_module_is_loaded(tmp_path):
+    # a fresh interpreter: this process may have imported scipy.spatial elsewhere
+    script = ("import sys\nimport polyharm.cli\n"
+              "loaded = lambda: sorted(m for m in sys.modules if m.startswith('scipy.spatial'))\n"
+              "print(loaded())\n"
+              "code = polyharm.cli.main(['verify', '--kernel', 'tps:k=1', '--dim', '3',\n"
+              "                          '--n', '5,9', '--trials', '3', '--seed', '1',\n"
+              "                          '--out', sys.argv[1]])\n"
+              "print(code, loaded())\n")
+    src = str(Path(polyharm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "report.json")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("[]", "0 []")

@@ -2,7 +2,10 @@
 
 Run it against a checkout with
 
-    PYTHONPATH=<checkout>/src python tools/output_digests.py
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=<checkout>/src python tools/output_digests.py
+
+Output bytes of the runs that fit, grow or diagnose large matrices depend
+on the BLAS thread count, so compare two checkouts at the same setting.
 
 It prints one ``name exit sha256`` line per run, followed by one
 ``name file sha256`` line for each of its outputs.  Each run executes in
