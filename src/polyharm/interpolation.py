@@ -223,21 +223,19 @@ def _fit(points: PointSet, values, kernel: Kernel, eps, degree, tau) -> tuple:
                               coefficients=solution[:n], tail=tail, diagnostics=diag), matrix
 
 
-# a multiple of 4 keeps BLAS's row grouping, and so the bits of the whole product; 256
-# rows measured fastest at the benchmark's n = 200, whose block temporaries fit in L2
+# 256 rows measured fastest at the benchmark's n = 200, whose block temporaries fit in L2
 _EVAL_ROWS = 256
 
 
 def evaluate(model: InterpolationModel, queries) -> np.ndarray:
     """Evaluate an interpolant at query points (m, d), 256 query rows at a time.
 
-    Each block's kernel values and tail monomials are multiplied by the
+    Each block's kernel values and tail monomials are summed against the
     coefficients on their own, so memory beyond the result is a few
-    256 x n arrays for n nodes, whatever m is.  Block starts are multiples
-    of 4, the row group of OpenBLAS's matrix-vector product, and a final
-    block of one row is folded into the block before it (a one-row product
-    goes through dot), so with one BLAS thread every value has the bits of
-    the whole (m, n) product plus the whole tail.
+    256 x n arrays for n nodes, whatever m is.  The sums are NumPy's own
+    einsum loop (with optimize off, not BLAS), so each value is a
+    fixed-order sum over its own row, whose bits depend only on the model
+    and its query: not on the other queries or the BLAS thread count.
     """
     q = np.atleast_2d(np.asarray(queries, dtype=float))
     if q.shape[1] != model.points.dimension:
@@ -247,15 +245,14 @@ def evaluate(model: InterpolationModel, queries) -> np.ndarray:
         )
     m = q.shape[0]
     out = np.empty(m)
-    starts = list(range(0, m, _EVAL_ROWS))
-    if len(starts) > 1 and m - starts[-1] == 1:
-        starts.pop()
-    for start, stop in zip(starts, starts[1:] + [m]):
-        block = q[start:stop]
-        dist = cross_distance_matrix(block, model.points.points)
-        out[start:stop] = model.kernel.value_scaled(model.epsilon, dist) @ model.coefficients
+    for start in range(0, m, _EVAL_ROWS):
+        rows = slice(start, start + _EVAL_ROWS)
+        dist = cross_distance_matrix(q[rows], model.points.points)
+        kernel = model.kernel.value_scaled(model.epsilon, dist)
+        out[rows] = np.einsum("ij,j->i", kernel, model.coefficients)
         if model.tail is not None:
-            out[start:stop] += monomial_matrix(block, model.tail.degree) @ model.tail.coefficients
+            poly = monomial_matrix(q[rows], model.tail.degree)
+            out[rows] += np.einsum("ij,j->i", poly, model.tail.coefficients)
     return out
 
 

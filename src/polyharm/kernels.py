@@ -53,9 +53,10 @@ class KernelInfo:
 
 
 def _check_radii(r: np.ndarray) -> None:
-    # the method, not np.any, which costs several times more on a short vector
-    if (r < 0.0).any():
-        raise ValueError("kernel radius must be nonnegative")
+    # the method, not np.all, which costs several times more on a short vector; NaN fails
+    # r >= 0 too, and -0.0 passes
+    if not (r >= 0.0).all():
+        raise ValueError("kernel radius must be nonnegative and not NaN")
 
 
 def _check_scale(eps: float) -> float:
@@ -151,10 +152,7 @@ class RadialPower:
             return float(out)
         return out
 
-    def value_scaled(self, eps, r):
-        """Evaluate the kernel at the scaled distance eps * r, eps > 0."""
-        eps = _check_scale(eps)
-        return self.value(np.asarray(r, dtype=float) * eps)
+    value_scaled = ThinPlateSpline.value_scaled
 
     def info(self) -> KernelInfo:
         rounded = round(self.nu)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from operator import attrgetter
@@ -266,9 +267,9 @@ def monte_carlo(kernel: Kernel, domain: Domain, density: Density,
     For every size n in n_list (sizes must be distinct) and trial index t,
     a point set is drawn from the substream mix_seed(seed, n, t), its kernel
     matrix is assembled and diagnosed, and the singularity verdicts are
-    aggregated per size.  The
-    report is a pure function of the configuration; threads only sets the
-    number of concurrent workers and never changes the output.
+    aggregated per size.  The report is a pure function of the
+    configuration; threads only caps the number of concurrent workers (so
+    do the task and core counts) and never changes the output.
     """
     n_values = [int(n) for n in n_list]
     if not n_values or any(n < 1 for n in n_values):
@@ -287,10 +288,12 @@ def monte_carlo(kernel: Kernel, domain: Domain, density: Density,
         n, t = task
         return _run_trial(kernel, domain, density, n, t, seed, tau, eps)
 
-    if threads == 1:
+    # more workers than tasks or cores only adds OS threads
+    workers = min(threads, len(tasks), os.cpu_count() or 1)
+    if workers == 1:
         records = [work(task) for task in tasks]
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(work, tasks))
 
     aggregates = []

@@ -9,7 +9,8 @@ exception: they rebuild a loop of the library from its parts, assembling
 and factorizing every matrix afresh, so that bitwise agreement shows the
 library's reuse of matrices and factors changes nothing.  whole_evaluate is
 the other: it evaluates all queries in one block, so that bitwise agreement
-shows the library's blocking of the queries changes nothing.
+(in the fixed einsum order) shows the library's blocking of the queries
+changes nothing.
 separate_solves, csv_writer_records, row_loop_csv_lines,
 cell_loop_field_svg, lu_solve_determinant, row_scan_points_csv and
 summed_sign_logabs keep earlier library bodies (two solve bodies, the csv
@@ -186,14 +187,35 @@ def fresh_kernel_conditions(points, kernel, eps_list, tau=1e-12):
                  for eps in eps_list)
 
 
-def whole_evaluate(model, queries):
-    """An interpolant at the queries from the whole (m, n) kernel matrix at once."""
+def _whole_terms(model, queries):
+    # the whole (m, n) kernel matrix and (m, p) monomial matrix (None without a tail)
     q = np.atleast_2d(np.asarray(queries, dtype=float))
     dist = cross_distance_matrix(q, model.points.points)
-    out = model.kernel.value_scaled(model.epsilon, dist) @ model.coefficients
-    if model.tail is not None:
-        out = out + monomial_matrix(q, model.tail.degree) @ model.tail.coefficients
+    kernel = model.kernel.value_scaled(model.epsilon, dist)
+    return kernel, None if model.tail is None else monomial_matrix(q, model.tail.degree)
+
+
+def whole_evaluate(model, queries, fixed_order=False):
+    """An interpolant at the queries from the whole (m, n) kernel matrix at once.
+
+    The matrix-vector products are BLAS's, or with fixed_order NumPy's own
+    einsum loop.
+    """
+    product = (lambda a, x: np.einsum("ij,j->i", a, x)) if fixed_order else np.matmul
+    kernel, poly = _whole_terms(model, queries)
+    out = product(kernel, model.coefficients)
+    if poly is not None:
+        out = out + product(poly, model.tail.coefficients)
     return out
+
+
+def term_magnitudes(model, queries):
+    """Per query, the sum of |c_j phi_j| over the nodes plus |a_k p_k| over the tail."""
+    kernel, poly = _whole_terms(model, queries)
+    total = np.abs(kernel * model.coefficients).sum(axis=1)
+    if poly is not None:
+        total += np.abs(poly * model.tail.coefficients).sum(axis=1)
+    return total
 
 
 def separate_solves(points, values, kernel, eps=1.0, degree=None, tau=1e-12):

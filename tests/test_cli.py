@@ -61,6 +61,25 @@ def test_interp_evaluates_at_nodes(run_cli, tmp_path):
     assert np.abs(predictions - values).max() <= 1e-8 * np.abs(values).max()
 
 
+def test_interp_eval_of_a_subset_writes_the_same_rows(run_cli, tmp_path):
+    # every 7th query from the 4th on: its rows sit elsewhere in evaluate's blocks
+    data = tmp_path / "data.csv"
+    make_data_csv(data, n=200)
+    queries = np.random.default_rng(83).random((1000, 2))
+    write_points_csv(tmp_path / "all.csv", queries)
+    write_points_csv(tmp_path / "some.csv", queries[3::7])
+    rows = {}
+    for name in ("all", "some"):
+        code, _, err = run_cli([
+            "interp", "--kernel", "tps:k=1", "--augment", "poly", "--points", str(data),
+            "--eval", str(tmp_path / f"{name}.csv"), "--pred", str(tmp_path / f"{name}.pred"),
+        ])
+        assert code == 0, err
+        rows[name] = (tmp_path / f"{name}.pred").read_text().splitlines()
+    header, *body = rows["all"]
+    assert rows["some"] == [header] + body[3::7]
+
+
 def test_interp_augmented_tail(run_cli, tmp_path):
     data = tmp_path / "data.csv"
     make_data_csv(data)

@@ -1,11 +1,17 @@
 """Matrix assembly, solves, polynomial tails and scale invariance."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oracles import brute_kernel_matrix, tps_scalar, whole_evaluate
+import polyharm
+from oracles import brute_kernel_matrix, term_magnitudes, tps_scalar, whole_evaluate
 from polyharm import (
     AugmentationRankError,
     InterpolationModel,
@@ -228,17 +234,68 @@ def test_scale_invariance_needs_two_scales():
         scale_invariance_check(pts, np.ones(5), RadialPower(1.5), (1.0,))
 
 
-# one query, exactly one block, several blocks plus a remainder, one-row remainders, and
-# the sizes of the earlier 1024-row blocks, whose one-row remainder went through dot
+def _evaluate_model(degree):
+    pts = random_points(200, 2, 61)
+    values = np.sin(3.0 * pts.points[:, 0]) + pts.points[:, 1] ** 2
+    if degree is None:
+        return solve_unaugmented(pts, values, RadialPower(1.5))
+    return solve_augmented(pts, values, ThinPlateSpline(1), degree=degree)
+
+
+# one query, one block, whole blocks, several blocks plus a remainder, one-row remainders
 @pytest.mark.parametrize("m", [1, _EVAL_ROWS, 3 * _EVAL_ROWS + 128, _EVAL_ROWS + 1,
                                2 * _EVAL_ROWS + 1, 1024, 1025, 3200])
 @pytest.mark.parametrize("degree", [None, 1])
 def test_blocked_evaluate_matches_the_whole_matrix_bitwise(degree, m):
-    pts = random_points(200, 2, 61)
-    values = np.sin(3.0 * pts.points[:, 0]) + pts.points[:, 1] ** 2
-    if degree is None:
-        model = solve_unaugmented(pts, values, RadialPower(1.5))
-    else:
-        model = solve_augmented(pts, values, ThinPlateSpline(1), degree=degree)
+    model = _evaluate_model(degree)
     queries = np.random.default_rng(62).random((m, 2))
-    assert evaluate(model, queries).tobytes() == whole_evaluate(model, queries).tobytes()
+    values = evaluate(model, queries)
+    # each value is its query's alone, whatever the block and the other queries
+    alone = np.concatenate([evaluate(model, queries[i:i + 1]) for i in range(m)])
+    assert values.tobytes() == alone.tobytes()
+    assert evaluate(model, queries[::-1]).tobytes() == values[::-1].tobytes()
+    assert values.tobytes() == whole_evaluate(model, queries, fixed_order=True).tobytes()
+    # and within the benchmark's bound of the whole BLAS product
+    bound = 1e-13 * term_magnitudes(model, queries)
+    assert (np.abs(values - whole_evaluate(model, queries)) <= bound).all()
+
+
+def test_reloaded_model_evaluates_to_the_same_bytes_at_any_blas_thread_count(tmp_path):
+    model = _evaluate_model(1)
+    queries = np.random.default_rng(62).random((3200, 2))
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(model.to_dict()))
+    np.save(tmp_path / "queries.npy", queries)
+    # the whole call, then each query alone
+    script = ("import json, sys\nimport numpy as np\n"
+              "from polyharm import InterpolationModel, evaluate\n"
+              "model = InterpolationModel.from_dict(json.loads(open(sys.argv[1]).read()))\n"
+              "q = np.load(sys.argv[2])\n"
+              "print(evaluate(model, q).tobytes().hex())\n"
+              "print(b''.join(evaluate(model, row[None]).tobytes() for row in q).hex())\n")
+    src = str(Path(polyharm.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", script, str(model_path),
+                               str(tmp_path / "queries.npy")],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        outputs.extend(done.stdout.split())
+    assert outputs == [evaluate(model, queries).tobytes().hex()] * 4
+
+
+def test_evaluate_rejects_a_nan_query():
+    # a NaN distance must not read as the thin-plate kernel's 0 at r = 0
+    pts = random_points(8, 2, 63)
+    for model in (solve_unaugmented(pts, np.cos(pts.points[:, 0]), ThinPlateSpline(1)),
+                  solve_augmented(pts, np.cos(pts.points[:, 0]), ThinPlateSpline(1))):
+        with pytest.raises(ValueError, match="NaN"):
+            evaluate(model, [[math.nan, 0.5]])
+
+
+def test_cardinal_values_rejects_a_nan_query():
+    pts = random_points(8, 2, 63)
+    with pytest.raises(ValueError, match="NaN"):
+        cardinal_values(pts, ThinPlateSpline(1), 1.0, [[0.25, 0.25], [math.nan, 0.5]])

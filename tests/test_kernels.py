@@ -79,6 +79,17 @@ def test_negative_radius_rejected():
         assert np.array_equal(kernel.value(np.array([-0.0, 0.0, 1.0])), expected)
 
 
+def test_nan_radius_rejected():
+    # a NaN radius must not read as the value 0 at r = 0
+    for kernel in (ThinPlateSpline(1), RadialPower(1.5)):
+        with pytest.raises(ValueError, match="NaN"):
+            kernel.value(math.nan)
+        with pytest.raises(ValueError, match="NaN"):
+            kernel.value(np.array([0.5, math.nan, 2.0]))
+        with pytest.raises(ValueError, match="NaN"):
+            kernel.value_scaled(2.0, np.array([[0.5], [math.nan]]))
+
+
 def test_value_scaled_is_value_of_scaled_radius():
     r = np.linspace(0.0, 3.0, 17)
     for kernel in (ThinPlateSpline(1), ThinPlateSpline(2), RadialPower(1.5)):

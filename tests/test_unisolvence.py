@@ -24,6 +24,7 @@ from polyharm import (
     lu_sign_logabs,
     monte_carlo,
     sample,
+    unisolvence,
     unit_box,
 )
 
@@ -125,6 +126,14 @@ def test_schur_route_requires_nonsingular_base():
     assert value == pytest.approx(pair_determinant(phi_r), rel=1e-12)
 
 
+@pytest.mark.parametrize("method", ["schur", "direct"])
+def test_bordered_determinant_rejects_a_nan_point(method):
+    # a NaN point must not read as a zero of the field on either route
+    system = BorderedSystem(assemble(sample(unit_box(2), Uniform(), 8, 3), ThinPlateSpline(1)))
+    with pytest.raises(ValueError, match="NaN"):
+        system.determinant((math.nan, 0.5), method)
+
+
 def test_grid_matches_pointwise_calls():
     pts = random_points(5, 2, 77)
     system = BorderedSystem(assemble(pts, ThinPlateSpline(1)))
@@ -176,6 +185,40 @@ def test_monte_carlo_thread_count_does_not_change_output():
     threaded = monte_carlo(RadialPower(1.5), unit_box(2), Uniform(), threads=4, **kwargs)
     assert serial.to_json() == threaded.to_json()
     assert serial.records_csv() == threaded.records_csv()
+
+
+@pytest.mark.parametrize("threads, trials, cores, workers", [
+    (5000, 3, 8, 6),     # capped by the task count
+    (5000, 50, 4, 4),    # capped by the cores
+    (3, 3, 8, 3),        # as asked
+    (5000, 3, None, 0),  # unknown core count: serial, no pool
+    (5000, 1, 8, 0),     # one task: serial
+    (5000, 3, 1, 0),     # one core: serial
+])
+def test_monte_carlo_pool_is_bounded(monkeypatch, threads, trials, cores, workers):
+    # a stand-in executor records max_workers and maps serially: no OS thread is started
+    made = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(unisolvence, "ThreadPoolExecutor", Recorder)
+    monkeypatch.setattr(unisolvence.os, "cpu_count", lambda: cores)
+    n_list = [3, 5] if trials > 1 else [4]
+    report = monte_carlo(ThinPlateSpline(1), unit_box(2), Uniform(), n_list, trials, 2,
+                         threads=threads)
+    assert made == ([workers] if workers else [])
+    serial = monte_carlo(ThinPlateSpline(1), unit_box(2), Uniform(), n_list, trials, 2)
+    assert report.to_json() == serial.to_json()
 
 
 def test_threaded_monte_carlo_leaves_the_warning_filters_alone():

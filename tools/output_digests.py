@@ -20,8 +20,9 @@ text, not with polyharm's own writer.
 
 The runs are CLI argv lists (the four benchmark workloads at seed 1, with
 interp_eval cut to 20,000 queries to keep memory small; interp_eval cut to
-1,025 queries, one more than a multiple of evaluate's blocks; a points file
-that only float() reads; and the other subcommand paths) and library calls
+1,025 queries, so that evaluate's last block holds a single row; interp_eval
+on every 7th of its queries, whose predictions are rows of interp_eval's; a
+points file that only float() reads; and the other subcommand paths) and library calls
 whose results are written as JSON or raw array bytes.  ``repr`` of library
 objects is not an output contract and is left out.
 """
@@ -88,13 +89,13 @@ def _unit_pair_csv(path: str = "pair.csv") -> None:
     _write_csv(path, "x1,x2,value", [[0.0, 0.0, 1.0], [1.0, 0.0, 2.0]])
 
 
-def _interp_eval_inputs(queries: int = 20_000) -> None:
-    # the interp_eval benchmark inputs at seed 1, with fewer queries
+def _interp_eval_inputs(queries: int = 20_000, step: int = 1) -> None:
+    # the interp_eval benchmark inputs at seed 1, with fewer queries, every step-th of them
     rng = np.random.default_rng([1, 2])
     nodes = rng.random((200, 2))
     values = np.sin(2.0 * np.pi * nodes[:, 0]) * np.cos(np.pi * nodes[:, 1]) + nodes[:, 0] ** 2
     _write_csv("nodes.csv", "x1,x2,value", np.column_stack([nodes, values]))
-    _write_csv("queries.csv", "x1,x2", np.vstack([rng.random((queries, 2)), nodes]))
+    _write_csv("queries.csv", "x1,x2", np.vstack([rng.random((queries, 2)), nodes])[::step])
 
 
 def _underscored_csv(path: str = "spelled.csv") -> None:
@@ -232,6 +233,9 @@ RUNS = {
         "interp", "--kernel", "tps:k=1", "--augment", "poly", "--points", "nodes.csv",
         "--eval", "queries.csv", "--pred", "pred.csv", "--out", "model.json"]),
     "interp_eval_1025": (lambda: _interp_eval_inputs(825), [
+        "interp", "--kernel", "tps:k=1", "--augment", "poly", "--points", "nodes.csv",
+        "--eval", "queries.csv", "--pred", "pred.csv", "--out", "model.json"]),
+    "interp_eval_subset": (lambda: _interp_eval_inputs(step=7), [
         "interp", "--kernel", "tps:k=1", "--augment", "poly", "--points", "nodes.csv",
         "--eval", "queries.csv", "--pred", "pred.csv", "--out", "model.json"]),
     "interp_float_only_spellings": (_underscored_csv, [
