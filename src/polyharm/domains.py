@@ -11,7 +11,7 @@ bitwise-identical results in any execution order.
 
 Point sets record their provenance (random sampling parameters, a
 deterministic construction label, or a source file) and report their exact
-minimum pairwise distance, computed on first read.
+minimum pairwise distance, computed once and cached.
 """
 
 from __future__ import annotations
@@ -98,7 +98,8 @@ def _sum_squares(diffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
     return diffs.sum(axis=0, out=out)
 
 
-def cross_distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def cross_distance_matrix(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None
+                          ) -> np.ndarray:
     """Euclidean distances between the rows of a (m, d) and b (n, d).
 
     Each coordinate's squared differences form one (rows, n) slice, and the
@@ -109,7 +110,9 @@ def cross_distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     PointSet.min_pairwise_distance sums in it too.  Rows of a are taken in
     chunks whose (d, rows, n) temporary holds at most _CHUNK_ENTRIES entries
     (and at least one row), so memory beyond the (m, n) result stays bounded.
-    ValueError unless a and b are 2-d with the same number of columns.
+    The result is written into out when it is given, else into a new array.
+    ValueError unless a and b are 2-d with the same number of columns, and
+    unless out, when given, has shape (m, n).
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -117,7 +120,10 @@ def cross_distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError(f"distances need two (rows, d) arrays of one dimension d, "
                          f"got shapes {a.shape} and {b.shape}")
     (m, d), n = a.shape, b.shape[0]
-    out = np.empty((m, n))
+    if out is None:
+        out = np.empty((m, n))
+    elif out.shape != (m, n):
+        raise ValueError(f"distance buffer of shape {out.shape} does not hold ({m}, {n})")
     coords = np.ascontiguousarray(b.T)[:, None, :]  # (d, 1, n): the inner loops run over n
     step = max(1, _CHUNK_ENTRIES // max(n * d, 1))
     for start in range(0, m, step):
@@ -140,11 +146,19 @@ def _min_distance(points: np.ndarray) -> float:
     nonnegative terms is no smaller than any of them.  As the square root
     is monotone too, the result is bitwise the smallest off-diagonal entry
     of pairwise_distance_matrix(points), with O(n d) memory.
+
+    On spread points the nearest neighbour lies about n**(-1/d) away and
+    the gap at offset w about w / n, so the sweep stops near offset
+    n**(1 - 1/d) (sqrt(n) in the plane).  One that has not stopped by
+    twice that, as when most points share the sort-axis coordinate, ends in
+    _blocked_min_distance: the same value from a few calls of vector work
+    instead of up to n Python-level offsets.
     """
     axis = int(np.argmax(np.ptp(points, axis=0)))
     coords = points.T.take(np.argsort(points[:, axis], kind="stable"), axis=1)
     lead = coords[axis]
-    n = lead.size
+    d, n = coords.shape
+    limit = math.ceil(2.0 * n ** (1.0 - 1.0 / d))
     best = math.inf
     for w in range(1, n):
         best = min(best, float(_sum_squares(coords[:, w:] - coords[:, :-w]).min()))
@@ -153,7 +167,29 @@ def _min_distance(points: np.ndarray) -> float:
         gap = float((lead[w + 1:] - lead[:-w - 1]).min())
         if gap * gap >= best:
             break
+        if w == limit:
+            return _blocked_min_distance(points)
     return math.sqrt(best)
+
+
+def _blocked_min_distance(points: np.ndarray) -> float:
+    """Smallest off-diagonal entry of pairwise_distance_matrix(points), n >= 2.
+
+    Rows i are taken in blocks of about _CHUNK_ENTRIES entries, each block
+    against the points j > start of the block through cross_distance_matrix
+    (whose entries are those of the whole matrix), with the pairs j <= i of
+    the block's leading corner masked.  Memory is one block whatever n is.
+    """
+    n = points.shape[0]
+    step = max(1, _CHUNK_ENTRIES // n)
+    below = np.tri(step, k=-1, dtype=bool)  # (r, c) with c < r: the pair j = start + 1 + c <= i
+    best = math.inf
+    for start in range(0, n - 1, step):
+        rows = min(step, n - 1 - start)
+        block = cross_distance_matrix(points[start:start + rows], points[start + 1:])
+        block[:, :rows][below[:rows, :rows]] = math.inf
+        best = min(best, float(block.min()))
+    return best
 
 
 def pairwise_distance_matrix(points: np.ndarray) -> np.ndarray:
@@ -334,9 +370,10 @@ class PointSet:
 
     min_pairwise_distance is the minimum over all pairs (0 when duplicates
     exist, +inf for a single point), bitwise the smallest off-diagonal entry
-    of pairwise_distance_matrix(points), found by a sort-and-sweep that
-    builds no n x n array.  It is not a constructor argument: it is
-    computed from the points on first read and cached.
+    of pairwise_distance_matrix(points).  It is not a constructor argument:
+    interpolation.assemble reads it off the distance matrix it builds, and
+    otherwise a sort-and-sweep that builds no n x n array computes it from
+    the points on first read; either way it is cached.
     """
 
     points: np.ndarray
@@ -353,6 +390,19 @@ class PointSet:
     @cached_property
     def min_pairwise_distance(self) -> float:
         return _min_distance(self.points) if self.n > 1 else math.inf
+
+    def _note_min_distance(self, dist: np.ndarray) -> None:
+        """Cache min_pairwise_distance from dist, this set's pairwise_distance_matrix.
+
+        Nothing is done when the value is already cached or n = 1.  Row i of
+        the (n - 1, n) view below starts right after dist[i, i] and ends
+        right before dist[i + 1, i + 1], so it holds the off-diagonal
+        entries without a copy.
+        """
+        n = self.n
+        if n > 1 and "min_pairwise_distance" not in self.__dict__:
+            off_diagonal = dist.ravel()[1:].reshape(n - 1, n + 1)[:, :n]
+            self.__dict__["min_pairwise_distance"] = float(off_diagonal.min())
 
     @property
     def n(self) -> int:

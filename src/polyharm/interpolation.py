@@ -115,9 +115,15 @@ def assemble(points: PointSet, kernel: Kernel, eps: float = 1.0) -> InterpMatrix
     Entry (i, j) is kernel(eps * ||x_i - x_j||).  The matrix is exactly
     symmetric, because fl(a - b) = -fl(b - a), and its diagonal is exactly
     zero, because x - x = 0 and the kernel is 0 at r = 0.
+
+    The kernel values are written over the distance matrix, so the matrix
+    is the one n x n array held.  Before that, the point set's
+    min_pairwise_distance is read off the distances unless it is cached.
     """
     eps = _check_scale(eps)
-    entries = kernel.value_scaled(eps, pairwise_distance_matrix(points.points))
+    dist = pairwise_distance_matrix(points.points)
+    points._note_min_distance(dist)
+    entries = kernel.value_scaled(eps, dist, out=dist)
     return InterpMatrix(entries=entries, kernel=kernel, epsilon=eps, points=points)
 
 
@@ -227,15 +233,27 @@ def _fit(points: PointSet, values, kernel: Kernel, eps, degree, tau) -> tuple:
 _EVAL_ROWS = 256
 
 
+def _check_finite_values(values: np.ndarray, q: np.ndarray) -> None:
+    # values holds one row (or one entry) per query of q
+    finite = np.isfinite(values)
+    if not finite.all():
+        first = int(np.flatnonzero(~finite.reshape(len(q), -1).all(axis=1))[0])
+        raise ValueError(f"the value at query {first} {q[first].tolist()!r} is not finite "
+                         "(queries far from the nodes overflow double precision)")
+
+
 def evaluate(model: InterpolationModel, queries) -> np.ndarray:
     """Evaluate an interpolant at query points (m, d), 256 query rows at a time.
 
-    Each block's kernel values and tail monomials are summed against the
-    coefficients on their own, so memory beyond the result is a few
-    256 x n arrays for n nodes, whatever m is.  The sums are NumPy's own
-    einsum loop (with optimize off, not BLAS), so each value is a
-    fixed-order sum over its own row, whose bits depend only on the model
-    and its query: not on the other queries or the BLAS thread count.
+    Each block's distances are written into one 256 x n buffer, reused for
+    every block, and its kernel values over them; those and the block's
+    tail monomials are summed against the coefficients on their own, so
+    memory beyond the result is a few 256 x n arrays for n nodes, whatever
+    m is.  The sums are NumPy's own einsum loop (with optimize off, not
+    BLAS), so each value is a fixed-order sum over its own row, whose bits
+    depend only on the model and its query: not on the other queries or
+    the BLAS thread count.  ValueError names the first query whose value
+    is not finite.
     """
     q = np.atleast_2d(np.asarray(queries, dtype=float))
     if q.shape[1] != model.points.dimension:
@@ -245,14 +263,17 @@ def evaluate(model: InterpolationModel, queries) -> np.ndarray:
         )
     m = q.shape[0]
     out = np.empty(m)
+    buffer = np.empty((min(m, _EVAL_ROWS), model.points.n))
     for start in range(0, m, _EVAL_ROWS):
         rows = slice(start, start + _EVAL_ROWS)
-        dist = cross_distance_matrix(q[rows], model.points.points)
-        kernel = model.kernel.value_scaled(model.epsilon, dist)
-        out[rows] = np.einsum("ij,j->i", kernel, model.coefficients)
+        block = buffer[:min(_EVAL_ROWS, m - start)]
+        cross_distance_matrix(q[rows], model.points.points, out=block)
+        model.kernel.value_scaled(model.epsilon, block, out=block)
+        out[rows] = np.einsum("ij,j->i", block, model.coefficients)
         if model.tail is not None:
             poly = monomial_matrix(q[rows], model.tail.degree)
             out[rows] += np.einsum("ij,j->i", poly, model.tail.coefficients)
+    _check_finite_values(out, q)
     return out
 
 
@@ -262,14 +283,18 @@ def cardinal_values(points: PointSet, kernel: Kernel, eps: float, queries,
 
     Entry (i, j) is the value at query i of the interpolant that is 1 at
     node j and 0 at every other node.  Rows sum to 1 only where constants
-    are reproduced; no such claim is made here.
+    are reproduced; no such claim is made here.  ValueError names the first
+    query with a value that is not finite.
     """
     matrix = assemble(points, kernel, eps)
     q = np.atleast_2d(np.asarray(queries, dtype=float))
     if q.shape[1] != points.dimension:
         raise ValueError("query dimension does not match node dimension")
-    cross = kernel.value_scaled(eps, cross_distance_matrix(q, points.points))
-    return _solve(matrix.entries, cross.T, tau, "interpolation matrix", points.n)[0].T
+    cross = cross_distance_matrix(q, points.points)
+    kernel.value_scaled(eps, cross, out=cross)
+    values = _solve(matrix.entries, cross.T, tau, "interpolation matrix", points.n)[0].T
+    _check_finite_values(values, q)
+    return values
 
 
 _QUERY_SEED = 901159

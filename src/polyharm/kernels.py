@@ -12,7 +12,8 @@ thin-plate splines and ceil(nu / 2) for radial powers.  The value at r = 0
 is hard-coded to 0, which is the analytic limit; log(0) is never evaluated.
 
 Kernels are immutable value objects and every operation here is a pure
-function, so they are safe to share across threads.
+function, except that value_scaled writes into the out array its caller
+passes, so they are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -59,6 +60,18 @@ def _check_radii(r: np.ndarray) -> None:
         raise ValueError("kernel radius must be nonnegative and not NaN")
 
 
+def _apply(kernel, arr: np.ndarray):
+    """The kernel's values at the radii arr, written over arr; a float when arr is 0-d.
+
+    The bodies use in-place **=, which takes NumPy's scalar-power fast paths
+    (x * x for a square, sqrt for the power 0.5) exactly as arr**p does, so
+    the values have the bits of the copying expressions.
+    """
+    _check_radii(arr)
+    kernel._apply_in_place(arr)
+    return float(arr) if arr.ndim == 0 else arr
+
+
 def _check_scale(eps: float) -> float:
     eps = float(eps)
     if not math.isfinite(eps) or eps <= 0.0:
@@ -97,21 +110,27 @@ class ThinPlateSpline:
         float or numpy.ndarray
             r**(2*k) * log(r), with the value at r = 0 hard-coded to 0.
         """
-        arr = np.asarray(r, dtype=float)
-        _check_radii(arr)
-        power = 2 * self.k
-        # log is only evaluated at strictly positive radii; log(1) * 1 is +0.0 at r = 0
-        safe = np.where(arr > 0.0, arr, 1.0)
-        out = np.log(safe)
-        out *= safe**power
-        if arr.ndim == 0:
-            return float(out)
-        return out
+        return _apply(self, np.array(r, dtype=float))
 
-    def value_scaled(self, eps, r):
-        """Evaluate the kernel at the scaled distance eps * r, eps > 0."""
+    def _apply_in_place(self, arr: np.ndarray) -> None:
+        # log is only evaluated at strictly positive radii; log(1) * 1 is +0.0 at r = 0
+        arr[arr == 0.0] = 1.0
+        log = np.log(arr)
+        arr **= 2 * self.k
+        arr *= log
+
+    def value_scaled(self, eps, r, out=None):
+        """Evaluate the kernel at the scaled distance eps * r, eps > 0.
+
+        The values are written into out when it is given (out may be r
+        itself, which then holds the kernel values); otherwise into one
+        fresh array, and r is left untouched.
+        """
         eps = _check_scale(eps)
-        return self.value(np.asarray(r, dtype=float) * eps)
+        if out is None:
+            out = r = np.array(r, dtype=float)
+        np.multiply(r, eps, out=out)
+        return _apply(self, out)
 
     def info(self) -> KernelInfo:
         return KernelInfo(
@@ -145,12 +164,10 @@ class RadialPower:
 
     def value(self, r):
         """Evaluate r**nu at distance(s) r >= 0.  0**nu is exactly 0."""
-        arr = np.asarray(r, dtype=float)
-        _check_radii(arr)
-        out = arr**self.nu
-        if arr.ndim == 0:
-            return float(out)
-        return out
+        return _apply(self, np.array(r, dtype=float))
+
+    def _apply_in_place(self, arr: np.ndarray) -> None:
+        arr **= self.nu
 
     value_scaled = ThinPlateSpline.value_scaled
 

@@ -109,7 +109,7 @@ class BorderedSystem:
         if x.shape != (self.base.points.dimension,):
             raise ValueError("evaluation point dimension does not match the nodes")
         dist = cross_distance_matrix(x[None, :], self.base.points.points)[0]
-        return self.base.kernel.value_scaled(self.base.epsilon, dist)
+        return self.base.kernel.value_scaled(self.base.epsilon, dist, out=dist)
 
     def determinant(self, point, method: str = "auto") -> float:
         """Determinant of the bordered matrix at the given point.

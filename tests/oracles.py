@@ -13,13 +13,14 @@ the other: it evaluates all queries in one block, so that bitwise agreement
 changes nothing.
 separate_solves, csv_writer_records, row_loop_csv_lines,
 cell_loop_field_svg, lu_solve_determinant, row_scan_points_csv and
-summed_sign_logabs keep earlier library bodies (two solve bodies, the csv
-module, a per-row CSV writer, a per-cell SVG loop, scipy.linalg.lu_solve, a
-csv.reader and float() points reader, np.diag and np.sum reductions), so
-that bitwise agreement shows the one solve body, the block-formatted CSV
-writer, the whole-array SVG, the Schur route's bound getrs, the C-parsed
-points reader and the method reductions of the LU determinant change
-nothing.
+summed_sign_logabs and copying_kernel_value keep earlier library bodies
+(two solve bodies, the csv module, a per-row CSV writer, a per-cell SVG
+loop, scipy.linalg.lu_solve, a csv.reader and float() points reader,
+np.diag and np.sum reductions, kernel values on fresh arrays), so that
+bitwise agreement shows the one solve body, the block-formatted CSV writer,
+the whole-array SVG, the Schur route's bound getrs, the C-parsed points
+reader, the method reductions of the LU determinant and the in-place
+kernel values change nothing.
 """
 
 import csv
@@ -40,6 +41,7 @@ from polyharm import (
     InterpolationModel,
     PointSet,
     PolynomialTail,
+    ThinPlateSpline,
     assemble,
     cross_distance_matrix,
     diagnostics,
@@ -134,6 +136,17 @@ def rp_scalar(nu, r):
     return math.pow(r, nu)
 
 
+def copying_kernel_value(kernel, eps, r):
+    """phi(eps * r) with every step on a fresh array: np.where, np.log and **."""
+    arr = np.asarray(r, dtype=float) * eps
+    if isinstance(kernel, ThinPlateSpline):
+        safe = np.where(arr > 0.0, arr, 1.0)
+        out = np.log(safe)
+        out *= safe**(2 * kernel.k)
+        return out
+    return arr**kernel.nu
+
+
 def svd_sigma_extremes(matrix):
     """(sigma_min, sigma_max) from a general SVD, which ignores symmetry."""
     svals = np.linalg.svd(np.asarray(matrix, dtype=float), compute_uv=False)
@@ -191,7 +204,7 @@ def _whole_terms(model, queries):
     # the whole (m, n) kernel matrix and (m, p) monomial matrix (None without a tail)
     q = np.atleast_2d(np.asarray(queries, dtype=float))
     dist = cross_distance_matrix(q, model.points.points)
-    kernel = model.kernel.value_scaled(model.epsilon, dist)
+    kernel = copying_kernel_value(model.kernel, model.epsilon, dist)
     return kernel, None if model.tail is None else monomial_matrix(q, model.tail.degree)
 
 

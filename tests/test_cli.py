@@ -10,7 +10,9 @@ import xml.etree.ElementTree as ElementTree
 import numpy as np
 import pytest
 
+from oracles import whole_evaluate
 from polyharm import (
+    InterpolationModel,
     ThinPlateSpline,
     Uniform,
     make_rng,
@@ -78,6 +80,26 @@ def test_interp_eval_of_a_subset_writes_the_same_rows(run_cli, tmp_path):
         rows[name] = (tmp_path / f"{name}.pred").read_text().splitlines()
     header, *body = rows["all"]
     assert rows["some"] == [header] + body[3::7]
+
+
+def test_interp_eval_of_a_query_whose_value_overflows_exits_1(run_cli, tmp_path):
+    data, far, near = tmp_path / "data.csv", tmp_path / "far.csv", tmp_path / "near.csv"
+    make_data_csv(data, n=5)
+    far.write_text("x1,x2\n1e200,0.5\n1e150,0.5\n0.5,0.5\n")
+    near.write_text("x1,x2\n1e150,0.5\n0.5,0.5\n")
+    fit = ["interp", "--kernel", "tps:k=1", "--augment", "poly", "--points", str(data)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, err = run_cli(fit + ["--eval", str(far), "--pred", str(tmp_path / "far.pred")])
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1].startswith("error: the value at query 0 [1e+200, 0.5] is not finite")
+    assert not (tmp_path / "far.pred").exists()
+    code, _, err = run_cli(fit + ["--out", str(tmp_path / "model.json"), "--eval", str(near),
+                                  "--pred", str(tmp_path / "near.pred")])
+    assert code == 0, err
+    model = InterpolationModel.from_dict(json.loads((tmp_path / "model.json").read_text()))
+    queries, predictions = read_points_csv(tmp_path / "near.pred")
+    want = whole_evaluate(model, queries.points, fixed_order=True)
+    assert np.isfinite(want).all() and predictions.tobytes() == want.tobytes()
 
 
 def test_interp_augmented_tail(run_cli, tmp_path):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import rp_scalar, tps_scalar
+from oracles import copying_kernel_value, rp_scalar, tps_scalar
 from polyharm import KernelInfo, RadialPower, ThinPlateSpline, kernel_spec, parse_kernel
 
 
@@ -97,6 +97,46 @@ def test_value_scaled_is_value_of_scaled_radius():
     for bad in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError):
             ThinPlateSpline(1).value_scaled(bad, r)
+
+
+IN_PLACE_KERNELS = [ThinPlateSpline(1), ThinPlateSpline(2), ThinPlateSpline(3), RadialPower(0.5),
+                    RadialPower(1.0), RadialPower(1.5), RadialPower(3.0)]
+
+
+def _radii():
+    rng = np.random.default_rng(303)
+    spread = rng.random(200) * 10.0 ** rng.integers(-8, 9, 200)
+    return np.concatenate([[0.0, -0.0, 5e-324, 1.0, 1e150], spread])
+
+
+@pytest.mark.parametrize("eps", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("kernel", IN_PLACE_KERNELS, ids=kernel_spec)
+def test_in_place_values_have_the_copying_bits(kernel, eps):
+    # the square (x * x) and the power 0.5 (sqrt) take NumPy's fast paths, the rest pow
+    radii = _radii()
+    with np.errstate(over="ignore"):
+        want = copying_kernel_value(kernel, eps, radii).tobytes()
+        r = radii.copy()
+        assert kernel.value_scaled(eps, r).tobytes() == want
+        assert kernel.value(eps * r).tobytes() == want
+        assert r.tobytes() == radii.tobytes()
+        buffer = np.empty_like(r)
+        assert kernel.value_scaled(eps, r, out=buffer) is buffer
+        assert buffer.tobytes() == want and r.tobytes() == radii.tobytes()
+        assert kernel.value_scaled(eps, r, out=r) is r
+        assert r.tobytes() == want
+
+
+@pytest.mark.parametrize("kernel", IN_PLACE_KERNELS, ids=kernel_spec)
+def test_value_leaves_its_input_alone_and_unwraps_0d(kernel):
+    r = np.array([[0.0, 0.5], [1.0, 2.5]])
+    kept = r.copy()
+    kernel.value(r)
+    assert np.array_equal(r, kept)
+    for radius in (0.0, 2.5, np.float64(2.5), np.array(2.5)):
+        assert type(kernel.value(radius)) is float
+        assert type(kernel.value_scaled(0.5, radius)) is float
+    assert kernel.value(np.array(2.5)) == kernel.value(np.array([2.5]))[0]
 
 
 def test_rp_homogeneity():

@@ -12,6 +12,7 @@ from polyharm import (
     PointSet,
     ThinPlateSpline,
     Uniform,
+    assemble,
     domains,
     incremental_growth,
     monte_carlo,
@@ -88,6 +89,23 @@ def test_interp_eval_and_field_compute_no_distance(sweeps, run_cli, tmp_path):
     assert sweeps == []
 
 
+def test_assemble_reads_the_distance_off_its_matrix(sweeps):
+    pts = sample(unit_box(3), Uniform(), 40, 9)
+    assemble(pts, ThinPlateSpline(1))
+    assert sweeps == []
+    dist = domains.pairwise_distance_matrix(pts.points)
+    want = dist[~np.eye(pts.n, dtype=bool)].min()
+    assert np.float64(pts.min_pairwise_distance).tobytes() == want.tobytes()
+    # a distance read before assembly is kept, and one point has none to read
+    first = PointSet.from_array(pts.points)
+    assert first.min_pairwise_distance == pts.min_pairwise_distance
+    assemble(first, ThinPlateSpline(1))
+    assert len(sweeps) == 1
+    single = PointSet.from_array([[0.5, 0.5]])
+    assemble(single, ThinPlateSpline(1))
+    assert single.min_pairwise_distance == math.inf
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_monte_carlo_computes_one_distance_per_trial(sweeps, threads):
     # d = 3 and d = 8 sum coordinates in an order where a plain-order sum can differ in the last bit
@@ -95,7 +113,8 @@ def test_monte_carlo_computes_one_distance_per_trial(sweeps, threads):
         sweeps.clear()
         report = monte_carlo(ThinPlateSpline(1), unit_box(d), Uniform(), [5, 9], 6, 8,
                              threads=threads)
-        assert len(sweeps) == len(report.records) == 12
+        # assemble reads each trial's min_dist off its own distance matrix: no sweep runs
+        assert (len(sweeps), len(report.records)) == (0, 12)
         for record in report.records:
             pts = sample(unit_box(d), Uniform(), record.n,
                          domains.mix_seed(8, record.n, record.trial)).points

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polyharm
-from polyharm import PointSet, pairwise_distance_matrix
+from polyharm import PointSet, domains, pairwise_distance_matrix
 
 # a few lattice steps and mixed-scale reals
 COORDINATES = st.one_of(
@@ -63,6 +63,48 @@ def test_lattice_ties_and_duplicates():
     column[:, 1] = np.arange(50.0) * 0.5
     column[-1, 0] = 100.0
     assert PointSet.from_array(column).min_pairwise_distance == 0.5
+
+
+def _matrix_minimum(pts):
+    return pairwise_distance_matrix(pts)[~np.eye(len(pts), dtype=bool)].min()
+
+
+def test_a_sweep_that_finds_no_gap_ends_in_a_blocked_minimum(monkeypatch):
+    blocks = []
+    original = domains.cross_distance_matrix
+
+    def counted(a, b, out=None):
+        blocks.append(len(a))
+        return original(a, b, out)
+
+    monkeypatch.setattr(domains, "cross_distance_matrix", counted)
+    rng = np.random.default_rng(91)
+    # n - 1 points on the line x = 0 and one far away: every gap on the sort axis is 0
+    line = np.column_stack([np.zeros(800), rng.random(800)])
+    line[-1] = (100.0, 0.5)
+    want = _matrix_minimum(line)
+    blocks.clear()
+    got = PointSet.from_array(line).min_pairwise_distance
+    assert np.float64(got).tobytes() == want.tobytes()
+    assert sum(blocks) == 799
+    # on spread points the sweep stops by itself, well before its bound
+    for n, d in ((800, 3), (200, 2), (37, 8), (300, 8), (50, 1)):
+        pts = rng.standard_normal((n, d))
+        want = _matrix_minimum(pts)
+        blocks.clear()
+        got = PointSet.from_array(pts).min_pairwise_distance
+        assert np.float64(got).tobytes() == want.tobytes()
+        assert blocks == []
+    # n - 1 points on the plane x = 0 in 3-d, and blocks of a single row
+    plane = np.column_stack([np.zeros(120), rng.random((120, 2))])
+    plane[0, 0] = 50.0
+    monkeypatch.setattr(domains, "_CHUNK_ENTRIES", 100)
+    for pts in (plane, np.vstack([line[:149], line[-1]])):
+        want = _matrix_minimum(pts)
+        blocks.clear()
+        got = PointSet.from_array(pts).min_pairwise_distance
+        assert np.float64(got).tobytes() == want.tobytes()
+        assert blocks
 
 
 def test_no_scipy_spatial_module_is_loaded(tmp_path):

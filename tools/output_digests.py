@@ -22,7 +22,9 @@ The runs are CLI argv lists (the four benchmark workloads at seed 1, with
 interp_eval cut to 20,000 queries to keep memory small; interp_eval cut to
 1,025 queries, so that evaluate's last block holds a single row; interp_eval
 on every 7th of its queries, whose predictions are rows of interp_eval's; a
-points file that only float() reads; and the other subcommand paths) and library calls
+points file that only float() reads; verify and scaled interp runs on the
+kernels whose powers take NumPy's sqrt path (rp:nu=0.5) and its generic
+path (tps:k=3); and the other subcommand paths) and library calls
 whose results are written as JSON or raw array bytes.  ``repr`` of library
 objects is not an output contract and is left out.
 """
@@ -244,6 +246,9 @@ RUNS = {
     "interp_plain": (_data_csv, ["interp", "--kernel", "rp:nu=1.5", "--points", "data.csv"]),
     "interp_plain_pred": (_data_csv, ["interp", "--kernel", "rp:nu=1.5", "--points", "data.csv",
                                       "--eval", "data.csv", "--pred", "pred.csv"]),
+    "interp_rp05_eps": (lambda: _interp_eval_inputs(300), [
+        "interp", "--kernel", "rp:nu=0.5", "--eps", "0.5", "--points", "nodes.csv",
+        "--eval", "queries.csv", "--pred", "pred.csv"]),
     "interp_singular": (_sphere_csv, ["interp", "--kernel", "tps:k=1", "--points", "sphere.csv"]),
     "interp_singular_aug": (_sphere_csv, ["interp", "--kernel", "tps:k=1", "--augment", "poly",
                                           "--points", "sphere.csv"]),
@@ -280,9 +285,15 @@ RUNS = {
                             "--density", "gauss:mu=0.5,sd=0.25", "--n", "400,800",
                             "--trials", "4", "--threads", "2", "--seed", "1",
                             "--out", "report.json", "--csv", "records.csv"]),
+    "verify_rp05": (None, ["verify", "--kernel", "rp:nu=0.5", "--dim", "2", "--n", "6,30",
+                           "--trials", "8", "--seed", "10", "--out", "report.json",
+                           "--csv", "records.csv"]),
     "verify_small": (None, ["verify", "--kernel", "tps:k=1", "--dim", "2", "--n", "5,20,50,100",
                             "--trials", "200", "--threads", "1", "--seed", "1",
                             "--out", "report.json", "--csv", "records.csv"]),
+    "verify_tps3": (None, ["verify", "--kernel", "tps:k=3", "--dim", "3", "--n", "12,40",
+                           "--trials", "6", "--seed", "11", "--out", "report.json",
+                           "--csv", "records.csv"]),
 }
 
 
