@@ -106,8 +106,7 @@ def cross_distance_matrix(a: np.ndarray, b: np.ndarray, out: np.ndarray | None =
     slices are summed in two lanes (_sum_squares): the even-indexed
     coordinates in turn, the odd-indexed ones in turn, then the two lanes.
     That order is fixed for every d and platform; for d <= 7 it is also the
-    order of NumPy's einsum reduction on x86-64, and
-    PointSet.min_pairwise_distance sums in it too.  Rows of a are taken in
+    order of NumPy's einsum reduction on x86-64.  Rows of a are taken in
     chunks whose (d, rows, n) temporary holds at most _CHUNK_ENTRIES entries
     (and at least one row), so memory beyond the (m, n) result stays bounded.
     The result is written into out when it is given, else into a new array.
@@ -134,59 +133,23 @@ def cross_distance_matrix(a: np.ndarray, b: np.ndarray, out: np.ndarray | None =
 
 
 def _min_distance(points: np.ndarray) -> float:
-    """Smallest distance between two of the n >= 2 rows of points, by sort and sweep.
-
-    The points are sorted (stably) on the axis of largest extent and held as
-    a contiguous (d, n) array.  Offset w compares every pair (k, k + w) of
-    the sorted order, summing squares as cross_distance_matrix does, and
-    the sweep stops once the smallest squared gap along the sort axis at
-    offset w + 1 is no smaller than the best squared distance so far.  The
-    stop is exact in floating point: along the sorted axis a gap never
-    shrinks as the offset grows, rounding is monotone, and a sum of
-    nonnegative terms is no smaller than any of them.  As the square root
-    is monotone too, the result is bitwise the smallest off-diagonal entry
-    of pairwise_distance_matrix(points), with O(n d) memory.
-
-    On spread points the nearest neighbour lies about n**(-1/d) away and
-    the gap at offset w about w / n, so the sweep stops near offset
-    n**(1 - 1/d) (sqrt(n) in the plane).  One that has not stopped by
-    twice that, as when most points share the sort-axis coordinate, ends in
-    _blocked_min_distance: the same value from a few calls of vector work
-    instead of up to n Python-level offsets.
-    """
-    axis = int(np.argmax(np.ptp(points, axis=0)))
-    coords = points.T.take(np.argsort(points[:, axis], kind="stable"), axis=1)
-    lead = coords[axis]
-    d, n = coords.shape
-    limit = math.ceil(2.0 * n ** (1.0 - 1.0 / d))
-    best = math.inf
-    for w in range(1, n):
-        best = min(best, float(_sum_squares(coords[:, w:] - coords[:, :-w]).min()))
-        if w + 1 == n:
-            break
-        gap = float((lead[w + 1:] - lead[:-w - 1]).min())
-        if gap * gap >= best:
-            break
-        if w == limit:
-            return _blocked_min_distance(points)
-    return math.sqrt(best)
-
-
-def _blocked_min_distance(points: np.ndarray) -> float:
     """Smallest off-diagonal entry of pairwise_distance_matrix(points), n >= 2.
 
     Rows i are taken in blocks of about _CHUNK_ENTRIES entries, each block
     against the points j > start of the block through cross_distance_matrix
-    (whose entries are those of the whole matrix), with the pairs j <= i of
-    the block's leading corner masked.  Memory is one block whatever n is.
+    (whose entries are those of the whole matrix, bit for bit), with the
+    pairs j <= i of the block's leading corner masked.  Memory is one block
+    buffer, reused, and a mask of min(block rows, n - 1) squared entries.
     """
     n = points.shape[0]
-    step = max(1, _CHUNK_ENTRIES // n)
+    step = min(max(1, _CHUNK_ENTRIES // n), n - 1)
+    buffer = np.empty((step, n - 1))
     below = np.tri(step, k=-1, dtype=bool)  # (r, c) with c < r: the pair j = start + 1 + c <= i
     best = math.inf
     for start in range(0, n - 1, step):
         rows = min(step, n - 1 - start)
-        block = cross_distance_matrix(points[start:start + rows], points[start + 1:])
+        block = cross_distance_matrix(points[start:start + rows], points[start + 1:],
+                                      out=buffer[:rows, :n - 1 - start])
         block[:, :rows][below[:rows, :rows]] = math.inf
         best = min(best, float(block.min()))
     return best
@@ -372,8 +335,8 @@ class PointSet:
     exist, +inf for a single point), bitwise the smallest off-diagonal entry
     of pairwise_distance_matrix(points).  It is not a constructor argument:
     interpolation.assemble reads it off the distance matrix it builds, and
-    otherwise a sort-and-sweep that builds no n x n array computes it from
-    the points on first read; either way it is cached.
+    otherwise a row-blocked minimum that builds no n x n array computes it
+    from the points on first read; either way it is cached.
     """
 
     points: np.ndarray

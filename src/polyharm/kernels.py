@@ -60,18 +60,6 @@ def _check_radii(r: np.ndarray) -> None:
         raise ValueError("kernel radius must be nonnegative and not NaN")
 
 
-def _apply(kernel, arr: np.ndarray):
-    """The kernel's values at the radii arr, written over arr; a float when arr is 0-d.
-
-    The bodies use in-place **=, which takes NumPy's scalar-power fast paths
-    (x * x for a square, sqrt for the power 0.5) exactly as arr**p does, so
-    the values have the bits of the copying expressions.
-    """
-    _check_radii(arr)
-    kernel._apply_in_place(arr)
-    return float(arr) if arr.ndim == 0 else arr
-
-
 def _check_scale(eps: float) -> float:
     eps = float(eps)
     if not math.isfinite(eps) or eps <= 0.0:
@@ -110,7 +98,7 @@ class ThinPlateSpline:
         float or numpy.ndarray
             r**(2*k) * log(r), with the value at r = 0 hard-coded to 0.
         """
-        return _apply(self, np.array(r, dtype=float))
+        return self.value_scaled(1.0, r)  # r * 1.0 is r, bit for bit
 
     def _apply_in_place(self, arr: np.ndarray) -> None:
         # log is only evaluated at strictly positive radii; log(1) * 1 is +0.0 at r = 0
@@ -124,13 +112,19 @@ class ThinPlateSpline:
 
         The values are written into out when it is given (out may be r
         itself, which then holds the kernel values); otherwise into one
-        fresh array, and r is left untouched.
+        fresh array, and r is left untouched.  A float is returned for a
+        0-d r.  The bodies (_apply_in_place) use in-place **=, which takes
+        NumPy's scalar-power fast paths (x * x for a square, sqrt for the
+        power 0.5) exactly as arr**p does, so the values have the bits of
+        the copying expressions.
         """
         eps = _check_scale(eps)
         if out is None:
             out = r = np.array(r, dtype=float)
         np.multiply(r, eps, out=out)
-        return _apply(self, out)
+        _check_radii(out)
+        self._apply_in_place(out)
+        return float(out) if out.ndim == 0 else out
 
     def info(self) -> KernelInfo:
         return KernelInfo(
@@ -164,7 +158,7 @@ class RadialPower:
 
     def value(self, r):
         """Evaluate r**nu at distance(s) r >= 0.  0**nu is exactly 0."""
-        return _apply(self, np.array(r, dtype=float))
+        return self.value_scaled(1.0, r)
 
     def _apply_in_place(self, arr: np.ndarray) -> None:
         arr **= self.nu

@@ -25,7 +25,7 @@ from polyharm import (
 
 @pytest.fixture
 def sweeps(monkeypatch):
-    """The list that receives one entry per minimum-distance sweep run in domains."""
+    """The list that receives one entry per minimum distance domains computes from the points."""
     run = []
     original = domains._min_distance
 
@@ -113,7 +113,7 @@ def test_monte_carlo_computes_one_distance_per_trial(sweeps, threads):
         sweeps.clear()
         report = monte_carlo(ThinPlateSpline(1), unit_box(d), Uniform(), [5, 9], 6, 8,
                              threads=threads)
-        # assemble reads each trial's min_dist off its own distance matrix: no sweep runs
+        # assemble reads each trial's min_dist off its own distance matrix
         assert (len(sweeps), len(report.records)) == (0, 12)
         for record in report.records:
             pts = sample(unit_box(d), Uniform(), record.n,

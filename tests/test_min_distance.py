@@ -1,12 +1,14 @@
-"""The sort-and-sweep minimum distance is the distance matrix's own minimum, bit for bit."""
+"""The row-blocked minimum distance is the distance matrix's own minimum, bit for bit."""
 
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -69,7 +71,7 @@ def _matrix_minimum(pts):
     return pairwise_distance_matrix(pts)[~np.eye(len(pts), dtype=bool)].min()
 
 
-def test_a_sweep_that_finds_no_gap_ends_in_a_blocked_minimum(monkeypatch):
+def test_blocked_minimum_across_block_boundaries(monkeypatch):
     blocks = []
     original = domains.cross_distance_matrix
 
@@ -79,22 +81,17 @@ def test_a_sweep_that_finds_no_gap_ends_in_a_blocked_minimum(monkeypatch):
 
     monkeypatch.setattr(domains, "cross_distance_matrix", counted)
     rng = np.random.default_rng(91)
-    # n - 1 points on the line x = 0 and one far away: every gap on the sort axis is 0
+    # n - 1 points on the line x = 0 and one far away: every gap on the widest axis is 0
     line = np.column_stack([np.zeros(800), rng.random(800)])
     line[-1] = (100.0, 0.5)
-    want = _matrix_minimum(line)
-    blocks.clear()
-    got = PointSet.from_array(line).min_pairwise_distance
-    assert np.float64(got).tobytes() == want.tobytes()
-    assert sum(blocks) == 799
-    # on spread points the sweep stops by itself, well before its bound
-    for n, d in ((800, 3), (200, 2), (37, 8), (300, 8), (50, 1)):
-        pts = rng.standard_normal((n, d))
+    spread = [rng.standard_normal((n, d)) for n, d in ((800, 3), (200, 2), (37, 8), (50, 1))]
+    for pts in [line] + spread:
         want = _matrix_minimum(pts)
         blocks.clear()
         got = PointSet.from_array(pts).min_pairwise_distance
         assert np.float64(got).tobytes() == want.tobytes()
-        assert blocks == []
+        # every row but the last is compared once with the rows after it
+        assert sum(blocks) == len(pts) - 1
     # n - 1 points on the plane x = 0 in 3-d, and blocks of a single row
     plane = np.column_stack([np.zeros(120), rng.random((120, 2))])
     plane[0, 0] = 50.0
@@ -104,7 +101,23 @@ def test_a_sweep_that_finds_no_gap_ends_in_a_blocked_minimum(monkeypatch):
         blocks.clear()
         got = PointSet.from_array(pts).min_pairwise_distance
         assert np.float64(got).tobytes() == want.tobytes()
-        assert blocks
+        assert len(blocks) > 1 and sum(blocks) == len(pts) - 1
+
+
+@pytest.mark.parametrize("n", [2, 9, 10, 100, 800])
+def test_memory_is_a_few_blocks_at_any_n(n):
+    # n - 1 points on the line x = 0 and one far away; the corner mask holds at most (n - 1)**2
+    pts = np.column_stack([np.zeros(n), np.arange(n, dtype=float)])
+    pts[-1, 0] = 1e6
+    want = _matrix_minimum(pts)
+    tracemalloc.start()
+    try:
+        got = PointSet.from_array(pts).min_pairwise_distance
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.float64(got).tobytes() == want.tobytes()
+    assert peak <= 3 * domains._CHUNK_ENTRIES * 8
 
 
 def test_no_scipy_spatial_module_is_loaded(tmp_path):
