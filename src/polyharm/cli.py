@@ -202,6 +202,11 @@ def cmd_interp(args) -> int:
     else:
         model = solve_augmented(points, values, kernel, args.eps, degree, args.tau)
 
+    # evaluated before any file is written, so a failed query leaves no output behind
+    if args.eval:
+        grid_points, _ = read_points_csv(args.eval)
+        predictions = evaluate(model, grid_points.points)
+
     doc = {"command": "interp", "config": config,
            "diagnostics": model.diagnostics.to_dict()}
     model_doc = dict(model.to_dict())
@@ -215,8 +220,6 @@ def cmd_interp(args) -> int:
         doc["model"] = model_doc
 
     if args.eval:
-        grid_points, _ = read_points_csv(args.eval)
-        predictions = evaluate(model, grid_points.points)
         if args.pred:
             write_points_csv(args.pred, grid_points.points, predictions)
             doc["predictions"] = str(args.pred)
@@ -364,55 +367,64 @@ _SVG_PALETTE = ("#08306b", "#2171b5", "#6baed6", "#c6dbef", "#f7f7f7",
 _SVG_ZERO = "#111111"
 
 
-def _field_svg(xs: np.ndarray, ys: np.ndarray, values: np.ndarray, desc: str) -> str:
-    """SVG of a (len(xs), len(ys)) field: one rect per lattice cell.
+def _field_bands(values: np.ndarray) -> np.ndarray:
+    """Palette index of each cell of a (nx, ny) field, shape (nx - 1, ny - 1).
 
-    A cell whose four corners change sign or touch zero is drawn in
-    _SVG_ZERO; any other takes the palette band of its corner mean on a
-    signed log scale.  Corner minima, maxima and means come from whole-array
-    operations on the four corner slices, and the rect coordinates are
-    formatted once per lattice column and row.
+    A cell whose four corners change sign or touch zero gets
+    len(_SVG_PALETTE), the index of _SVG_ZERO; any other gets the band of
+    its corner mean on a signed log scale, t = sign * log1p(|mean| / floor)
+    / log1p(vmax / floor) in [-1, 1], band int((t + 1) / 2 * 9) clipped to
+    [0, 8].  A same-sign cell whose corner sum overflows has t = +-inf and
+    takes the end band of its sign.  Every step is a whole-array operation
+    on the four corner slices, except the logarithm (below).
     """
-    size, margin = 640, 20
-    plot = size - 2 * margin
-    x0, x1 = float(xs[0]), float(xs[-1])
-    y0, y1 = float(ys[0]), float(ys[-1])
     vmax = float(np.abs(values).max())
     floor = vmax * 1e-9 if vmax > 0.0 else 1.0
-    scale = math.log1p(vmax / floor)
-
-    px = (margin + (xs - x0) / (x1 - x0) * plot).tolist()
-    py = (margin + (y1 - ys) / (y1 - y0) * plot).tolist()
-    left = [f"{x:.2f}" for x in px[:-1]]
-    width = [f"{b - a:.2f}" for a, b in zip(px[:-1], px[1:])]
-    top = [f"{y:.2f}" for y in py[1:]]
-    height = [f"{b - a:.2f}" for a, b in zip(py[1:], py[:-1])]
-
     a, b, c, d = values[:-1, :-1], values[:-1, 1:], values[1:, :-1], values[1:, 1:]
     low = np.minimum(np.minimum(a, b), np.minimum(c, d))
     high = np.maximum(np.maximum(a, b), np.maximum(c, d))
     crosses = ((low < 0.0) & (0.0 < high)) | (low == 0.0) | (high == 0.0)
     # this order of additions has the bits of values[i:i + 2, j:j + 2].mean(); the means
-    # of cells that cross zero are never read, so their overflow must not warn either
+    # of cells that cross zero are never read, so their overflow and nan must not warn either.
+    # The logarithm is libm's log1p through math.log1p: np.log1p may take a SIMD routine
+    # that differs in the last bit, and with it the band at a band edge, on some CPUs.
+    # Every other step is exactly rounded.
     with np.errstate(over="ignore", invalid="ignore"):
         means = (((a + b) + c) + d) / 4.0
+        logs = np.fromiter(map(math.log1p, (np.abs(means) / floor).ravel().tolist()), float,
+                           means.size).reshape(means.shape)
+        t = np.copysign(logs / math.log1p(vmax / floor), means)
+        band = np.clip((t + 1.0) / 2.0 * 9.0, 0.0, 8.0).astype(int)
+    band[crosses] = len(_SVG_PALETTE)
+    return band
 
-    def color(mean):
-        t = math.copysign(math.log1p(abs(mean) / floor) / scale, mean)
-        band = min(8, max(0, int((t + 1.0) / 2.0 * 9.0)))
-        return _SVG_PALETTE[band]
+
+def _field_svg(xs: np.ndarray, ys: np.ndarray, values: np.ndarray, desc: str) -> str:
+    """SVG of a (len(xs), len(ys)) field: one rect per lattice cell.
+
+    Each cell is drawn in the colour of its _field_bands index: _SVG_ZERO
+    where its corners change sign or touch zero, else its palette band.
+    The rect coordinates are formatted once per lattice column and row.
+    """
+    size, margin = 640, 20
+    plot = size - 2 * margin
+    x0, x1 = float(xs[0]), float(xs[-1])
+    y0, y1 = float(ys[0]), float(ys[-1])
+    px = (margin + (xs - x0) / (x1 - x0) * plot).tolist()
+    py = (margin + (y1 - ys) / (y1 - y0) * plot).tolist()
+    top = [f'" y="{y:.2f}" width="' for y in py[1:]]
+    height = [f'" height="{b - a:.2f}" fill="' for a, b in zip(py[1:], py[:-1])]
+    fills = _SVG_PALETTE + (_SVG_ZERO,)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {size} {size}">',
         f"<desc>{escape(desc)}</desc>",
         f'<rect x="0" y="0" width="{size}" height="{size}" fill="#ffffff"/>',
     ]
-    for i, (column_means, column_crosses) in enumerate(zip(means, crosses)):
-        for j, (mean, cross) in enumerate(zip(column_means.tolist(), column_crosses.tolist())):
-            parts.append(
-                f'<rect x="{left[i]}" y="{top[j]}" width="{width[i]}" height="{height[j]}" '
-                f'fill="{_SVG_ZERO if cross else color(mean)}"/>'
-            )
+    for i, column in enumerate(_field_bands(values).tolist()):
+        head = f'<rect x="{px[i]:.2f}'
+        width = f'{px[i + 1] - px[i]:.2f}'
+        parts.extend(f'{head}{y}{width}{h}{fills[k]}"/>' for y, h, k in zip(top, height, column))
     parts.append(
         f'<rect x="{margin}" y="{margin}" width="{plot}" height="{plot}" '
         'fill="none" stroke="#333333" stroke-width="1"/>'

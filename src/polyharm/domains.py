@@ -98,6 +98,27 @@ def _sum_squares(diffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
     return diffs.sum(axis=0, out=out)
 
 
+def _node_layout(b: np.ndarray) -> np.ndarray:
+    """The (d, 1, n) layout of the rows of b (n, d) that _chunk_distances reads.
+
+    Each coordinate of the n points is one contiguous row, so the inner
+    loops of the chunk kernel run over n.
+    """
+    return np.ascontiguousarray(b.T)[:, None, :]
+
+
+def _chunk_distances(coords: np.ndarray, rows: np.ndarray, out: np.ndarray | None = None
+                     ) -> np.ndarray:
+    """Distances (r, n) between rows (r, d) and the points of coords = _node_layout(b).
+
+    The one distance kernel: the squared differences are summed in the
+    two-lane order of _sum_squares, then the square root is taken in place.
+    Inputs are not checked; cross_distance_matrix does that.
+    """
+    block = _sum_squares(coords - rows.T[:, :, None], out=out)
+    return np.sqrt(block, out=block)
+
+
 def cross_distance_matrix(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None
                           ) -> np.ndarray:
     """Euclidean distances between the rows of a (m, d) and b (n, d).
@@ -123,12 +144,10 @@ def cross_distance_matrix(a: np.ndarray, b: np.ndarray, out: np.ndarray | None =
         out = np.empty((m, n))
     elif out.shape != (m, n):
         raise ValueError(f"distance buffer of shape {out.shape} does not hold ({m}, {n})")
-    coords = np.ascontiguousarray(b.T)[:, None, :]  # (d, 1, n): the inner loops run over n
+    coords = _node_layout(b)
     step = max(1, _CHUNK_ENTRIES // max(n * d, 1))
     for start in range(0, m, step):
-        block = out[start:start + step]
-        _sum_squares(coords - a[start:start + step].T[:, :, None], out=block)
-        np.sqrt(block, out=block)
+        _chunk_distances(coords, a[start:start + step], out=out[start:start + step])
     return out
 
 

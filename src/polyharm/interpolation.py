@@ -98,15 +98,29 @@ class InterpolationModel:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "InterpolationModel":
+        """The model of a to_dict() document (as json.loads reads it).
+
+        ValueError names the key when coefficients or tail.coeffs holds a
+        value that is not finite (json.loads reads NaN and Infinity), and
+        when epsilon is not a positive finite real.
+        """
         tail = doc.get("tail")
         return cls(
             points=PointSet.from_array(np.asarray(doc["points"], dtype=float), label="model-json"),
             kernel=parse_kernel(doc["kernel"]),
-            epsilon=float(doc["epsilon"]),
-            coefficients=np.asarray(doc["coefficients"], dtype=float),
+            epsilon=_check_scale(doc["epsilon"]),
+            coefficients=_finite_array(doc["coefficients"], "coefficients"),
             tail=None if tail is None else PolynomialTail(
-                degree=int(tail["degree"]), coefficients=np.asarray(tail["coeffs"], dtype=float)),
+                degree=int(tail["degree"]),
+                coefficients=_finite_array(tail["coeffs"], "tail.coeffs")),
         )
+
+
+def _finite_array(values, key: str) -> np.ndarray:
+    arr = np.asarray(values, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"model key {key!r} holds a value that is not finite")
+    return arr
 
 
 def assemble(points: PointSet, kernel: Kernel, eps: float = 1.0) -> InterpMatrix:
@@ -253,7 +267,7 @@ def evaluate(model: InterpolationModel, queries) -> np.ndarray:
     BLAS), so each value is a fixed-order sum over its own row, whose bits
     depend only on the model and its query: not on the other queries or
     the BLAS thread count.  ValueError names the first query whose value
-    is not finite.
+    is not finite; the overflow on the way there does not warn.
     """
     q = np.atleast_2d(np.asarray(queries, dtype=float))
     if q.shape[1] != model.points.dimension:
@@ -264,15 +278,17 @@ def evaluate(model: InterpolationModel, queries) -> np.ndarray:
     m = q.shape[0]
     out = np.empty(m)
     buffer = np.empty((min(m, _EVAL_ROWS), model.points.n))
-    for start in range(0, m, _EVAL_ROWS):
-        rows = slice(start, start + _EVAL_ROWS)
-        block = buffer[:min(_EVAL_ROWS, m - start)]
-        cross_distance_matrix(q[rows], model.points.points, out=block)
-        model.kernel.value_scaled(model.epsilon, block, out=block)
-        out[rows] = np.einsum("ij,j->i", block, model.coefficients)
-        if model.tail is not None:
-            poly = monomial_matrix(q[rows], model.tail.degree)
-            out[rows] += np.einsum("ij,j->i", poly, model.tail.coefficients)
+    # a far query overflows to inf or nan, which the check below names: no warning first
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, m, _EVAL_ROWS):
+            rows = slice(start, start + _EVAL_ROWS)
+            block = buffer[:min(_EVAL_ROWS, m - start)]
+            cross_distance_matrix(q[rows], model.points.points, out=block)
+            model.kernel.value_scaled(model.epsilon, block, out=block)
+            out[rows] = np.einsum("ij,j->i", block, model.coefficients)
+            if model.tail is not None:
+                poly = monomial_matrix(q[rows], model.tail.degree)
+                out[rows] += np.einsum("ij,j->i", poly, model.tail.coefficients)
     _check_finite_values(out, q)
     return out
 

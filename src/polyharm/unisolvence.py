@@ -32,8 +32,8 @@ import scipy.linalg
 
 from ._linalg import SingularSystemError, diagnostics, is_singular, lu_sign_logabs
 from ._serialize import to_dict
-from .domains import (Density, Domain, PointSet, _csv_lines, cross_distance_matrix, mix_seed,
-                      sample)
+from .domains import (Density, Domain, PointSet, _chunk_distances, _csv_lines, _node_layout,
+                      mix_seed, sample)
 from .interpolation import InterpMatrix, assemble
 from .kernels import Kernel, kernel_spec
 
@@ -102,13 +102,20 @@ class BorderedSystem:
         # the LAPACK routine scipy.linalg.lu_solve calls, looked up once, not per point
         lu, _ = self.base_diagnostics.lu_piv
         self._getrs, = scipy.linalg.get_lapack_funcs(("getrs",), (lu,))
+        # the nodes' distance layout, built once, not per point
+        self._coords = _node_layout(base.points.points)
 
     def border(self, point) -> np.ndarray:
-        """Kernel values between one point (d,) and every node, shape (n,)."""
+        """Kernel values between one point (d,) and every node, shape (n,).
+
+        The distances are those of the one-row chunk of
+        cross_distance_matrix(x[None, :], nodes), through the same kernel,
+        so the border has the bits of that row's kernel values.
+        """
         x = np.asarray(point, dtype=float)
         if x.shape != (self.base.points.dimension,):
             raise ValueError("evaluation point dimension does not match the nodes")
-        dist = cross_distance_matrix(x[None, :], self.base.points.points)[0]
+        dist = _chunk_distances(self._coords, x[None, :])[0]
         return self.base.kernel.value_scaled(self.base.epsilon, dist, out=dist)
 
     def determinant(self, point, method: str = "auto") -> float:
@@ -170,10 +177,11 @@ class BorderedSystem:
             raise ValueError("grid evaluation requires planar (d = 2) nodes")
         xs = np.asarray(x_coords, dtype=float)
         ys = np.asarray(y_coords, dtype=float)
+        lattice = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1)  # x-major (x_i, y_j)
         out = np.empty((xs.size, ys.size))
-        for i, x in enumerate(xs):
-            for j, y in enumerate(ys):
-                out[i, j] = self.determinant(np.array([x, y]))
+        values = out.reshape(-1)
+        for k, point in enumerate(lattice.reshape(-1, 2)):
+            values[k] = self.determinant(point)
         return out
 
 

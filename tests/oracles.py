@@ -323,6 +323,7 @@ def cell_loop_field_svg(xs, ys, values, desc):
             return _SVG_PALETTE[4]
         mean = float(cell.mean())
         t = math.copysign(math.log1p(abs(mean) / floor) / math.log1p(vmax / floor), mean)
+        t = max(-1.0, min(1.0, t))  # a mean that overflows to +-inf takes its sign's end band
         band = min(8, max(0, int((t + 1.0) / 2.0 * 9.0)))
         return _SVG_PALETTE[band]
 

@@ -3,13 +3,17 @@
 import csv
 import json
 import math
+import os
 import shutil
 import subprocess
+import sys
 import xml.etree.ElementTree as ElementTree
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import polyharm
 from oracles import whole_evaluate
 from polyharm import (
     InterpolationModel,
@@ -100,6 +104,25 @@ def test_interp_eval_of_a_query_whose_value_overflows_exits_1(run_cli, tmp_path)
     queries, predictions = read_points_csv(tmp_path / "near.pred")
     want = whole_evaluate(model, queries.points, fixed_order=True)
     assert np.isfinite(want).all() and predictions.tobytes() == want.tobytes()
+
+
+def test_interp_eval_failure_writes_no_file_and_one_error_line(tmp_path):
+    # a subprocess shows what the user sees: warnings reach stderr as they would
+    data, far = tmp_path / "data.csv", tmp_path / "far.csv"
+    make_data_csv(data, n=5)
+    far.write_text("x1,x2\n1e200,0.5\n")
+    model, pred = tmp_path / "model.json", tmp_path / "pred.csv"
+    src = str(Path(polyharm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "polyharm.cli", "interp", "--kernel", "tps:k=1", "--augment",
+         "poly", "--points", str(data), "--eval", str(far), "--pred", str(pred),
+         "--out", str(model)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.startswith("error: the value at query 0 [1e+200, 0.5] is not finite")
+    assert done.stderr.count("\n") == 1
+    assert not model.exists() and not pred.exists()
 
 
 def test_interp_augmented_tail(run_cli, tmp_path):

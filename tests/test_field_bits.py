@@ -1,5 +1,6 @@
-"""The field's fast paths keep every bit: Schur determinants, SVG bytes, overflow."""
+"""The field's fast paths keep every bit: borders, Schur determinants, SVG bytes, overflow."""
 
+import json
 import math
 import sys
 import warnings
@@ -16,11 +17,12 @@ from polyharm import (
     ThinPlateSpline,
     Uniform,
     assemble,
+    cross_distance_matrix,
     parse_kernel,
     sample,
     unit_box,
 )
-from polyharm.cli import _field_svg
+from polyharm.cli import _SVG_PALETTE, _SVG_ZERO, _field_svg
 
 KERNELS = ("tps:k=1", "tps:k=2", "rp:nu=1.5", "rp:nu=3")
 
@@ -65,6 +67,40 @@ def test_schur_determinant_bits_from_threads_sharing_one_system(spec):
             assert np.array_equal(got, expected), (spec, threads)
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("spec", KERNELS)
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_border_has_the_bits_of_the_cross_distance_row(d, spec):
+    kernel = parse_kernel(spec)
+    nodes = sample(unit_box(d), Uniform(), 9, 65 + d)
+    probes = np.vstack([np.random.default_rng(66).uniform(-0.5, 1.5, (30, d)), nodes.points])
+    for eps in (0.5, 1.0, 2.0):
+        system = BorderedSystem(assemble(nodes, kernel, eps))
+        for x in probes:
+            want = kernel.value_scaled(eps, cross_distance_matrix(x[None, :], nodes.points))[0]
+            assert system.border(x).tobytes() == want.tobytes(), (eps, x)
+
+
+def test_border_of_any_point_layout_has_the_same_bits():
+    system = schur_system("tps:k=1")
+    lattice = np.random.default_rng(67).uniform(-0.5, 1.5, (6, 2))
+    columns = np.ascontiguousarray(lattice.T)  # point k is the strided column view [:, k]
+    assert not columns[:, 0].flags.c_contiguous
+    for k, row in enumerate(lattice):
+        want = system.border(np.array([row[0], row[1]])).tobytes()
+        for point in (row.tolist(), tuple(row.tolist()), lattice[k], columns[:, k]):
+            assert system.border(point).tobytes() == want
+
+
+@pytest.mark.parametrize("point", [[0.5], [0.5, 0.5, 0.5], [[0.5, 0.5]], 0.5,
+                                   [math.nan, 0.5], [0.5, math.nan]])
+def test_border_rejects_a_wrong_shape_and_nan(point):
+    system = schur_system("rp:nu=1.5")
+    with pytest.raises(ValueError):
+        system.border(point)
+    with pytest.raises(ValueError):
+        system.determinant(point)
 
 
 def overflow_system():
@@ -228,3 +264,40 @@ def test_svg_bytes_at_palette_band_edges():
     rows.append([1.0, 1.0, 1.0])
     values = np.array(rows)
     assert_svg_bytes(np.linspace(0.0, 1.0, len(rows)), np.linspace(0.0, 1.0, 3), values)
+
+
+SVG_OVERFLOW_ARGV = ["field", "--kernel", "rp:nu=3", "--domain", "box:0,0,148,148", "--n", "80",
+                     "--seed", "1", "--grid=0,148,0,148,9,9"]
+
+
+def test_field_svg_where_a_same_sign_corner_sum_overflows(run_cli, tmp_path):
+    # the field is finite, but some cells' four corners sum beyond double range
+    out, svg = tmp_path / "f.csv", tmp_path / "f.svg"
+    code, stdout, err = run_cli(SVG_OVERFLOW_ARGV + ["--out", str(out), "--svg", str(svg)])
+    assert code == 0, err
+    doc = json.loads(stdout)
+    values = np.loadtxt(out, delimiter=",", skiprows=1)[:, 2].reshape(9, 9)
+    assert np.isfinite(values).all()
+    xs, ys = np.linspace(0.0, 148.0, 9), np.linspace(0.0, 148.0, 9)
+    with np.errstate(over="ignore"):  # the oracle's cell means overflow
+        sums = values[:-1, :-1] + values[:-1, 1:] + values[1:, :-1] + values[1:, 1:]
+        assert np.isinf(sums).any()
+        assert svg.read_text() == cell_loop_field_svg(xs, ys, values, json.dumps(doc["config"]))
+
+
+@pytest.mark.parametrize("signs, bands", [
+    ([[1, 1, 1], [1, 1, 1], [1, 1, 1]], [8] * 4),
+    ([[-1, -1, -1], [-1, -1, -1], [-1, -1, -1]], [0] * 4),
+    ([[1, 1, -1], [1, 1, -1], [-1, -1, -1]], [8, None, None, None]),
+    ([[1, -1, -1], [-1, -1, -1], [-1, -1, -1]], [None, 0, 0, 0]),
+])
+def test_svg_cell_whose_corner_mean_overflows_takes_its_end_band(signs, bands):
+    values = 1e308 * np.array(signs, dtype=float)
+    xs = ys = np.linspace(0.0, 1.0, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        svg = _field_svg(xs, ys, values, "")
+    with np.errstate(over="ignore"):
+        assert svg == cell_loop_field_svg(xs, ys, values, "")
+    fills = [line.split('fill="')[1][:7] for line in svg.splitlines()[3:7]]
+    assert fills == [_SVG_ZERO if b is None else _SVG_PALETTE[b] for b in bands]

@@ -194,6 +194,24 @@ def test_model_round_trip_through_dict():
     assert np.array_equal(evaluate(bare, queries), evaluate(clone, queries))
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+@pytest.mark.parametrize("key", ["coefficients", "tail.coeffs", "epsilon"])
+def test_model_from_dict_rejects_non_finite_values(key, literal):
+    pts = random_points(9, 2, 59)
+    doc = solve_augmented(pts, pts.points[:, 0] ** 2, ThinPlateSpline(1)).to_dict()
+    if key == "coefficients":
+        doc["coefficients"][1] = "?"
+    elif key == "tail.coeffs":
+        doc["tail"]["coeffs"][0] = "?"
+    else:
+        doc["epsilon"] = "?"
+    # the document as json.loads reads its NaN and Infinity tokens
+    doc = json.loads(json.dumps(doc).replace('"?"', literal))
+    match = "scale parameter" if key == "epsilon" else f"model key '{key}'.*not finite"
+    with pytest.raises(ValueError, match=match):
+        InterpolationModel.from_dict(doc)
+
+
 def test_cardinal_values_identity_at_nodes():
     pts = random_points(10, 2, 60)
     card = cardinal_values(pts, ThinPlateSpline(1), 1.0, pts.points)

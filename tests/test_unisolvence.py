@@ -24,6 +24,7 @@ from polyharm import (
     lu_sign_logabs,
     monte_carlo,
     sample,
+    sphere_counterexample,
     unisolvence,
     unit_box,
 )
@@ -147,6 +148,22 @@ def test_grid_matches_pointwise_calls():
     three_d = BorderedSystem(assemble(random_points(4, 3, 78), ThinPlateSpline(1)))
     with pytest.raises(ValueError):
         three_d.grid(xs, ys)
+    # a non-square lattice on a singular base (the direct route), and a radial power
+    singular = BorderedSystem(assemble(sphere_counterexample(2, 5), ThinPlateSpline(1)))
+    radial = BorderedSystem(assemble(random_points(7, 2, 79), RadialPower(3.0)))
+    assert singular.base_diagnostics.singular_verdict
+    assert not radial.base_diagnostics.singular_verdict
+    xs, ys = np.linspace(-2.0, 2.0, 5), np.linspace(-1.5, 1.0, 3)
+    for system in (singular, radial):
+        calls = []
+        pointwise = system.determinant
+        system.determinant = lambda point: calls.append(1) or pointwise(point)
+        field = system.grid(xs, ys)
+        del system.determinant
+        assert field.shape == (5, 3) and len(calls) == 15  # one call per lattice point
+        for i, x in enumerate(xs):
+            for j, y in enumerate(ys):
+                assert field[i, j] == system.determinant(np.array([x, y]))
 
 
 def test_monte_carlo_full_report():

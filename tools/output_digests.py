@@ -24,7 +24,8 @@ interp_eval cut to 20,000 queries to keep memory small; interp_eval cut to
 on every 7th of its queries, whose predictions are rows of interp_eval's; a
 points file that only float() reads; verify and scaled interp runs on the
 kernels whose powers take NumPy's sqrt path (rp:nu=0.5) and its generic
-path (tps:k=3); and the other subcommand paths) and library calls
+path (tps:k=3); a scaled field (tps:k=2 at eps 0.5) and a field whose SVG
+cells' corner sums overflow; and the other subcommand paths) and library calls
 whose results are written as JSON or raw array bytes.  ``repr`` of library
 objects is not an output contract and is left out.
 """
@@ -213,6 +214,9 @@ RUNS = {
     "field_singular_base": (_sphere_csv, ["field", "--kernel", "tps:k=1", "--points",
                                           "sphere.csv", "--grid=-2,2,-2,2,9,7",
                                           "--out", "field.csv"]),
+    "field_eps_tps2": (None, ["field", "--kernel", "tps:k=2", "--eps", "0.5", "--n", "9",
+                              "--seed", "4", "--grid=-0.5,1.5,-0.25,1.25,23,11",
+                              "--out", "field.csv", "--svg", "field.svg"]),
     "field_overflow": (None, ["field", "--kernel", "rp:nu=3", "--domain", "box:0,0,1000,1000",
                               "--n", "80", "--seed", "1", "--grid=0,1000,0,1000,3,3",
                               "--out", "f.csv"]),
@@ -222,6 +226,9 @@ RUNS = {
     "field_singular_base_svg": (_sphere_csv, ["field", "--kernel", "tps:k=1", "--points",
                                               "sphere.csv", "--grid=-2,2,-2,2,9,7",
                                               "--out", "field.csv", "--svg", "field.svg"]),
+    "field_svg_overflow": (None, ["field", "--kernel", "rp:nu=3", "--domain", "box:0,0,148,148",
+                                  "--n", "80", "--seed", "1", "--grid=0,148,0,148,9,9",
+                                  "--out", "f.csv", "--svg", "f.svg"]),
     "field_svg": (None, ["field", "--kernel", "rp:nu=1.5", "--n", "10", "--seed", "3",
                          "--grid=0,1,0,1,17,13", "--out", "field.csv", "--svg", "field.svg"]),
     "growth_rp15_120": (None, _growth(RadialPower(1.5), unit_box(3), Uniform(), 120, 4)),
