@@ -70,6 +70,10 @@ class SingularSystemError(RuntimeError):
         self.diagnostics = diag
 
 
+# every matrix here is float64 (_as_square), so the LAPACK routines are looked up once
+_getrf, _getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), dtype=np.float64)
+
+
 def _as_square(matrix) -> np.ndarray:
     arr = np.asarray(matrix, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
@@ -80,13 +84,12 @@ def _as_square(matrix) -> np.ndarray:
 
 
 def lu_factorize(matrix: np.ndarray):
-    """Pivoted LU factorization (lu, piv), piv 0-based, straight from LAPACK getrf.
+    """Pivoted LU factorization (lu, piv) of a float64 matrix, piv 0-based, from LAPACK getrf.
 
     An exactly zero pivot stays on lu's diagonal for _sign_logabs, with no warning
     and no warning filter touched, so worker threads may factorize concurrently.
     """
-    getrf, = scipy.linalg.get_lapack_funcs(("getrf",), (matrix,))
-    lu, piv, info = getrf(matrix)
+    lu, piv, info = _getrf(matrix)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of LAPACK getrf")
     return lu, piv
@@ -109,11 +112,23 @@ def lu_sign_logabs(matrix) -> tuple[int, float]:
     return _sign_logabs(*lu_factorize(_as_square(matrix)))
 
 
+def lu_solve(lu_piv, rhs: np.ndarray) -> np.ndarray:
+    """Solve with lu_piv = lu_factorize(matrix) through one getrs call, as scipy.linalg.lu_solve.
+
+    getrs gets a private copy of the pivots: SciPy's wrapper shifts them to 1-based
+    in place while LAPACK runs without the GIL, and threads may share one lu_piv.
+    """
+    lu, piv = lu_piv
+    x, info = _getrs(lu, piv.copy(), rhs)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK getrs")
+    return x
+
+
 def lu_solve_refined(lu_piv, matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """LU solve followed by one step of iterative refinement."""
-    x = scipy.linalg.lu_solve(lu_piv, rhs, check_finite=False)
-    residual = rhs - matrix @ x
-    return x + scipy.linalg.lu_solve(lu_piv, residual, check_finite=False)
+    x = lu_solve(lu_piv, rhs)
+    return x + lu_solve(lu_piv, rhs - matrix @ x)
 
 
 def _sigma_extremes(arr: np.ndarray) -> tuple[float, float, float]:

@@ -588,7 +588,7 @@ def main(argv=None) -> int:
     except (SingularSystemError, AugmentationRankError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, SamplingError, ConstructionError) as exc:
+    except (ValueError, OSError, MemoryError, SamplingError, ConstructionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -373,6 +373,11 @@ class PointSet:
     def min_pairwise_distance(self) -> float:
         return _min_distance(self.points) if self.n > 1 else math.inf
 
+    @cached_property
+    def _layout(self) -> np.ndarray:
+        """The points' _node_layout, built on first read and kept for every kernel row."""
+        return _node_layout(self.points)
+
     def _note_min_distance(self, dist: np.ndarray) -> None:
         """Cache min_pairwise_distance from dist, this set's pairwise_distance_matrix.
 
@@ -506,36 +511,24 @@ def sphere_counterexample(dimension: int, n: int, center=None) -> PointSet:
         if center_arr.shape != (dimension,) or not np.isfinite(center_arr).all():
             raise ValueError("center must be a finite point of the stated dimension")
 
-    directions: list[np.ndarray] = []
-    for sign in (1.0, -1.0):
-        for axis in range(dimension):
-            e = np.zeros(dimension)
-            e[axis] = sign
-            directions.append(e)
-    extra = n - 1 - len(directions)
-    for t in range(1, max(extra, 0) + 1):
-        theta = 2.0 * math.pi * ((t * _GOLDEN_FRACTION) % 1.0)
-        e = np.zeros(dimension)
-        e[0] = math.cos(theta)
-        e[1] = math.sin(theta)
-        directions.append(e)
-
+    # allocated before any satellite is placed, so an impossible n fails at once
     pts = np.empty((n, dimension))
     pts[0] = center_arr
-    for i, direction in enumerate(directions[: n - 1]):
-        pts[i + 1] = _unit_distance_point(center_arr, direction)
+    for i in range(1, n):
+        direction = np.zeros(dimension)
+        if i <= 2 * dimension:  # +e_1, ..., +e_d, then -e_1, ..., -e_d
+            direction[(i - 1) % dimension] = 1.0 if i <= dimension else -1.0
+        else:
+            theta = 2.0 * math.pi * (((i - 2 * dimension) * _GOLDEN_FRACTION) % 1.0)
+            direction[0] = math.cos(theta)
+            direction[1] = math.sin(theta)
+        pts[i] = _unit_distance_point(center_arr, direction)
 
     satellite_dist = cross_distance_matrix(pts[1:], center_arr[None, :])[:, 0]
     if np.any(satellite_dist != 1.0):
         raise ConstructionError("a satellite point missed unit distance from the center")
 
-    ps = PointSet(
-        points=pts,
-        provenance={
-            "kind": "deterministic",
-            "label": f"sphere-counterexample(d={dimension}, n={n})",
-        },
-    )
+    ps = PointSet.from_array(pts, label=f"sphere-counterexample(d={dimension}, n={n})")
     if not ps.min_pairwise_distance > 0.0:
         raise ConstructionError("could not place the requested number of distinct points")
     return ps
@@ -546,13 +539,8 @@ def duplicate_pair(dimension: int, base_seed: int) -> PointSet:
     if dimension < 1:
         raise ValueError("dimension must be at least 1")
     point = make_rng(base_seed).random(dimension)
-    return PointSet(
-        points=np.vstack([point, point]),
-        provenance={
-            "kind": "deterministic",
-            "label": f"duplicate-pair(d={dimension}, seed={int(base_seed)})",
-        },
-    )
+    return PointSet.from_array(np.vstack([point, point]),
+                               label=f"duplicate-pair(d={dimension}, seed={int(base_seed)})")
 
 
 # rows per formatted block: one block's numbers and text take a few hundred KiB

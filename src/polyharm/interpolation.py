@@ -26,7 +26,8 @@ import numpy as np
 from ._linalg import (MatrixDiagnostics, SingularSystemError, _sigma_extremes, diagnostics,
                       lu_solve_refined)
 from ._serialize import to_dict
-from .domains import PointSet, cross_distance_matrix, make_rng, pairwise_distance_matrix
+from .domains import (PointSet, _chunk_distances, cross_distance_matrix, make_rng,
+                      pairwise_distance_matrix)
 from .kernels import Kernel, RadialPower, ThinPlateSpline, _check_scale, kernel_spec, parse_kernel
 
 __all__ = [
@@ -243,6 +244,18 @@ def _fit(points: PointSet, values, kernel: Kernel, eps, degree, tau) -> tuple:
                               coefficients=solution[:n], tail=tail, diagnostics=diag), matrix
 
 
+def _kernel_rows(system, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Kernel values (r, n) between unchecked rows (r, d) and a system's n nodes.
+
+    system is an InterpMatrix or an InterpolationModel.  One _chunk_distances
+    call on the nodes' cached layout, then value_scaled in place, gives the bits
+    of value_scaled over cross_distance_matrix(rows, nodes): evaluate's blocks and
+    BorderedSystem.border both take their kernel rows from here.
+    """
+    dist = _chunk_distances(system.points._layout, rows, out=out)
+    return system.kernel.value_scaled(system.epsilon, dist, out=dist)
+
+
 # 256 rows measured fastest at the benchmark's n = 200, whose block temporaries fit in L2
 _EVAL_ROWS = 256
 
@@ -259,22 +272,20 @@ def _check_finite_values(values: np.ndarray, q: np.ndarray) -> None:
 def evaluate(model: InterpolationModel, queries) -> np.ndarray:
     """Evaluate an interpolant at query points (m, d), 256 query rows at a time.
 
-    Each block's distances are written into one 256 x n buffer, reused for
-    every block, and its kernel values over them; those and the block's
-    tail monomials are summed against the coefficients on their own, so
-    memory beyond the result is a few 256 x n arrays for n nodes, whatever
-    m is.  The sums are NumPy's own einsum loop (with optimize off, not
-    BLAS), so each value is a fixed-order sum over its own row, whose bits
-    depend only on the model and its query: not on the other queries or
-    the BLAS thread count.  ValueError names the first query whose value
-    is not finite; the overflow on the way there does not warn.
+    Each block's kernel rows (_kernel_rows) go into one 256 x n buffer,
+    reused for every block, and are summed against the coefficients apart
+    from the block's tail monomials, so memory beyond the result is the
+    buffer and the block's (d, 256, n) coordinate differences for n nodes,
+    whatever m is.  The sums are NumPy's own einsum loop (with optimize off,
+    not BLAS), so each value is a fixed-order sum over its own row, whose
+    bits depend only on the model and its query: not on the other queries
+    or the BLAS thread count.  ValueError unless the queries form an (m, d)
+    array for the nodes' dimension d, and naming the first query whose
+    value is not finite; the overflow on the way there does not warn.
     """
     q = np.atleast_2d(np.asarray(queries, dtype=float))
-    if q.shape[1] != model.points.dimension:
-        raise ValueError(
-            f"query dimension {q.shape[1]} does not match node dimension "
-            f"{model.points.dimension}"
-        )
+    if q.ndim != 2 or q.shape[1] != model.points.dimension:
+        raise ValueError(f"queries of shape {q.shape} are not {model.points.dimension}-d points")
     m = q.shape[0]
     out = np.empty(m)
     buffer = np.empty((min(m, _EVAL_ROWS), model.points.n))
@@ -283,8 +294,7 @@ def evaluate(model: InterpolationModel, queries) -> np.ndarray:
         for start in range(0, m, _EVAL_ROWS):
             rows = slice(start, start + _EVAL_ROWS)
             block = buffer[:min(_EVAL_ROWS, m - start)]
-            cross_distance_matrix(q[rows], model.points.points, out=block)
-            model.kernel.value_scaled(model.epsilon, block, out=block)
+            _kernel_rows(model, q[rows], out=block)
             out[rows] = np.einsum("ij,j->i", block, model.coefficients)
             if model.tail is not None:
                 poly = monomial_matrix(q[rows], model.tail.degree)

@@ -28,13 +28,11 @@ from operator import attrgetter
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
-from ._linalg import SingularSystemError, diagnostics, is_singular, lu_sign_logabs
+from ._linalg import SingularSystemError, diagnostics, is_singular, lu_sign_logabs, lu_solve
 from ._serialize import to_dict
-from .domains import (Density, Domain, PointSet, _chunk_distances, _csv_lines, _node_layout,
-                      mix_seed, sample)
-from .interpolation import InterpMatrix, assemble
+from .domains import Density, Domain, PointSet, _csv_lines, mix_seed, sample
+from .interpolation import InterpMatrix, _kernel_rows, assemble
 from .kernels import Kernel, kernel_spec
 
 __all__ = [
@@ -99,24 +97,18 @@ class BorderedSystem:
         self.base = base
         self.tau = float(tau)
         self.base_diagnostics = diagnostics(base.entries, self.tau)
-        # the LAPACK routine scipy.linalg.lu_solve calls, looked up once, not per point
-        lu, _ = self.base_diagnostics.lu_piv
-        self._getrs, = scipy.linalg.get_lapack_funcs(("getrs",), (lu,))
-        # the nodes' distance layout, built once, not per point
-        self._coords = _node_layout(base.points.points)
 
     def border(self, point) -> np.ndarray:
         """Kernel values between one point (d,) and every node, shape (n,).
 
-        The distances are those of the one-row chunk of
-        cross_distance_matrix(x[None, :], nodes), through the same kernel,
-        so the border has the bits of that row's kernel values.
+        One row of evaluate's kernel-row path, on the nodes' cached layout,
+        so the border has the bits of the kernel values of
+        cross_distance_matrix(x[None, :], nodes).
         """
         x = np.asarray(point, dtype=float)
         if x.shape != (self.base.points.dimension,):
             raise ValueError("evaluation point dimension does not match the nodes")
-        dist = _chunk_distances(self._coords, x[None, :])[0]
-        return self.base.kernel.value_scaled(self.base.epsilon, dist, out=dist)
+        return _kernel_rows(self.base, x[None, :])[0]
 
     def determinant(self, point, method: str = "auto") -> float:
         """Determinant of the bordered matrix at the given point.
@@ -124,8 +116,7 @@ class BorderedSystem:
         At a fresh point this equals the determinant of the kernel matrix
         grown by that point; at an existing node it is zero because the
         bordered matrix repeats a row.  The Schur route solves with the base
-        LU through one LAPACK getrs call, the call (and the bits) of
-        scipy.linalg.lu_solve, on a private copy of the pivots.  ValueError
+        LU through the one stored-LU solve, _linalg.lu_solve.  ValueError
         when the route's |det| (of the base matrix for "schur", of the
         bordered one for "direct") exceeds double range, and when the Schur
         product of |det| of the base matrix and border @ base^-1 @ border
@@ -144,12 +135,7 @@ class BorderedSystem:
                     f"{diag.describe()}",
                     diag,
                 )
-            lu, piv = diag.lu_piv
-            # getrs makes piv 1-based in place while it runs without the GIL, so threads
-            # sharing this system pass their own copy; info is nonzero only for an
-            # illegal argument, which these shapes rule out
-            solved, _ = self._getrs(lu, piv.copy(), border)
-            quadratic = float(border @ solved)
+            quadratic = float(border @ lu_solve(diag.lu_piv, border))
             value = -diag.det_sign * _exp_log_abs(diag.log_abs_det, "base") * quadratic
             if not math.isfinite(value):
                 raise ValueError(f"bordered determinant exceeds double range: log|det| of the "
@@ -369,11 +355,7 @@ def incremental_growth(kernel: Kernel, domain: Domain, density: Density,
     pts = sample(domain, density, int(n_max), seed).points
 
     def prefix_system(n: int) -> BorderedSystem:
-        prefix = PointSet(
-            points=pts[:n],
-            provenance={"kind": "deterministic",
-                        "label": f"growth-prefix(seed={int(seed)}, n={n})"},
-        )
+        prefix = PointSet.from_array(pts[:n], label=f"growth-prefix(seed={int(seed)}, n={n})")
         return BorderedSystem(assemble(prefix, kernel, eps), tau)
 
     steps = []

@@ -125,6 +125,22 @@ def test_interp_eval_failure_writes_no_file_and_one_error_line(tmp_path):
     assert not model.exists() and not pred.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--kernel", "tps:k=1", "--dim", "2", "--n", "1e15", "--trials", "1"],
+    ["field", "--kernel", "tps:k=1", "--n", "5", "--grid=0,1,0,1,1e15,2", "--out", "f.csv"],
+    # counterexample allocates its points before it places any of them
+    ["counterexample", "--dim", "2", "--n", "1000000000000000"],
+])
+def test_impossible_size_exits_1_with_one_error_line(tmp_path, argv):
+    src = str(Path(polyharm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-m", "polyharm.cli", *argv], cwd=tmp_path,
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, done.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_interp_augmented_tail(run_cli, tmp_path):
     data = tmp_path / "data.csv"
     make_data_csv(data)

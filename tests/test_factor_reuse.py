@@ -2,9 +2,11 @@
 
 import json
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from oracles import fresh_growth, fresh_kernel_conditions, summed_sign_logabs
 from polyharm import (
@@ -177,3 +179,46 @@ def test_sign_logabs_keeps_the_summed_bits():
         assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
         seen.add(got[0])
     assert seen == {-1, 0, 1}
+
+
+def stored_lu(n=40, seed=42):
+    matrix = assemble(random_points(n, 3, seed), RadialPower(1.5)).entries
+    return matrix, diagnostics(matrix).lu_piv
+
+
+def test_stored_lu_solve_has_the_bits_of_scipy_lu_solve():
+    matrix, lu_piv = stored_lu()
+    rng = np.random.default_rng(43)
+    # a 1-d right-hand side, and the F-ordered transpose that cardinal_values passes
+    for rhs in (rng.standard_normal(40), rng.standard_normal((25, 40)).T):
+        want = scipy.linalg.lu_solve(lu_piv, rhs, check_finite=False)
+        got = _linalg.lu_solve(lu_piv, rhs)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert rhs.flags.f_contiguous and not rhs.flags.c_contiguous
+
+
+def test_stored_lu_solve_leaves_the_pivots_unchanged():
+    matrix, lu_piv = stored_lu()
+    piv = lu_piv[1]
+    before = piv.copy()
+    _linalg.lu_solve(lu_piv, np.ones(40))
+    _linalg.lu_solve_refined(lu_piv, matrix, np.ones((40, 3)))
+    assert piv.dtype == before.dtype and piv.tobytes() == before.tobytes()
+
+
+def test_refined_solve_bits_from_threads_sharing_one_lu_piv():
+    # SciPy's getrs wrapper shifts the pivots it is given in place while LAPACK runs
+    # without the GIL: every solve passes its own copy
+    matrix, lu_piv = stored_lu(seed=44)
+    rhs = list(np.random.default_rng(45).standard_normal((100, 40))) * 20
+    expected = np.array([_linalg.lu_solve_refined(lu_piv, matrix, b) for b in rhs])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for threads in (1, 2, 4):
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                got = np.array(list(pool.map(
+                    lambda b: _linalg.lu_solve_refined(lu_piv, matrix, b), rhs, timeout=60)))
+            assert got.tobytes() == expected.tobytes(), threads
+    finally:
+        sys.setswitchinterval(interval)

@@ -179,6 +179,8 @@ def test_evaluate_validation():
     model = solve_unaugmented(pts, np.ones(5), RadialPower(1.5))
     with pytest.raises(ValueError):
         evaluate(model, np.zeros((3, 4)))
+    with pytest.raises(ValueError, match=r"shape \(2, 2, 2\)"):
+        evaluate(model, np.zeros((2, 2, 2)))
 
 
 def test_model_round_trip_through_dict():

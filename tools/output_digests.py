@@ -6,6 +6,12 @@ Run it against a checkout with
 
 Output bytes of the runs that fit, grow or diagnose large matrices depend
 on the BLAS thread count, so compare two checkouts at the same setting.
+They also depend on the CPU's SIMD level: thin-plate values take NumPy's
+SIMD ``np.log`` (``ThinPlateSpline._apply_in_place``), and on an AVX-512
+x86-64 machine the ``field`` digest changed when that dispatch was turned
+off with ``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"``.  So
+compare two checkouts on one machine, or on machines of one CPU feature
+level.
 
 It prints one ``name exit sha256`` line per run, followed by one
 ``name file sha256`` line for each of its outputs.  Each run executes in
@@ -25,9 +31,10 @@ on every 7th of its queries, whose predictions are rows of interp_eval's; a
 points file that only float() reads; verify and scaled interp runs on the
 kernels whose powers take NumPy's sqrt path (rp:nu=0.5) and its generic
 path (tps:k=3); a scaled field (tps:k=2 at eps 0.5) and a field whose SVG
-cells' corner sums overflow; and the other subcommand paths) and library calls
-whose results are written as JSON or raw array bytes.  ``repr`` of library
-objects is not an output contract and is left out.
+cells' corner sums overflow; a verify whose size cannot be allocated; and
+the other subcommand paths) and library calls whose results are written as
+JSON or raw array bytes.  ``repr`` of library objects is not an output
+contract and is left out.
 """
 
 from __future__ import annotations
@@ -292,6 +299,8 @@ RUNS = {
                             "--density", "gauss:mu=0.5,sd=0.25", "--n", "400,800",
                             "--trials", "4", "--threads", "2", "--seed", "1",
                             "--out", "report.json", "--csv", "records.csv"]),
+    "verify_oversize_n": (None, ["verify", "--kernel", "tps:k=1", "--dim", "2", "--n", "1e15",
+                                 "--trials", "1"]),
     "verify_rp05": (None, ["verify", "--kernel", "rp:nu=0.5", "--dim", "2", "--n", "6,30",
                            "--trials", "8", "--seed", "10", "--out", "report.json",
                            "--csv", "records.csv"]),
