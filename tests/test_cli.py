@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: artifacts, exit codes, determinism."""
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -104,6 +105,27 @@ def test_interp_eval_of_a_query_whose_value_overflows_exits_1(run_cli, tmp_path)
     queries, predictions = read_points_csv(tmp_path / "near.pred")
     want = whole_evaluate(model, queries.points, fixed_order=True)
     assert np.isfinite(want).all() and predictions.tobytes() == want.tobytes()
+
+
+def test_interp_eval_without_pred_puts_the_predictions_in_stdout(run_cli, tmp_path):
+    data, queries, pred = tmp_path / "data.csv", tmp_path / "queries.csv", tmp_path / "pred.csv"
+    make_data_csv(data)
+    write_points_csv(queries, np.random.default_rng(84).random((7, 2)))
+    fit = ["interp", "--kernel", "tps:k=1", "--augment", "poly", "--points", str(data),
+           "--eval", str(queries)]
+    code, out, err = run_cli(fit)
+    assert (code, err) == (0, "")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "queries.csv"]
+    inline = json.loads(out)
+    code, out, err = run_cli(fit + ["--pred", str(pred)])
+    assert (code, err) == (0, "")
+    written = json.loads(out)
+    _, predictions = read_points_csv(pred)
+    assert inline["predictions"] == predictions.tolist() and len(predictions) == 7
+    assert (inline["config"]["pred"], written["predictions"]) == (None, str(pred))
+    del inline["predictions"], inline["config"]["pred"], inline["model"]["config"]["pred"]
+    del written["predictions"], written["config"]["pred"], written["model"]["config"]["pred"]
+    assert inline == written
 
 
 def test_interp_eval_failure_writes_no_file_and_one_error_line(tmp_path):
@@ -344,6 +366,17 @@ def test_scale_check_from_csv(run_cli, tmp_path):
     assert code == 1 and "two scales" in err
 
 
+def test_scale_check_exits_2_when_its_report_fails(run_cli, monkeypatch):
+    real = polyharm.cli.scale_invariance_check
+    monkeypatch.setattr(polyharm.cli, "scale_invariance_check",
+                        lambda *args, **kw: dataclasses.replace(real(*args, **kw), passed=False))
+    code, out, err = run_cli(["scale-check", "--kernel", "rp:nu=1.5", "--eps", "0.5,2",
+                              "--dim", "2", "--n", "10", "--seed", "4"])
+    assert (code, err) == (2, "")
+    doc = json.loads(out)
+    assert doc["command"] == "scale-check" and doc["report"]["passed"] is False
+
+
 def test_field_single_node_closed_form(run_cli, tmp_path):
     node = tmp_path / "node.csv"
     write_points_csv(node, np.array([[0.0, 0.0]]))
@@ -409,6 +442,128 @@ def test_field_rejects_bad_grid_and_dimension(run_cli, tmp_path):
             f"--grid=0,1,0,1,{sizes}", "--out", str(out_csv),
         ])
         assert code == 1 and "--grid" in err
+
+
+@pytest.mark.parametrize("domain", [None, "box:0,0,10,10"])
+def test_field_without_grid_pads_the_nodes_on_a_64_by_64_lattice(run_cli, tmp_path, domain):
+    out_csv = tmp_path / "field.csv"
+    argv = ["field", "--kernel", "tps:k=1", "--n", "5", "--seed", "3", "--out", str(out_csv)]
+    code, out, err = run_cli(argv + (["--domain", domain] if domain else []))
+    assert (code, err) == (0, "")
+    box = unit_box(2) if domain is None else polyharm.Box(lower=(0.0, 0.0), upper=(10.0, 10.0))
+    nodes = sample(box, Uniform(), 5, 3).points
+    lo, hi = nodes.min(axis=0), nodes.max(axis=0)
+    pad = np.maximum(0.25 * (hi - lo), 1.25)  # 1.25 on the unit box, a quarter span on the wide one
+    assert (pad == 1.25).all() == (domain is None)
+    grid = [float(lo[0] - pad[0]), float(hi[0] + pad[0]),
+            float(lo[1] - pad[1]), float(hi[1] + pad[1]), 64, 64]
+    config = json.loads(out)["config"]
+    assert config["grid"] == grid
+    assert config["source"] == {"dim": 2, "n": 5, "seed": 3,
+                                "domain_spec": "box:" + ",".join(map(repr, box.lower + box.upper))}
+    rows = [line.split(",") for line in out_csv.read_text().splitlines()[1:]]
+    assert len(rows) == 64 * 64
+    corners = [[float(v) for v in rows[k][:2]] for k in (0, 63, -64, -1)]
+    assert corners == [grid[0:3:2], [grid[0], grid[3]], [grid[1], grid[2]], grid[1:4:2]]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["field", "--kernel", "tps:k=1", "--out", "f.csv"], "field needs --points or --n"),
+    (["field", "--kernel", "tps:k=1", "--n", "5", "--domain", "box:0,0,0,1,1,1", "--out", "f.csv"],
+     "domain dimension 3 does not match --dim 2"),
+    (["field", "--kernel", "tps:k=1", "--n", "5", "--dim", "3", "--out", "f.csv"],
+     "field rendering requires planar (d = 2) points"),
+    (["field", "--kernel", "tps:k=1", "--points", "missing.csv", "--out", "f.csv"],
+     "[Errno 2] No such file or directory: 'missing.csv'"),
+    (["scale-check", "--kernel", "tps:k=1", "--eps", "1,2"],
+     "scale-check needs --points or both --dim and --n"),
+    (["scale-check", "--kernel", "tps:k=1", "--eps", "1,2", "--n", "5"],
+     "scale-check needs --points or both --dim and --n"),
+    (["scale-check", "--kernel", "tps:k=1", "--eps", "1,2", "--dim", "2"],
+     "scale-check needs --points or both --dim and --n"),
+    (["scale-check", "--kernel", "tps:k=1", "--eps", "1,2", "--points", "nodes.csv"],
+     "nodes.csv: scale-check requires a value column"),
+    (["scale-check", "--kernel", "tps:k=1", "--eps", "1,2", "--dim", "3", "--n", "5",
+      "--domain", "box:0,0,1,1"], "domain dimension 2 does not match --dim 3"),
+])
+def test_node_source_errors_exit_1_with_one_error_line(run_cli, tmp_path, monkeypatch,
+                                                       argv, message):
+    monkeypatch.chdir(tmp_path)
+    write_points_csv("nodes.csv", np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+    assert run_cli(argv) == (1, "", f"error: {message}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["nodes.csv"]
+
+
+def test_field_reads_the_nodes_of_a_points_file_without_values(run_cli, tmp_path):
+    # a points file wins over --n, and its value column is optional
+    nodes, out_csv = tmp_path / "nodes.csv", tmp_path / "field.csv"
+    write_points_csv(nodes, np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+    code, out, err = run_cli(["field", "--kernel", "tps:k=1", "--points", str(nodes), "--n", "9",
+                              "--grid=0,1,0,1,3,3", "--out", str(out_csv)])
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["config"]["source"] == {"points": str(nodes)}
+    assert doc["summary"]["n_nodes"] == 3
+
+
+VERIFY = ["verify", "--kernel", "tps:k=1", "--n", "4", "--trials", "1"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (VERIFY, "either --domain or --dim is required"),
+    (VERIFY + ["--domain", "box:0,a,1,1"],
+     "bad domain description '0,a,1,1': expected comma-separated numbers"),
+    (VERIFY + ["--domain", "box:0,0,1"], "bad box 'box:0,0,1': expected box:lo1,..,lod,hi1,..,hid"),
+    (VERIFY + ["--domain", "box:"], "bad box 'box:': expected box:lo1,..,lod,hi1,..,hid"),
+    (VERIFY + ["--domain", "ball:1"], "bad ball 'ball:1': expected ball:c1,..,cd,radius"),
+    (VERIFY + ["--domain", "cube:0,1"], "unknown domain 'cube:0,1': expected box:... or ball:..."),
+    (VERIFY + ["--domain", "box:0,0,1,1", "--dim", "3"], "domain dimension 2 does not match --dim 3"),
+    (VERIFY + ["--domain", "box:1,0,0,1"], "box must have positive extent on every axis"),
+    (VERIFY + ["--domain", "ball:0,0,-1"], "ball radius must be a positive finite real"),
+    (VERIFY + ["--dim", "2", "--density", "gauss:sd=1,mu=0"],
+     "bad density 'gauss:sd=1,mu=0': expected gauss:mu=...,sd=..."),
+    (VERIFY + ["--dim", "2", "--density", "gauss:mu=0"],
+     "bad density 'gauss:mu=0': expected gauss:mu=...,sd=..."),
+    (VERIFY + ["--dim", "2", "--density", "gauss:mu=x,sd=1"],
+     "bad gaussian mean 'x': expected comma-separated numbers"),
+    (VERIFY + ["--dim", "2", "--density", "gauss:mu=0,sd=y"],
+     "bad gaussian sd 'y': expected comma-separated numbers"),
+    (VERIFY + ["--dim", "2", "--density", "gauss:mu=0,0,0,sd=1"],
+     "density dimension does not match the run dimension 2"),
+    (VERIFY + ["--dim", "2", "--density", "gauss:mu=0,sd=1,1,1"],
+     "density dimension does not match the run dimension 2"),
+    (VERIFY + ["--dim", "2", "--density", "gauss:mu=,sd=1"],
+     "density dimension does not match the run dimension 2"),
+    (VERIFY + ["--dim", "2", "--density", "gauss:mu=0,sd=-1"],
+     "mean must be finite and sd positive on every axis"),
+    (VERIFY + ["--dim", "2", "--density", "cauchy"],
+     "unknown density 'cauchy': expected 'uniform' or 'gauss:mu=...,sd=...'"),
+    (["interp", "--kernel", "tps:k=1", "--points", "data.csv", "--augment", "spline"],
+     "bad augmentation 'spline': expected poly or poly:<degree>"),
+    (["interp", "--kernel", "tps:k=1", "--points", "data.csv", "--augment", "poly:x"],
+     "bad augmentation degree in 'poly:x'"),
+    (["interp", "--kernel", "tps:k=1", "--points", "data.csv", "--augment", "poly:1.5"],
+     "bad augmentation degree in 'poly:1.5'"),
+    (["scale-check", "--kernel", "tps:k=1", "--eps", "1,2", "--dim", "2", "--n", "5",
+      "--augment", "polynomial"], "bad augmentation 'polynomial': expected poly or poly:<degree>"),
+])
+def test_spec_errors_exit_1_with_one_error_line(run_cli, tmp_path, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    make_data_csv("data.csv")
+    assert run_cli(argv) == (1, "", f"error: {message}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["data.csv"]
+
+
+@pytest.mark.parametrize("dim, density, mean, sd", [
+    ("1", "gauss:mu=0.5,sd=0.2", [0.5], [0.2]),
+    ("2", "gauss:mu=0.5,sd=0.2,0.3", [0.5, 0.5], [0.2, 0.3]),
+    ("3", "gauss:mu=0.1,0.2,0.3,sd=0.4", [0.1, 0.2, 0.3], [0.4, 0.4, 0.4]),
+])
+def test_gauss_density_broadcasts_a_one_element_mean_or_sd(run_cli, dim, density, mean, sd):
+    code, out, err = run_cli(VERIFY + ["--dim", dim, "--density", density])
+    assert (code, err) == (0, "")
+    config = json.loads(out[out.index("{"):])["config"]  # d = 1 prints a banner line first
+    assert (config["density"]["mean"], config["density"]["sd"]) == (mean, sd)
 
 
 def test_integer_fields_accept_integral_floats(run_cli, tmp_path):
