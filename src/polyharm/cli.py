@@ -129,10 +129,7 @@ def _parse_density(text: str | None, dim: int):
             raise ValueError(f"bad density {text!r}: expected gauss:mu=...,sd=...")
         mean = _parse_floats(left[len("mu="):].rstrip(","), "gaussian mean")
         sd = _parse_floats(right, "gaussian sd")
-        if len(mean) == 1 and dim > 1:
-            mean = mean * dim
-        if len(sd) == 1 and dim > 1:
-            sd = sd * dim
+        mean, sd = (v * dim if len(v) == 1 else v for v in (mean, sd))  # one value for every axis
         if len(mean) != dim or len(sd) != dim:
             raise ValueError(f"density dimension does not match the run dimension {dim}")
         return TruncatedGaussian(mean=tuple(mean), sd=tuple(sd))
@@ -165,6 +162,22 @@ def _augment_degree(text: str | None, kernel):
         return int(rest)
     except ValueError:
         raise ValueError(f"bad augmentation degree in {text!r}") from None
+
+
+def _node_source(args, dim: int | None, seed: int, stream: int, missing: str):
+    """(points, values, source echo) of field and scale-check: a --points file and its value
+    column (None without one), or --n uniform nodes on --domain (else the unit box of dim) drawn
+    from the seed stream, with values None.  ValueError(missing) when neither is complete.
+    """
+    if args.points:
+        points, values = read_points_csv(args.points)
+        return points, values, {"points": str(args.points)}
+    if args.n is None or dim is None:
+        raise ValueError(missing)
+    domain = _parse_domain(args.domain, dim)
+    points = sample(domain, Uniform(), args.n, stream)
+    return points, None, {"dim": int(dim), "n": int(args.n), "seed": int(seed),
+                          "domain_spec": _domain_spec(domain)}
 
 
 def _is_exploratory(kernel, dimension: int) -> bool:
@@ -241,12 +254,9 @@ def cmd_verify(args) -> int:
     report = monte_carlo(kernel, domain, density, n_list, args.trials, seed,
                          tau=args.tau, eps=args.eps, threads=args.threads)
     exploratory = _is_exploratory(kernel, domain.dimension)
-    banner = None
     if exploratory:
-        banner = ("EXPLORATORY: no nonsingularity assertion for this configuration "
-                  "(univariate nodes or odd integer exponent >= 5); results are "
-                  "report-only.")
-        print(banner)
+        print("EXPLORATORY: no nonsingularity assertion for this configuration "
+              "(univariate nodes or odd integer exponent >= 5); results are report-only.")
 
     report_doc = report.to_dict()
     doc = {
@@ -266,9 +276,7 @@ def cmd_verify(args) -> int:
         with open(args.csv, "w", newline="") as handle:
             handle.write(report.records_csv())
     _emit(doc)
-    if exploratory:
-        return 0
-    return 0 if report.total_failures == 0 else 2
+    return 0 if exploratory or report.total_failures == 0 else 2
 
 
 # ---------------------------------------------------------------------------
@@ -301,18 +309,14 @@ def cmd_counterexample(args) -> int:
         "points": [[float(v) for v in row] for row in points.points],
         "diagnostics": diag.to_dict(),
     }
-    if isinstance(kernel, ThinPlateSpline):
-        exact = diag.det_sign == 0 and diag.sigma_min == 0.0
-        doc["exact_singular"] = exact
-        doc["note"] = ("unit distances zero out the center row of the thin-plate "
-                       "matrix, so the matrix is exactly singular")
-        _emit(doc)
-        return 0 if exact else 2
-    doc["exact_singular"] = False
-    doc["note"] = ("non-thin-plate kernel on the same configuration; reported for "
+    tps = isinstance(kernel, ThinPlateSpline)
+    doc["exact_singular"] = tps and diag.det_sign == 0 and diag.sigma_min == 0.0
+    doc["note"] = ("unit distances zero out the center row of the thin-plate "
+                   "matrix, so the matrix is exactly singular" if tps else
+                   "non-thin-plate kernel on the same configuration; reported for "
                    "comparison, no singularity expected")
     _emit(doc)
-    return 0
+    return 2 if tps and not doc["exact_singular"] else 0
 
 
 # ---------------------------------------------------------------------------
@@ -325,23 +329,12 @@ def cmd_scale_check(args) -> int:
         raise ValueError("scale-check needs at least two scales in --eps")
     degree = _augment_degree(args.augment, kernel)
     seed = _resolve_seed(args.seed)
-    if args.points:
-        points, values = read_points_csv(args.points)
-        if values is None:
-            raise ValueError(f"{args.points}: scale-check requires a value column")
-        source = {"points": str(args.points)}
-    else:
-        if args.n is None or args.dim is None:
-            raise ValueError("scale-check needs --points or both --dim and --n")
-        domain = _parse_domain(args.domain, args.dim)
-        points = sample(domain, Uniform(), args.n, mix_seed(seed, 0))
+    points, values, source = _node_source(args, args.dim, seed, mix_seed(seed, 0),
+                                          "scale-check needs --points or both --dim and --n")
+    if not args.points:
         values = make_rng(mix_seed(seed, 1)).standard_normal(points.n)
-        source = {
-            "dim": int(args.dim),
-            "n": int(args.n),
-            "seed": int(seed),
-            "domain_spec": _domain_spec(domain),
-        }
+    elif values is None:
+        raise ValueError(f"{args.points}: scale-check requires a value column")
     report = scale_invariance_check(points, values, kernel, eps_list,
                                     degree=degree, tau=args.tau)
     config = {
@@ -352,11 +345,8 @@ def cmd_scale_check(args) -> int:
         "tau": float(args.tau),
         "source": source,
     }
-    doc = {"command": "scale-check", "config": config, "report": report.to_dict()}
-    _emit(doc)
-    if report.passed is False:
-        return 2
-    return 0
+    _emit({"command": "scale-check", "config": config, "report": report.to_dict()})
+    return 2 if report.passed is False else 0
 
 
 # ---------------------------------------------------------------------------
@@ -436,17 +426,8 @@ def _field_svg(xs: np.ndarray, ys: np.ndarray, values: np.ndarray, desc: str) ->
 def cmd_field(args) -> int:
     kernel = parse_kernel(args.kernel)
     seed = _resolve_seed(args.seed)
-    if args.points:
-        points, _ = read_points_csv(args.points)
-        source = {"points": str(args.points)}
-    else:
-        if args.n is None:
-            raise ValueError("field needs --points or --n")
-        dim = args.dim if args.dim is not None else 2
-        domain = _parse_domain(args.domain, dim)
-        points = sample(domain, Uniform(), args.n, seed)
-        source = {"dim": dim, "n": int(args.n), "seed": int(seed),
-                  "domain_spec": _domain_spec(domain)}
+    points, _, source = _node_source(args, 2 if args.dim is None else args.dim, seed, seed,
+                                     "field needs --points or --n")
     if points.dimension != 2:
         raise ValueError("field rendering requires planar (d = 2) points")
 

@@ -471,21 +471,18 @@ _GOLDEN_FRACTION = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _unit_distance_point(center: np.ndarray, direction: np.ndarray) -> np.ndarray:
-    # one renormalization pass; the measured distance must land on 1.0 exactly
+    # up to two renormalization passes; the measured distance must land on 1.0 exactly
     point = center + direction
-    for _ in range(2):
+    for _ in range(3):
         measured = float(cross_distance_matrix(point[None, :], center[None, :])[0, 0])
         if measured == 1.0:
             return point
         if measured == 0.0:
             raise ConstructionError("degenerate direction while placing a unit-distance point")
         point = center + (point - center) / measured
-    measured = float(cross_distance_matrix(point[None, :], center[None, :])[0, 0])
-    if measured != 1.0:
-        raise ConstructionError(
-            "could not place a point at floating-point distance exactly 1 from the center"
-        )
-    return point
+    raise ConstructionError(
+        "could not place a point at floating-point distance exactly 1 from the center"
+    )
 
 
 def sphere_counterexample(dimension: int, n: int, center=None) -> PointSet:

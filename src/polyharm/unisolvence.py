@@ -68,10 +68,12 @@ def det3_null_diag(matrix) -> float:
     return float(arr[0, 1] * arr[1, 2] * arr[2, 0] + arr[0, 2] * arr[1, 0] * arr[2, 1])
 
 
-def _exp_log_abs(log_abs: float, matrix: str) -> float:
-    """exp(log|det|) of the named matrix, or ValueError beyond double range."""
+def _signed_exp(sign: int, log_abs: float, matrix: str) -> float:
+    """sign * exp(log|det|) of the named matrix: 0.0 for sign 0, ValueError beyond double range."""
+    if sign == 0:
+        return 0.0
     try:
-        return math.exp(log_abs)
+        return sign * math.exp(log_abs)
     except OverflowError:
         raise ValueError(f"bordered determinant exceeds double range: log|det| of the "
                          f"{matrix} matrix is {log_abs!r}") from None
@@ -136,7 +138,7 @@ class BorderedSystem:
                     diag,
                 )
             quadratic = float(border @ lu_solve(diag.lu_piv, border))
-            value = -diag.det_sign * _exp_log_abs(diag.log_abs_det, "base") * quadratic
+            value = _signed_exp(-diag.det_sign, diag.log_abs_det, "base") * quadratic
             if not math.isfinite(value):
                 raise ValueError(f"bordered determinant exceeds double range: log|det| of the "
                                  f"base matrix is {diag.log_abs_det!r}, and |det| times "
@@ -147,10 +149,7 @@ class BorderedSystem:
         bordered[:n, :n] = self.base.entries
         bordered[:n, n] = border
         bordered[n, :n] = border
-        sign, log_abs = lu_sign_logabs(bordered)
-        if sign == 0:
-            return 0.0
-        return sign * _exp_log_abs(log_abs, "bordered")
+        return _signed_exp(*lu_sign_logabs(bordered), "bordered")
 
     def grid(self, x_coords, y_coords) -> np.ndarray:
         """determinant() over a rectangular lattice; planar nodes only.
@@ -365,8 +364,7 @@ def incremental_growth(kernel: Kernel, domain: Domain, density: Density,
         f_value = system.determinant(pts[n], method="auto")
         grown = prefix_system(n + 1)
         sign = grown.base_diagnostics.det_sign
-        det_next = 0.0 if sign == 0 else sign * _exp_log_abs(
-            grown.base_diagnostics.log_abs_det, "grown")
+        det_next = _signed_exp(sign, grown.base_diagnostics.log_abs_det, "grown")
         rel = abs(f_value - det_next) / max(abs(det_next), 1e-300)
         steps.append(GrowthStep(
             n=n,
