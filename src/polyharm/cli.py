@@ -222,8 +222,7 @@ def cmd_interp(args) -> int:
 
     doc = {"command": "interp", "config": config,
            "diagnostics": model.diagnostics.to_dict()}
-    model_doc = dict(model.to_dict())
-    model_doc["config"] = config
+    model_doc = {**model.to_dict(), "config": config}
     if args.out:
         with open(args.out, "w") as handle:
             json.dump(model_doc, handle, indent=2)
@@ -232,12 +231,11 @@ def cmd_interp(args) -> int:
     else:
         doc["model"] = model_doc
 
-    if args.eval:
-        if args.pred:
-            write_points_csv(args.pred, grid_points.points, predictions)
-            doc["predictions"] = str(args.pred)
-        else:
-            doc["predictions"] = [float(v) for v in predictions]
+    if args.pred:  # only with --eval, checked above
+        write_points_csv(args.pred, grid_points.points, predictions)
+        doc["predictions"] = str(args.pred)
+    elif args.eval:
+        doc["predictions"] = [float(v) for v in predictions]
     _emit(doc)
     return 0
 
@@ -287,11 +285,9 @@ def cmd_counterexample(args) -> int:
         kernel = parse_kernel(args.kernel)
     else:
         kernel = ThinPlateSpline(k=args.k)
-    center = None
-    if args.center is not None:
-        center = _parse_floats(args.center, "center")
-        if len(center) != args.dim:
-            raise ValueError(f"center has {len(center)} coordinates, expected {args.dim}")
+    center = None if args.center is None else _parse_floats(args.center, "center")
+    if center is not None and len(center) != args.dim:
+        raise ValueError(f"center has {len(center)} coordinates, expected {args.dim}")
     points = sphere_counterexample(args.dim, args.n, center)
     diag = diagnostics(assemble(points, kernel, args.eps).entries, args.tau)
     config = {
@@ -446,6 +442,8 @@ def cmd_field(args) -> int:
         nx = ny = 64
     if not (gx0 < gx1 and gy0 < gy1 and nx >= 2 and ny >= 2):
         raise ValueError("bad --grid: needs x0 < x1, y0 < y1 and nx, ny >= 2")
+    if not (math.isfinite(gx1 - gx0) and math.isfinite(gy1 - gy0)):
+        raise ValueError("bad --grid: the spans x1 - x0 and y1 - y0 must be finite")
 
     system = BorderedSystem(assemble(points, kernel, args.eps), args.tau)
     xs = np.linspace(gx0, gx1, nx)

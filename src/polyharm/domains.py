@@ -470,8 +470,20 @@ def sample(domain: Domain, density: Density, n: int, seed: int,
 _GOLDEN_FRACTION = (math.sqrt(5.0) - 1.0) / 2.0
 
 
+# ulp steps of the exact unit-distance search, nearest first: 0, 1, -1, 2, -2, ..., 256, -256
+_ULP_STEPS = np.arange(1, 514) // 2 * (-1) ** np.arange(1, 514)
+
+
 def _unit_distance_point(center: np.ndarray, direction: np.ndarray) -> np.ndarray:
-    # up to two renormalization passes; the measured distance must land on 1.0 exactly
+    """A point at measured distance exactly 1.0 from center, along direction.
+
+    Up to two renormalization passes divide the offset by its measured
+    distance.  When they miss, an exact search measures candidates near the
+    point: for each of the _ULP_STEPS of the coordinate of second-largest
+    offset, the one of largest offset solved from the others, and its two
+    ulp neighbours.  The first that measures 1.0 is the point; else, or for
+    a degenerate direction, ConstructionError.
+    """
     point = center + direction
     for _ in range(3):
         measured = float(cross_distance_matrix(point[None, :], center[None, :])[0, 0])
@@ -480,9 +492,21 @@ def _unit_distance_point(center: np.ndarray, direction: np.ndarray) -> np.ndarra
         if measured == 0.0:
             raise ConstructionError("degenerate direction while placing a unit-distance point")
         point = center + (point - center) / measured
-    raise ConstructionError(
-        "could not place a point at floating-point distance exactly 1 from the center"
-    )
+    offset = point - center
+    solved_axis, free_axis = np.argsort(-np.abs(offset), kind="stable")[:2]
+    free = point[free_axis] + _ULP_STEPS * np.spacing(point[free_axis])
+    rest = np.delete(offset, [solved_axis, free_axis])
+    left = 1.0 - float(rest @ rest) - (free - center[free_axis]) ** 2
+    solved = center[solved_axis] + np.copysign(np.sqrt(np.maximum(left, 0.0)), offset[solved_axis])
+    candidates = np.repeat(point[None, :], 3 * free.size, axis=0)
+    candidates[:, free_axis] = np.repeat(free, 3)
+    neighbours = solved[:, None] + np.spacing(solved)[:, None] * _ULP_STEPS[:3]
+    candidates[:, solved_axis] = neighbours.ravel()
+    hits = np.flatnonzero(cross_distance_matrix(candidates, center[None, :])[:, 0] == 1.0)
+    if hits.size == 0:
+        raise ConstructionError(
+            "could not place a point at floating-point distance exactly 1 from the center")
+    return candidates[hits[0]]
 
 
 def sphere_counterexample(dimension: int, n: int, center=None) -> PointSet:
@@ -491,8 +515,10 @@ def sphere_counterexample(dimension: int, n: int, center=None) -> PointSet:
     The first 2 * dimension satellites sit at center +/- unit coordinate
     offsets; further satellites use deterministically rotated directions in
     the plane of the first two axes.  Every satellite's measured distance to
-    the center is verified to be exactly 1.0 and all points are verified
-    distinct; otherwise ConstructionError is raised.
+    the center is exactly 1.0 (_unit_distance_point: a satellite that
+    renormalization cannot place comes from its exact search, at most a few
+    hundred ulps off its direction) and all points are verified distinct;
+    otherwise ConstructionError is raised.
 
     With a thin-plate spline kernel the resulting interpolation matrix has
     an exactly zero row, hence is exactly singular.
@@ -520,10 +546,6 @@ def sphere_counterexample(dimension: int, n: int, center=None) -> PointSet:
             direction[0] = math.cos(theta)
             direction[1] = math.sin(theta)
         pts[i] = _unit_distance_point(center_arr, direction)
-
-    satellite_dist = cross_distance_matrix(pts[1:], center_arr[None, :])[:, 0]
-    if np.any(satellite_dist != 1.0):
-        raise ConstructionError("a satellite point missed unit distance from the center")
 
     ps = PointSet.from_array(pts, label=f"sphere-counterexample(d={dimension}, n={n})")
     if not ps.min_pairwise_distance > 0.0:

@@ -156,7 +156,8 @@ class BorderedSystem:
 
         Returns an array of shape (len(x_coords), len(y_coords)) whose
         (i, j) entry is the determinant at (x_coords[i], y_coords[j]), from
-        the code path of a single-point call on the "auto" route.
+        the code path of a single-point call on the "auto" route.  A far
+        point's overflow ends in determinant's ValueError without a warning.
         """
         if self.base.points.dimension != 2:
             raise ValueError("grid evaluation requires planar (d = 2) nodes")
@@ -165,8 +166,9 @@ class BorderedSystem:
         lattice = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1)  # x-major (x_i, y_j)
         out = np.empty((xs.size, ys.size))
         values = out.reshape(-1)
-        for k, point in enumerate(lattice.reshape(-1, 2)):
-            values[k] = self.determinant(point)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k, point in enumerate(lattice.reshape(-1, 2)):
+                values[k] = self.determinant(point)
         return out
 
 

@@ -310,6 +310,15 @@ def test_counterexample_radial_power_comparison(run_cli):
     assert doc["diagnostics"]["det_sign"] != 0
 
 
+def test_counterexample_off_origin_center_is_exactly_singular(run_cli):
+    # renormalization alone misses unit distance for some of these satellites
+    code, out, err = run_cli(["counterexample", "--dim", "2", "--n", "9", "--center", "0.1,0.7"])
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["exact_singular"] is True and doc["config"]["center"] == [0.1, 0.7]
+    assert doc["points"][0] == [0.1, 0.7] and len(doc["points"]) == 9
+
+
 def test_counterexample_validation_exits_1(run_cli):
     code, _, err = run_cli(["counterexample", "--dim", "2", "--n", "1"])
     assert code == 1 and "at least 2" in err
@@ -442,6 +451,32 @@ def test_field_rejects_bad_grid_and_dimension(run_cli, tmp_path):
             f"--grid=0,1,0,1,{sizes}", "--out", str(out_csv),
         ])
         assert code == 1 and "--grid" in err
+    for bounds in ("0,inf,0,1", "-1e308,1e308,0,1", "0,1,-inf,1"):
+        code, _, err = run_cli([
+            "field", "--kernel", "tps:k=1", "--n", "5", "--seed", "1",
+            f"--grid={bounds},4,4", "--out", str(out_csv),
+        ])
+        assert code == 1
+        assert err == "error: bad --grid: the spans x1 - x0 and y1 - y0 must be finite\n"
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("grid, message", [
+    ("0,inf,0,1,4,4", "error: bad --grid: the spans x1 - x0 and y1 - y0 must be finite"),
+    ("-1e308,1e308,0,1,4,4", "error: bad --grid: the spans x1 - x0 and y1 - y0 must be finite"),
+    # the lattice point (1e308, 0) overflows the distance to inf on its way to the Schur check
+    ("0,1e308,0,1,4,4", "error: bordered determinant exceeds double range"),
+], ids=["infinite_x1", "span_overflows", "far_point"])
+def test_field_far_or_infinite_grid_exits_1_with_one_error_line(tmp_path, grid, message):
+    # a subprocess shows what the user sees: warnings reach stderr as they would
+    src = str(Path(polyharm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-m", "polyharm.cli", "field", "--kernel", "tps:k=1",
+                           "--n", "5", "--seed", "1", f"--grid={grid}", "--out", "f.csv"],
+                          cwd=tmp_path, capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.startswith(message) and done.stderr.count("\n") == 1, done.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("domain", [None, "box:0,0,10,10"])
@@ -517,7 +552,8 @@ VERIFY = ["verify", "--kernel", "tps:k=1", "--n", "4", "--trials", "1"]
     (VERIFY + ["--domain", "box:"], "bad box 'box:': expected box:lo1,..,lod,hi1,..,hid"),
     (VERIFY + ["--domain", "ball:1"], "bad ball 'ball:1': expected ball:c1,..,cd,radius"),
     (VERIFY + ["--domain", "cube:0,1"], "unknown domain 'cube:0,1': expected box:... or ball:..."),
-    (VERIFY + ["--domain", "box:0,0,1,1", "--dim", "3"], "domain dimension 2 does not match --dim 3"),
+    (VERIFY + ["--domain", "box:0,0,1,1", "--dim", "3"],
+     "domain dimension 2 does not match --dim 3"),
     (VERIFY + ["--domain", "box:1,0,0,1"], "box must have positive extent on every axis"),
     (VERIFY + ["--domain", "ball:0,0,-1"], "ball radius must be a positive finite real"),
     (VERIFY + ["--dim", "2", "--density", "gauss:sd=1,mu=0"],

@@ -258,6 +258,21 @@ def test_sphere_counterexample_offcenter():
     assert np.array_equal(ps.points[0], np.array(center))
 
 
+@pytest.mark.parametrize("center", [(0.1, 0.7), (2.0, 3.0), (0.5, 0.5),
+                                    (0.1, 0.7, 0.3), (2.0, 3.0, 1.0), (0.5, 0.5, 0.5)])
+def test_sphere_counterexample_off_origin_up_to_40_points(center):
+    # renormalization alone misses some satellites here; the exact search places them
+    dim = len(center)
+    ps = sphere_counterexample(dim, 40, center)
+    dist = cross_distance_matrix(ps.points[1:], ps.points[:1])[:, 0]
+    assert (dist == 1.0).all() and ps.min_pairwise_distance > 0.0
+    # each satellite sits on its direction from the origin's counterexample, to about an ulp
+    directions = sphere_counterexample(dim, 40).points
+    assert np.abs(ps.points - np.array(center) - directions).max() < 1e-12
+    for n in range(2, 40):
+        assert np.array_equal(sphere_counterexample(dim, n, center).points, ps.points[:n])
+
+
 def test_sphere_counterexample_validation():
     with pytest.raises(ValueError):
         sphere_counterexample(1, 3)

@@ -54,9 +54,10 @@ def test_schur_determinant_has_the_bits_of_lu_solve(spec):
 @pytest.mark.parametrize("spec", KERNELS)
 def test_schur_determinant_bits_from_threads_sharing_one_system(spec):
     # SciPy's getrs wrapper shifts the pivots it is given in place while LAPACK runs
-    # without the GIL: threads passing one shared pivot array got garbage values
-    system = schur_system(spec, seed=63)
-    points = list(probe_points(system, seed=64)) * 20
+    # without the GIL: threads passing one shared pivot array got garbage values.  At
+    # n = 100 each solve runs long enough for two threads to overlap inside LAPACK
+    system = schur_system(spec, n=100, seed=63)
+    points = list(probe_points(system, seed=64)) * 10
     expected = np.array([lu_solve_determinant(system, p) for p in points])
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -67,6 +68,15 @@ def test_schur_determinant_bits_from_threads_sharing_one_system(spec):
             assert np.array_equal(got, expected), (spec, threads)
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_grid_raises_for_a_far_lattice_point_without_warning():
+    # (1e308, 0) overflows the squared distance; determinant names the failure, nothing warns
+    system = schur_system("tps:k=1")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="exceeds double range"):
+            system.grid([0.0, 1e308], [0.0, 1.0])
 
 
 @pytest.mark.parametrize("spec", KERNELS)

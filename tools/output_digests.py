@@ -31,10 +31,12 @@ on every 7th of its queries, whose predictions are rows of interp_eval's; a
 points file that only float() reads; verify and scaled interp runs on the
 kernels whose powers take NumPy's sqrt path (rp:nu=0.5) and its generic
 path (tps:k=3); a scaled field (tps:k=2 at eps 0.5) and a field whose SVG
-cells' corner sums overflow; a verify whose size cannot be allocated; and
-the other subcommand paths) and library calls whose results are written as
-JSON or raw array bytes.  ``repr`` of library objects is not an output
-contract and is left out.
+cells' corner sums overflow; fields whose --grid span is not finite or
+whose lattice reaches a point too far to measure; a counterexample off the
+origin whose satellites renormalization alone cannot place; a verify whose
+size cannot be allocated; and the other subcommand paths) and library
+calls whose results are written as JSON or raw array bytes.  ``repr`` of
+library objects is not an output contract and is left out.
 """
 
 from __future__ import annotations
@@ -213,6 +215,8 @@ RUNS = {
     "cardinal_values": (None, _cardinal_values),
     "ce_rp": (None, ["counterexample", "--dim", "3", "--n", "7", "--kernel", "rp:nu=1"]),
     "ce_tps": (None, ["counterexample", "--dim", "2", "--n", "9"]),
+    "ce_tps_off_origin": (None, ["counterexample", "--dim", "2", "--n", "9",
+                                 "--center", "0.1,0.7"]),
     "custom_density": (None, _custom_density),
     "field": (None, ["field", "--kernel", "tps:k=1", "--n", "6", "--seed", "1", FIELD_GRID,
                      "--out", "field.csv", "--svg", "field.svg"]),
@@ -221,6 +225,12 @@ RUNS = {
     "field_singular_base": (_sphere_csv, ["field", "--kernel", "tps:k=1", "--points",
                                           "sphere.csv", "--grid=-2,2,-2,2,9,7",
                                           "--out", "field.csv"]),
+    "field_far_point": (None, ["field", "--kernel", "tps:k=1", "--n", "5", "--seed", "1",
+                               "--grid=0,1e308,0,1,4,4", "--out", "f.csv"]),
+    "field_grid_inf": (None, ["field", "--kernel", "tps:k=1", "--n", "5", "--seed", "1",
+                              "--grid=0,inf,0,1,4,4", "--out", "f.csv"]),
+    "field_grid_span_overflow": (None, ["field", "--kernel", "tps:k=1", "--n", "5", "--seed", "1",
+                                        "--grid=-1e308,1e308,0,1,4,4", "--out", "f.csv"]),
     "field_eps_tps2": (None, ["field", "--kernel", "tps:k=2", "--eps", "0.5", "--n", "9",
                               "--seed", "4", "--grid=-0.5,1.5,-0.25,1.25,23,11",
                               "--out", "field.csv", "--svg", "field.svg"]),
