@@ -471,7 +471,7 @@ _GOLDEN_FRACTION = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 # ulp steps of the exact unit-distance search, nearest first: 0, 1, -1, 2, -2, ..., 256, -256
-_ULP_STEPS = np.arange(1, 514) // 2 * (-1) ** np.arange(1, 514)
+_ULP_STEPS = np.array([0] + [s for k in range(1, 257) for s in (k, -k)])
 
 
 def _unit_distance_point(center: np.ndarray, direction: np.ndarray) -> np.ndarray:

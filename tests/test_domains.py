@@ -266,7 +266,7 @@ def test_sphere_counterexample_off_origin_up_to_40_points(center):
     ps = sphere_counterexample(dim, 40, center)
     dist = cross_distance_matrix(ps.points[1:], ps.points[:1])[:, 0]
     assert (dist == 1.0).all() and ps.min_pairwise_distance > 0.0
-    # each satellite sits on its direction from the origin's counterexample, to about an ulp
+    # each satellite sits within a few hundred ulps of its direction from the origin
     directions = sphere_counterexample(dim, 40).points
     assert np.abs(ps.points - np.array(center) - directions).max() < 1e-12
     for n in range(2, 40):
