@@ -18,13 +18,6 @@ __all__ = [
 ]
 
 
-def is_singular(det_sign: int, sigma_min: float, sigma_max: float, tau: float) -> bool:
-    """The numerical-singularity verdict: sigma_max == 0, or
-    sigma_min <= tau * sigma_max, or an exactly zero LU pivot (det_sign == 0).
-    """
-    return sigma_max == 0.0 or sigma_min <= tau * sigma_max or det_sign == 0
-
-
 @dataclass(frozen=True)
 class MatrixDiagnostics:
     """Numerical singularity evidence for an exactly symmetric matrix.
@@ -177,7 +170,7 @@ def diagnostics(matrix, tau: float = 1e-12) -> MatrixDiagnostics:
         sigma_min=sigma_min,
         sigma_max=sigma_max,
         condition=condition,
-        singular_verdict=is_singular(det_sign, sigma_min, sigma_max, tau),
+        singular_verdict=sigma_max == 0.0 or sigma_min <= tau * sigma_max or det_sign == 0,
         rel_threshold=tau,
         lu_piv=lu_piv,
     )

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import fields, is_dataclass
 
-import numpy as np
-
 from .kernels import RadialPower, ThinPlateSpline, kernel_spec
 
 NOT_SERIALIZED = {"serialize": False}
@@ -16,7 +14,7 @@ def to_dict(obj) -> dict:
 
     A class-level ``_json_tag = (key, value)`` pair, when present, comes
     first; fields declared with ``field(metadata=NOT_SERIALIZED)`` are left out.
-    Kernels become their kernel_spec text, tuples and arrays become lists
+    Kernels become their kernel_spec text, tuples become lists
     and nested dataclasses are converted recursively.
     """
     doc = dict([obj._json_tag]) if hasattr(obj, "_json_tag") else {}
@@ -31,8 +29,6 @@ def _jsonable(value):
         return kernel_spec(value)
     if is_dataclass(value):
         return to_dict(value)
-    if isinstance(value, np.ndarray):
-        return value.tolist()
     if isinstance(value, tuple):
         return [_jsonable(v) for v in value]
     return value

@@ -32,7 +32,6 @@ from .domains import (
     Box,
     ConstructionError,
     SamplingError,
-    PointSet,
     TruncatedGaussian,
     Uniform,
     make_rng,

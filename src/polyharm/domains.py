@@ -611,22 +611,29 @@ def _float_rejected_space(path: Path) -> bool:
 
 
 def _scan_rows(path: Path, width: int) -> np.ndarray:
-    # the rows after the header through csv.reader and float(), naming the first bad row
-    with open(path, newline="") as handle:
-        rows = [row for row in csv.reader(handle) if row][1:]
-    for i, row in enumerate(rows, start=2):
-        if len(row) != width:
-            raise ValueError(f"{path}: row {i} has {len(row)} fields, expected {width}")
-    try:
-        return np.fromiter(map(float, chain.from_iterable(rows)), float,
-                           len(rows) * width).reshape(-1, width)
-    except ValueError:
+    # the rows after the header through csv.reader and float() in one streamed pass;
+    # the first ragged row is named, else the first row with a non-numeric field
+    ragged = non_numeric = None
+
+    def fields(rows):
+        nonlocal ragged, non_numeric
         for i, row in enumerate(rows, start=2):
-            try:
-                [float(cell) for cell in row]
-            except ValueError:
-                raise ValueError(f"{path}: row {i} contains a non-numeric field") from None
-        raise
+            if len(row) != width:
+                ragged = f"row {i} has {len(row)} fields, expected {width}"
+                return
+            if non_numeric is None:
+                try:
+                    yield tuple(map(float, row))
+                except ValueError:
+                    non_numeric = f"row {i} contains a non-numeric field"
+
+    with open(path, newline="") as handle:
+        rows = filter(None, csv.reader(handle))
+        next(rows)  # the header
+        data = np.fromiter(chain.from_iterable(fields(rows)), float)
+    if ragged or non_numeric:
+        raise ValueError(f"{path}: {ragged or non_numeric}")
+    return data.reshape(-1, width)
 
 
 def read_points_csv(path) -> tuple[PointSet, np.ndarray | None]:
@@ -639,11 +646,12 @@ def read_points_csv(path) -> tuple[PointSet, np.ndarray | None]:
     The body is scanned again with csv.reader and float() when loadtxt
     raises ValueError, when it finds the wrong number of columns, and when
     the file holds one of the characters \\x1c-\\x1f, which loadtxt strips
-    from a field and float() does not.  That scan names the first ragged or
-    non-numeric row, and it still reads what only float() accepts, such as
-    1_000, so every field is read as float() reads it.  Blank lines are
-    skipped; non-finite values are rejected.  Returns the point set (with
-    file provenance) and the value column or None when absent.
+    from a field and float() does not.  That scan is one streamed pass, so
+    memory beyond the result stays small on both paths; it names the first
+    ragged row, else the first non-numeric one, and reads what only float()
+    accepts, such as 1_000, so every field is read as float() reads it.
+    Blank lines are skipped; non-finite values are rejected.  Returns the
+    point set (with file provenance) and the value column or None when absent.
     """
     path = Path(path)
     with open(path, newline="") as handle:

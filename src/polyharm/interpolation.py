@@ -269,6 +269,14 @@ def _check_finite_values(values: np.ndarray, q: np.ndarray) -> None:
                          "(queries far from the nodes overflow double precision)")
 
 
+def _query_array(queries, dimension: int) -> np.ndarray:
+    # the one intake of query points for evaluate, cardinal_values and scale_invariance_check
+    q = np.atleast_2d(np.asarray(queries, dtype=float))
+    if q.ndim != 2 or q.shape[1] != dimension:
+        raise ValueError(f"queries of shape {q.shape} are not {dimension}-d points")
+    return q
+
+
 def evaluate(model: InterpolationModel, queries) -> np.ndarray:
     """Evaluate an interpolant at query points (m, d), 256 query rows at a time.
 
@@ -283,9 +291,7 @@ def evaluate(model: InterpolationModel, queries) -> np.ndarray:
     array for the nodes' dimension d, and naming the first query whose
     value is not finite; the overflow on the way there does not warn.
     """
-    q = np.atleast_2d(np.asarray(queries, dtype=float))
-    if q.ndim != 2 or q.shape[1] != model.points.dimension:
-        raise ValueError(f"queries of shape {q.shape} are not {model.points.dimension}-d points")
+    q = _query_array(queries, model.points.dimension)
     m = q.shape[0]
     out = np.empty(m)
     buffer = np.empty((min(m, _EVAL_ROWS), model.points.n))
@@ -309,16 +315,17 @@ def cardinal_values(points: PointSet, kernel: Kernel, eps: float, queries,
 
     Entry (i, j) is the value at query i of the interpolant that is 1 at
     node j and 0 at every other node.  Rows sum to 1 only where constants
-    are reproduced; no such claim is made here.  ValueError names the first
-    query with a value that is not finite.
+    are reproduced; no such claim is made here.  Queries and far values are
+    taken as evaluate takes them: ValueError for queries that are not an
+    (m, d) array, and naming the first query whose value is not finite,
+    with no warning on the way.
     """
+    q = _query_array(queries, points.dimension)
     matrix = assemble(points, kernel, eps)
-    q = np.atleast_2d(np.asarray(queries, dtype=float))
-    if q.shape[1] != points.dimension:
-        raise ValueError("query dimension does not match node dimension")
-    cross = cross_distance_matrix(q, points.points)
-    kernel.value_scaled(eps, cross, out=cross)
-    values = _solve(matrix.entries, cross.T, tau, "interpolation matrix", points.n)[0].T
+    with np.errstate(over="ignore", invalid="ignore"):
+        cross = cross_distance_matrix(q, points.points)
+        kernel.value_scaled(eps, cross, out=cross)
+        values = _solve(matrix.entries, cross.T, tau, "interpolation matrix", points.n)[0].T
     _check_finite_values(values, q)
     return values
 
@@ -390,17 +397,19 @@ def scale_invariance_check(points: PointSet, values, kernel: Kernel,
                            queries=None, tau: float = 1e-12) -> ScaleInvarianceReport:
     """Solve the same interpolation problem at several scales and compare.
 
-    Requires at least two scales.  Singularity at any scale propagates as
-    SingularSystemError.  The report asserts a deviation bound only for the
-    combinations with a scale-invariance guarantee; everything else is
-    measured and reported as-is.
+    Requires at least two scales and at least one query, taken as evaluate
+    takes them (default_query_points when None).  Singularity at any scale
+    propagates as SingularSystemError.  The report asserts a deviation bound
+    only for the combinations with a scale-invariance guarantee; everything
+    else is measured and reported as-is.
     """
     scales = tuple(float(e) for e in eps_list)
     if len(scales) < 2:
         raise ValueError("scale invariance needs at least two scale parameters")
-    if queries is None:
-        queries = default_query_points(points)
-    q = np.atleast_2d(np.asarray(queries, dtype=float))
+    q = _query_array(default_query_points(points) if queries is None else queries,
+                     points.dimension)
+    if not len(q):
+        raise ValueError("scale invariance needs at least one query point")
 
     surfaces = []
     conditions = []

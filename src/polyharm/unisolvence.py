@@ -25,11 +25,11 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from operator import attrgetter
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from ._linalg import SingularSystemError, diagnostics, is_singular, lu_sign_logabs, lu_solve
+from ._linalg import SingularSystemError, diagnostics, lu_sign_logabs, lu_solve
 from ._serialize import to_dict
 from .domains import Density, Domain, PointSet, _csv_lines, mix_seed, sample
 from .interpolation import InterpMatrix, _kernel_rows, assemble
@@ -238,7 +238,7 @@ def _run_config(kernel: Kernel, eps: float, domain: Domain, density: Density,
 
 
 def _run_trial(kernel: Kernel, domain: Domain, density: Density, n: int, trial: int,
-               master_seed: int, tau: float, eps: float) -> TrialRecord:
+               master_seed: int, tau: float, eps: float) -> tuple[TrialRecord, bool]:
     substream = mix_seed(master_seed, n, trial)
     points = sample(domain, density, n, substream)
     diag = diagnostics(assemble(points, kernel, eps).entries, tau)
@@ -251,7 +251,7 @@ def _run_trial(kernel: Kernel, domain: Domain, density: Density, n: int, trial: 
         sigma_max=diag.sigma_max,
         condition=diag.condition,
         min_pairwise_distance=points.min_pairwise_distance,
-    )
+    ), diag.singular_verdict
 
 
 def monte_carlo(kernel: Kernel, domain: Domain, density: Density,
@@ -275,7 +275,6 @@ def monte_carlo(kernel: Kernel, domain: Domain, density: Density,
         raise ValueError("trials must be at least 1")
     if threads < 1:
         raise ValueError("threads must be at least 1")
-    tau = float(tau)
 
     tasks = [(n, t) for n in n_values for t in range(int(trials))]
 
@@ -286,15 +285,16 @@ def monte_carlo(kernel: Kernel, domain: Domain, density: Density,
     # more workers than tasks or cores only adds OS threads
     workers = min(threads, len(tasks), os.cpu_count() or 1)
     if workers == 1:
-        records = [work(task) for task in tasks]
+        results = [work(task) for task in tasks]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(work, tasks))
+            results = list(pool.map(work, tasks))
 
+    records = tuple(r for r, _ in results)
     aggregates = []
     for n in n_values:
         subset = [r for r in records if r.n == n]
-        failures = sum(is_singular(r.det_sign, r.sigma_min, r.sigma_max, tau) for r in subset)
+        failures = sum(singular for r, singular in results if r.n == n)
         ratios = [
             0.0 if r.sigma_max == 0.0 else r.sigma_min / r.sigma_max for r in subset
         ]
@@ -308,7 +308,7 @@ def monte_carlo(kernel: Kernel, domain: Domain, density: Density,
 
     config = _run_config(kernel, eps, domain, density,
                          {"n_list": n_values, "trials": int(trials)}, seed, tau)
-    return UnisolvenceReport(config=config, aggregates=tuple(aggregates), records=tuple(records))
+    return UnisolvenceReport(config=config, aggregates=tuple(aggregates), records=records)
 
 
 @dataclass(frozen=True)

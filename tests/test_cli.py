@@ -458,6 +458,11 @@ def test_field_rejects_bad_grid_and_dimension(run_cli, tmp_path):
         ])
         assert code == 1
         assert err == "error: bad --grid: the spans x1 - x0 and y1 - y0 must be finite\n"
+    code, _, err = run_cli([
+        "field", "--kernel", "tps:k=1", "--n", "4", "--seed", "1",
+        "--grid=0,1,0,1,4", "--out", str(out_csv),
+    ])
+    assert (code, err) == (1, "error: bad --grid: expected x0,x1,y0,y1,nx,ny\n")
     assert not out_csv.exists()
 
 

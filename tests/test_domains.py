@@ -93,6 +93,9 @@ def test_distances_and_containment_reject_mismatched_dimensions():
             cross_distance_matrix(a, b)
     with pytest.raises(ValueError):
         pairwise_distance_matrix(np.zeros(3))
+    with pytest.raises(ValueError, match=r"^distance buffer of shape \(2, 2\) does not hold "
+                                         r"\(3, 4\)$"):
+        cross_distance_matrix(np.zeros((3, 2)), np.zeros((4, 2)), out=np.empty((2, 2)))
     ball = Ball(center=(0.0, 0.0), radius=1.0)
     box = Box(lower=(0.0, 0.0), upper=(1.0, 1.0))
     for domain in (ball, box):
@@ -177,6 +180,14 @@ def test_sample_validation():
         sample(unit_box(2), Uniform(), 0, 1)
     with pytest.raises(ValueError):
         sample(unit_box(2), TruncatedGaussian(mean=(0.5,), sd=(0.1,)), 5, 1)
+    with pytest.raises(ValueError, match="^density bound must be a positive finite real$"):
+        CustomDensity(fn=lambda pts: np.ones(pts.shape[0]), bound=0.0)
+    gauss = TruncatedGaussian(mean=(0.5, 0.5), sd=(0.2, 0.2))
+    with pytest.raises(ValueError, match="^proposal cap must be positive$"):
+        sample(unit_box(2), gauss, 5, 1, max_proposals=0)
+    short = CustomDensity(fn=lambda pts: np.ones(pts.shape[0] - 1), bound=1.0)
+    with pytest.raises(ValueError, match="^density must return one value per proposal$"):
+        sample(unit_box(2), short, 5, 1)
 
 
 def test_point_set_min_distance():
@@ -287,6 +298,8 @@ def test_duplicate_pair():
     assert ps.n == 2
     assert np.array_equal(ps.points[0], ps.points[1])
     assert ps.min_pairwise_distance == 0.0
+    with pytest.raises(ValueError, match="^dimension must be at least 1$"):
+        duplicate_pair(0, 1)
 
 
 def test_points_csv_round_trip(tmp_path):
@@ -304,6 +317,15 @@ def test_points_csv_round_trip(tmp_path):
     loaded, loaded_vals = read_points_csv(bare)
     assert np.array_equal(loaded.points, pts)
     assert loaded_vals is None
+
+
+def test_points_csv_writer_rejects_malformed_tables(tmp_path):
+    path = tmp_path / "out.csv"
+    with pytest.raises(ValueError, match="^points must form a 2-d array$"):
+        write_points_csv(path, np.zeros(3))
+    with pytest.raises(ValueError, match="^values must supply one number per point$"):
+        write_points_csv(path, np.zeros((3, 2)), np.zeros(2))
+    assert not path.exists()
 
 
 def test_points_csv_rejects_malformed(tmp_path):

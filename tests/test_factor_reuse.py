@@ -113,6 +113,19 @@ def test_scale_check_assembles_once_per_scale(monkeypatch, degree):
     assert len(assemble_calls) == 3
 
 
+@pytest.mark.parametrize("queries, message", [
+    (np.zeros((3, 3)), r"^queries of shape \(3, 3\) are not 2-d points$"),
+    (np.zeros((0, 2)), r"^scale invariance needs at least one query point$"),
+], ids=["wrong_dimension", "empty"])
+def test_scale_check_rejects_queries_before_assembling(monkeypatch, queries, message):
+    assemble_calls = counting(monkeypatch, assemble)
+    pts = random_points(20, 2, 37)
+    with pytest.raises(ValueError, match=message):
+        scale_invariance_check(pts, np.sin(pts.points[:, 0]), ThinPlateSpline(1),
+                               (0.25, 1.0, 4.0), queries=queries)
+    assert assemble_calls == []
+
+
 @pytest.mark.parametrize("degree", [None, 1])
 def test_scale_check_factorizes_once_per_scale(monkeypatch, degree):
     lu_calls = counting(monkeypatch, _linalg.lu_factorize)

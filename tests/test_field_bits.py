@@ -20,6 +20,7 @@ from polyharm import (
     cross_distance_matrix,
     parse_kernel,
     sample,
+    sphere_counterexample,
     unit_box,
 )
 from polyharm.cli import _SVG_PALETTE, _SVG_ZERO, _field_svg
@@ -77,6 +78,16 @@ def test_grid_raises_for_a_far_lattice_point_without_warning():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="exceeds double range"):
             system.grid([0.0, 1e308], [0.0, 1.0])
+
+
+def test_grid_on_a_singular_base_rejects_a_far_point_without_warning():
+    # the direct route: (1e300, 0) overflows the border to inf before the bordered LU
+    system = BorderedSystem(assemble(sphere_counterexample(2, 5), ThinPlateSpline(1)))
+    assert system.base_diagnostics.singular_verdict
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            system.grid([1e300], [0.0])
 
 
 @pytest.mark.parametrize("spec", KERNELS)

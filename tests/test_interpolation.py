@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -220,6 +221,34 @@ def test_cardinal_values_identity_at_nodes():
     assert np.abs(card - np.eye(10)).max() <= 1e-8
     with pytest.raises(SingularSystemError):
         cardinal_values(duplicate_pair(2, 5), ThinPlateSpline(1), 1.0, pts.points[:1])
+
+
+def test_cardinal_values_takes_queries_as_evaluate_does():
+    pts = random_points(5, 2, 58)
+    model = solve_unaugmented(pts, np.ones(5), RadialPower(1.5))
+    calls = (lambda q: evaluate(model, q),
+             lambda q: cardinal_values(pts, RadialPower(1.5), 1.0, q))
+    for queries in (np.zeros((3, 4)), np.zeros((2, 2, 2)), [0.5, 0.5, 0.5]):
+        messages = []
+        for call in calls:
+            with pytest.raises(ValueError) as raised:
+                call(queries)
+            messages.append(str(raised.value))
+        assert messages[0] == messages[1]
+    with pytest.raises(ValueError, match=r"^queries of shape \(2, 2, 2\) are not 2-d points$"):
+        cardinal_values(pts, RadialPower(1.5), 1.0, np.zeros((2, 2, 2)))
+    empty = np.empty((0, 2))
+    assert evaluate(model, empty).shape == (0,)
+    assert cardinal_values(pts, RadialPower(1.5), 1.0, empty).shape == (0, 5)
+
+
+def test_cardinal_values_names_a_far_query_without_warning():
+    # (1e300, 0) overflows its squared distances to the nodes; only the ValueError reports it
+    pts = random_points(8, 2, 63)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"query 1 \[1e\+300, 0\.0\] is not finite"):
+            cardinal_values(pts, ThinPlateSpline(1), 1.0, [[0.5, 0.5], [1e300, 0.0]])
 
 
 def test_default_query_points():

@@ -3,11 +3,14 @@
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polyharm
 from oracles import row_scan_points_csv
@@ -75,6 +78,53 @@ def test_reader_matches_the_row_scan_reader(tmp_path, name, newline):
     path = tmp_path / f"{name}.csv"
     path.write_bytes(body.encode())
     assert outcome(read_points_csv, path) == outcome(row_scan_points_csv, path)
+
+
+def spelled_cell(draw, value):
+    # repr of a finite float, padded with spaces or with one _ between two digits
+    text = repr(value)
+    style = draw(st.sampled_from(["plain", "padded", "underscore"]))
+    if style == "padded":
+        return " " * draw(st.integers(0, 2)) + text + " " * draw(st.integers(0, 2))
+    gaps = [i for i in range(1, len(text)) if text[i - 1].isdigit() and text[i].isdigit()]
+    if style == "underscore" and gaps:
+        i = draw(st.sampled_from(gaps))
+        return text[:i] + "_" + text[i:]
+    return text
+
+
+@st.composite
+def points_csv_bodies(draw):
+    """Bytes of a points CSV, maybe with one ragged row and one non-numeric cell."""
+    d = draw(st.integers(1, 3))
+    width = d + draw(st.integers(0, 1))
+    header = ",".join([f"x{i + 1}" for i in range(d)] + ["value"] * (width - d))
+    floats = st.floats(allow_nan=False, allow_infinity=False)
+    rows = [[spelled_cell(draw, draw(floats)) for _ in range(width)]
+            for _ in range(draw(st.integers(1, 8)))]
+    if draw(st.booleans()):
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, width - 1))] = draw(st.sampled_from(["bar", "1__0"]))
+    if draw(st.booleans()):
+        row = draw(st.sampled_from(rows))
+        if width > 1 and draw(st.booleans()):
+            row.pop()
+        else:
+            row.append(spelled_cell(draw, draw(floats)))
+    lines = [header] + [",".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return (newline.join(lines) + newline).encode()
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(points_csv_bodies())
+def test_reader_matches_the_row_scan_reader_on_generated_bodies(body):
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "points.csv"
+        path.write_bytes(body)
+        assert outcome(read_points_csv, path) == outcome(row_scan_points_csv, path)
 
 
 def hard_decimal_strings():
@@ -172,12 +222,19 @@ def traced_peak(call):
 
 
 def test_reader_peak_memory_is_a_small_multiple_of_its_array(tmp_path):
-    # the benchmark's query file shape; a whole-file row list peaked at 16x the array
+    # the benchmark's query file shape; a whole-file row list peaked at 16x the array, and
+    # so did the float() scan of the same file whose last row spells 1_000
     path = tmp_path / "queries.csv"
     write_points_csv(path, np.random.default_rng(92).random((100_200, 2)))
-    (points, _), peak = traced_peak(lambda: read_points_csv(path))
-    assert points.points.shape == (100_200, 2)
-    assert peak < 2 * points.points.nbytes
+    spelled = tmp_path / "spelled.csv"
+    body = path.read_bytes()
+    last = body.rindex(b"\r\n", 0, len(body) - 2) + 2
+    spelled.write_bytes(body[:last] + b"1_000" + body[body.index(b",", last):])
+    for source in (path, spelled):
+        (points, _), peak = traced_peak(lambda: read_points_csv(source))
+        assert points.points.shape == (100_200, 2)
+        assert peak < 2 * points.points.nbytes
+    assert points.points[-1, 0] == 1000.0
 
 
 def test_evaluate_peak_memory_is_a_small_multiple_of_its_result():

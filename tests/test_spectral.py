@@ -51,3 +51,14 @@ def test_non_symmetric_matrix_is_rejected():
     matrix[0, 1] = np.nextafter(matrix[0, 1], np.inf)
     with pytest.raises(ValueError, match="symmetric"):
         diagnostics(matrix)
+
+
+@pytest.mark.parametrize("matrix, tau, message", [
+    (np.zeros((2, 3)), 1e-12, "expected a nonempty square matrix"),
+    (np.array([[0.0, np.inf], [np.inf, 0.0]]), 1e-12, "matrix entries must be finite"),
+    (np.array([[0.0, 1.0], [1.0, 0.0]]), 0.0,
+     "relative threshold tau must be a positive finite real"),
+], ids=["non_square", "infinite_entry", "tau_zero"])
+def test_diagnostics_rejects_bad_input_with_its_message(matrix, tau, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        diagnostics(matrix, tau)

@@ -35,7 +35,8 @@ cells' corner sums overflow; fields whose --grid span is not finite or
 whose lattice reaches a point too far to measure; a counterexample off the
 origin whose satellites renormalization alone cannot place; a verify whose
 size cannot be allocated; and the other subcommand paths) and library
-calls whose results are written as JSON or raw array bytes.  ``repr`` of
+calls whose results are written as JSON or raw array bytes, among them a
+cardinal_values query too far to measure.  ``repr`` of
 library objects is not an output contract and is left out.
 """
 
@@ -48,6 +49,7 @@ import json
 import os
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -135,6 +137,13 @@ def _cardinal_values() -> int:
     return 0
 
 
+def _cardinal_far_query() -> int:
+    # (1e300, 0) overflows its squared distances to the nodes
+    pts = sample(unit_box(2), Uniform(), 8, 24)
+    cardinal_values(pts, ThinPlateSpline(1), 1.0, np.array([[1e300, 0.0]]))
+    return 0
+
+
 def _custom_density() -> int:
     density = CustomDensity(fn=lambda p: np.exp(-np.sum((p - 0.5) ** 2, axis=1)), bound=1.0)
     report = monte_carlo(ThinPlateSpline(1), unit_box(2), density, [6, 12], 8, 23)
@@ -212,6 +221,7 @@ def _model_reload() -> int:
 FIELD_GRID = "--grid=-1.5,1.5,-1.5,1.5,128,128"
 
 RUNS = {
+    "cardinal_far_query": (None, _cardinal_far_query),
     "cardinal_values": (None, _cardinal_values),
     "ce_rp": (None, ["counterexample", "--dim", "3", "--n", "7", "--kernel", "rp:nu=1"]),
     "ce_tps": (None, ["counterexample", "--dim", "2", "--n", "9"]),
@@ -337,9 +347,11 @@ def _digests(stdout: str, stderr: str, directory: Path) -> tuple[str, list]:
 def run(name: str) -> tuple[int | str, str, list]:
     """Exit code, combined digest and per-output digests of one run.
 
-    The run executes in a fresh temporary directory.  A run that raises
-    reports the exception's class name in place of the exit code, and its
-    message joins stderr.
+    The run executes in a fresh temporary directory, with a warning
+    registry of its own: a warning prints the first time its source line
+    warns in the run, whatever the runs before it printed.  A run that
+    raises reports the exception's class name in place of the exit code,
+    and its message joins stderr.
     """
     inputs, action = RUNS[name]
     home = os.getcwd()
@@ -349,7 +361,9 @@ def run(name: str) -> tuple[int | str, str, list]:
             if inputs is not None:
                 inputs()
             out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                    warnings.catch_warnings():
+                warnings.simplefilter("default")
                 try:
                     code = cli.main(action) if isinstance(action, list) else action()
                 except Exception as exc:  # a crash is an outcome too: name it, hash its message
