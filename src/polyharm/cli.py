@@ -41,7 +41,6 @@ from .domains import (
     sphere_counterexample,
     unit_box,
     write_points_csv,
-    _csv_lines,
 )
 from .interpolation import (
     AugmentationRankError,
@@ -384,6 +383,20 @@ def _field_bands(values: np.ndarray) -> np.ndarray:
     return band
 
 
+def _field_csv_lines(xs: np.ndarray, ys: np.ndarray, values: np.ndarray):
+    """The x,y,value header, then the lattice rows x-major, one lattice column at a time.
+
+    Each coordinate is formatted once, not once per row, and each field is
+    the repr of its float, so the bytes are those of domains._csv_lines over
+    the x-major (x_i, y_j, values[i, j]) table, with LF line ends.
+    """
+    yield "x,y,value\n"
+    y_text = [f",{y!r}," for y in ys.tolist()]
+    for x, column in zip(xs.tolist(), values.tolist()):
+        x_text = repr(x)
+        yield "".join([f"{x_text}{y}{v!r}\n" for y, v in zip(y_text, column)])
+
+
 def _field_svg(xs: np.ndarray, ys: np.ndarray, values: np.ndarray, desc: str) -> str:
     """SVG of a (len(xs), len(ys)) field: one rect per lattice cell.
 
@@ -459,10 +472,8 @@ def cmd_field(args) -> int:
         "out": str(args.out),
         "svg": args.svg,
     }
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")  # x-major rows
-    table = np.column_stack([gx.ravel(), gy.ravel(), field.ravel()])
     with open(args.out, "w", newline="") as handle:
-        handle.writelines(_csv_lines(("x", "y", "value"), table, "\n"))
+        handle.writelines(_field_csv_lines(xs, ys, field))
     if args.svg:
         svg = _field_svg(xs, ys, field, json.dumps(config))
         with open(args.svg, "w") as handle:

@@ -612,12 +612,14 @@ def _float_rejected_space(path: Path) -> bool:
 
 def _scan_rows(path: Path, width: int) -> np.ndarray:
     # the rows after the header through csv.reader and float() in one streamed pass;
-    # the first ragged row is named, else the first row with a non-numeric field
+    # the first ragged row is named, else the first row with a non-numeric field, each by
+    # the reader's line_num: its (last) line in the file, blank lines counted
     ragged = non_numeric = None
 
-    def fields(rows):
+    def fields(reader, rows):
         nonlocal ragged, non_numeric
-        for i, row in enumerate(rows, start=2):
+        for row in rows:
+            i = reader.line_num
             if len(row) != width:
                 ragged = f"row {i} has {len(row)} fields, expected {width}"
                 return
@@ -628,9 +630,10 @@ def _scan_rows(path: Path, width: int) -> np.ndarray:
                     non_numeric = f"row {i} contains a non-numeric field"
 
     with open(path, newline="") as handle:
-        rows = filter(None, csv.reader(handle))
+        reader = csv.reader(handle)
+        rows = filter(None, reader)
         next(rows)  # the header
-        data = np.fromiter(chain.from_iterable(fields(rows)), float)
+        data = np.fromiter(chain.from_iterable(fields(reader, rows)), float)
     if ragged or non_numeric:
         raise ValueError(f"{path}: {ragged or non_numeric}")
     return data.reshape(-1, width)
@@ -648,7 +651,8 @@ def read_points_csv(path) -> tuple[PointSet, np.ndarray | None]:
     the file holds one of the characters \\x1c-\\x1f, which loadtxt strips
     from a field and float() does not.  That scan is one streamed pass, so
     memory beyond the result stays small on both paths; it names the first
-    ragged row, else the first non-numeric one, and reads what only float()
+    ragged row, else the first non-numeric one, by its line in the file
+    (blank lines counted, the first line is 1), and reads what only float()
     accepts, such as 1_000, so every field is read as float() reads it.
     Blank lines are skipped; non-finite values are rejected.  Returns the
     point set (with file provenance) and the value column or None when absent.

@@ -373,13 +373,19 @@ def summed_sign_logabs(lu, piv):
 def row_scan_points_csv(path):
     """A points CSV read whole through csv.reader and float(): an earlier library reader.
 
-    Ragged rows, non-numeric fields and non-finite values are rejected.
-    Returns the point set (with file provenance) and the value column or
-    None when absent.
+    Ragged rows, non-numeric fields and non-finite values are rejected; a bad
+    row is named by csv.reader's line_num, its line in the file.  Returns
+    the point set (with file provenance) and the value column or None when
+    absent.
     """
     path = Path(path)
     with open(path, newline="") as handle:
-        rows = [row for row in csv.reader(handle) if row]
+        reader = csv.reader(handle)
+        rows, lines = [], []  # each non-blank row, and its line in the file
+        for row in reader:
+            if row:
+                rows.append(row)
+                lines.append(reader.line_num)
     if not rows:
         raise ValueError(f"{path}: empty points file")
     header = [h.strip().lower() for h in rows[0]]
@@ -389,7 +395,7 @@ def row_scan_points_csv(path):
     if d < 1 or coord_names != [f"x{i + 1}" for i in range(d)]:
         raise ValueError(f"{path}: header must be x1,...,xd with an optional trailing value column")
     width = d + 1 if has_values else d
-    for i, row in enumerate(rows[1:], start=2):
+    for i, row in zip(lines[1:], rows[1:]):
         if len(row) != width:
             raise ValueError(f"{path}: row {i} has {len(row)} fields, expected {width}")
     try:
@@ -398,7 +404,7 @@ def row_scan_points_csv(path):
                            (len(rows) - 1) * width).reshape(-1, width)
     except ValueError:
         # name the first offending row
-        for i, row in enumerate(rows[1:], start=2):
+        for i, row in zip(lines[1:], rows[1:]):
             try:
                 [float(cell) for cell in row]
             except ValueError:

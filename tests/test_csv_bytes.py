@@ -43,17 +43,25 @@ def test_points_csv_matches_the_csv_writer_loop(tmp_path, d, with_values):
     assert want.read_bytes().endswith(b"\r\n")
 
 
+FIELD_LATTICES = [
+    (5, 4, (-1.0, 2.0, 0.0, 1.0, 5, 4)),
+    (6, 1, (-1.5, 1.5, -1.5, 1.5, 128, 128)),  # the benchmark's lattice
+    (6, 2, (-1.5, 1.5, -1.5, 1.5, 128, 128)),
+    (5, 4, (-1.0, -0.0, -1.0, -0.0, 5, 3)),  # linspace keeps the -0.0 stops
+]
+
+
 def test_field_csv_matches_the_lattice_loop(run_cli, tmp_path):
-    out = tmp_path / "field.csv"
-    code, _, err = run_cli(["field", "--kernel", "tps:k=1", "--n", "5", "--seed", "4",
-                            "--grid=-1,2,0,1,5,4", "--out", str(out)])
-    assert code == 0, err
-    nodes = sample(unit_box(2), Uniform(), 5, 4)
-    xs, ys = np.linspace(-1.0, 2.0, 5), np.linspace(0.0, 1.0, 4)
-    field = BorderedSystem(assemble(nodes, ThinPlateSpline(1))).grid(xs, ys)
-    want = tmp_path / "want.csv"
-    row_loop_field_csv(want, xs, ys, field)
-    assert out.read_bytes() == want.read_bytes()
+    out, want = tmp_path / "field.csv", tmp_path / "want.csv"
+    for n, seed, grid in FIELD_LATTICES:
+        code, _, err = run_cli(["field", "--kernel", "tps:k=1", "--n", str(n), "--seed", str(seed),
+                                "--grid=" + ",".join(map(repr, grid)), "--out", str(out)])
+        assert code == 0, err
+        nodes = sample(unit_box(2), Uniform(), n, seed)
+        xs, ys = np.linspace(*grid[0:2], grid[4]), np.linspace(*grid[2:4], grid[5])
+        field = BorderedSystem(assemble(nodes, ThinPlateSpline(1))).grid(xs, ys)
+        row_loop_field_csv(want, xs, ys, field)
+        assert out.read_bytes() == want.read_bytes(), (n, seed, grid)
 
 
 def test_records_csv_matches_the_csv_writer():
@@ -132,7 +140,8 @@ def test_reader_skips_blank_lines(tmp_path):
 
 @pytest.mark.parametrize("body, message", [
     ("x1,x2\n0.0,1.0\n2.0\n", "row 3 has 1 fields, expected 2"),
-    ("x1,x2,value\n0,1,2\n\n3,4,5,6\n", "row 3 has 4 fields, expected 3"),
+    ("x1,x2,value\n0,1,2\n\n3,4,5,6\n", "row 4 has 4 fields, expected 3"),
+    ("x1,x2\n\n\n1,2\n\n3,bar\n", "row 6 contains a non-numeric field"),
     ("x1,x2\n0.0,1.0\n2.0,bar\n3.0,4.0\n", "row 3 contains a non-numeric field"),
     ("x1,x2\n0.0,1.0\n2.0,1__0\n", "row 3 contains a non-numeric field"),
     ("x1,x2\n0.0,1.0\n2.0,infinity\n", "non-finite value in data rows"),

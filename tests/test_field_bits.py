@@ -40,14 +40,19 @@ def probe_points(system, seed=62):
     return np.vstack([off, system.base.points.points])
 
 
-@pytest.mark.parametrize("spec", KERNELS)
-def test_schur_determinant_has_the_bits_of_lu_solve(spec):
-    system = schur_system(spec)
+@pytest.mark.parametrize("spec, n, seed", [(spec, 12, 61) for spec in KERNELS] + [
+    ("tps:k=1", 200, 7),  # log|det| of the base is -1024.2: the Schur factor underflows to +-0.0
+], ids=[*KERNELS, "tps:k=1-n200"])
+def test_schur_determinant_has_the_bits_of_lu_solve(spec, n, seed):
+    system = schur_system(spec, n, seed)
     points = probe_points(system)
-    expected = [lu_solve_determinant(system, p) for p in points]
+    expected = np.array([lu_solve_determinant(system, p) for p in points])
     for method in ("auto", "schur"):
-        got = [system.determinant(p, method=method) for p in points]
-        assert np.array_equal(np.array(got), np.array(expected)), (spec, method)
+        got = np.array([system.determinant(p, method=method) for p in points])
+        assert got.tobytes() == expected.tobytes(), (spec, method)  # the signs of zeros too
+    if n == 200:
+        assert not np.any(expected)
+        return
     # at the nodes the value is zero up to rounding, and still the oracle's bits
     assert max(abs(v) for v in expected[-system.base.n:]) < 1e-9 * max(abs(v) for v in expected)
 
@@ -133,9 +138,16 @@ def overflow_system():
 @pytest.mark.parametrize("method", ["schur", "direct"])
 def test_determinant_beyond_double_range_is_a_value_error(method):
     system = overflow_system()
-    assert system.base_diagnostics.log_abs_det > 709.8
-    with pytest.raises(ValueError, match="exceeds double range: log\\|det\\|"):
-        system.determinant([500.0, 500.0], method=method)
+    log_abs_det = system.base_diagnostics.log_abs_det
+    assert log_abs_det > 709.8
+    messages = []
+    for point in ([500.0, 500.0], [500.0, 500.0], [10.0, 990.0]):  # each call raises anew
+        with pytest.raises(ValueError, match="exceeds double range: log\\|det\\|") as caught:
+            system.determinant(point, method=method)
+        messages.append(str(caught.value))
+    if method == "schur":
+        assert messages == [f"bordered determinant exceeds double range: log|det| of the "
+                            f"base matrix is {log_abs_det!r}"] * 3
 
 
 def test_field_beyond_double_range_exits_1_with_one_error_line(run_cli, tmp_path):

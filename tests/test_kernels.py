@@ -88,6 +88,20 @@ def test_nan_radius_rejected():
             kernel.value(np.array([0.5, math.nan, 2.0]))
         with pytest.raises(ValueError, match="NaN"):
             kernel.value_scaled(2.0, np.array([[0.5], [math.nan]]))
+        # the vectorized reduction's tail, at the size of one evaluate block
+        block = np.full((256, 200), 0.5)
+        block[-1, -1] = math.nan
+        with pytest.raises(ValueError, match="NaN"):
+            kernel.value(block)
+        with pytest.raises(ValueError, match="nonnegative"):
+            kernel.value(np.array([0.5, -math.inf]))
+
+
+def test_empty_radii_give_empty_values():
+    for kernel in (ThinPlateSpline(1), RadialPower(1.5)):
+        for shape in ((0,), (0, 5)):
+            got = kernel.value(np.empty(shape))
+            assert isinstance(got, np.ndarray) and got.shape == shape
 
 
 def test_value_scaled_is_value_of_scaled_radius():

@@ -31,13 +31,16 @@ on every 7th of its queries, whose predictions are rows of interp_eval's; a
 points file that only float() reads; verify and scaled interp runs on the
 kernels whose powers take NumPy's sqrt path (rp:nu=0.5) and its generic
 path (tps:k=3); a scaled field (tps:k=2 at eps 0.5) and a field whose SVG
-cells' corner sums overflow; fields whose --grid span is not finite or
-whose lattice reaches a point too far to measure; a counterexample off the
-origin whose satellites renormalization alone cannot place; a verify whose
-size cannot be allocated; and the other subcommand paths) and library
-calls whose results are written as JSON or raw array bytes, among them a
-cardinal_values query too far to measure.  ``repr`` of
-library objects is not an output contract and is left out.
+cells' corner sums overflow; a field whose x and y spans end at -0.0;
+fields whose --grid span is not finite or whose lattice reaches a point
+too far to measure; a counterexample off the origin whose satellites
+renormalization alone cannot place; a verify whose size cannot be
+allocated; and the other subcommand paths) and library calls whose
+results are written as JSON or raw array bytes, among them a
+cardinal_values query too far to measure.  ``repr`` of library objects is
+not an output contract and is left out.  A warning is printed with the
+path of a polyharm module relative to the checkout's ``src/``, so the
+digests of a run that warns do not depend on where the checkout lies.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ import contextlib
 import hashlib
 import io
 import json
+import linecache
 import os
 import sys
 import tempfile
@@ -54,6 +58,7 @@ from pathlib import Path
 
 import numpy as np
 
+import polyharm
 from polyharm import (
     Ball,
     CustomDensity,
@@ -78,6 +83,20 @@ from polyharm import (
     unit_box,
     write_points_csv,
 )
+
+
+_SRC = Path(polyharm.__file__).resolve().parent.parent  # the checkout's src/
+
+
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    # warnings.showwarning, naming a module under src/ by its path relative to src/
+    if line is None:
+        line = linecache.getline(filename, lineno)
+    path = Path(filename).resolve()
+    if path.is_relative_to(_SRC):
+        filename = path.relative_to(_SRC).as_posix()
+    text = warnings.formatwarning(message, category, filename, lineno, line)
+    (sys.stderr if file is None else file).write(text)
 
 
 def _write_csv(path: str, header: str, table) -> None:
@@ -235,6 +254,9 @@ RUNS = {
     "field_singular_base": (_sphere_csv, ["field", "--kernel", "tps:k=1", "--points",
                                           "sphere.csv", "--grid=-2,2,-2,2,9,7",
                                           "--out", "field.csv"]),
+    "field_negative_zero_stops": (None, ["field", "--kernel", "tps:k=1", "--n", "5", "--seed", "4",
+                                         "--grid=-1,-0.0,-1,-0.0,5,3", "--out", "field.csv",
+                                         "--svg", "field.svg"]),
     "field_far_point": (None, ["field", "--kernel", "tps:k=1", "--n", "5", "--seed", "1",
                                "--grid=0,1e308,0,1,4,4", "--out", "f.csv"]),
     "field_grid_inf": (None, ["field", "--kernel", "tps:k=1", "--n", "5", "--seed", "1",
@@ -349,7 +371,8 @@ def run(name: str) -> tuple[int | str, str, list]:
 
     The run executes in a fresh temporary directory, with a warning
     registry of its own: a warning prints the first time its source line
-    warns in the run, whatever the runs before it printed.  A run that
+    warns in the run, whatever the runs before it printed, and names a
+    polyharm module by its path relative to src/.  A run that
     raises reports the exception's class name in place of the exit code,
     and its message joins stderr.
     """
@@ -364,6 +387,7 @@ def run(name: str) -> tuple[int | str, str, list]:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
                     warnings.catch_warnings():
                 warnings.simplefilter("default")
+                warnings.showwarning = _show_warning
                 try:
                     code = cli.main(action) if isinstance(action, list) else action()
                 except Exception as exc:  # a crash is an outcome too: name it, hash its message
