@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass, field
+from importlib.machinery import PathFinder
+from pathlib import Path
 
 import numpy as np
-import scipy.linalg
+import scipy
 
 from ._serialize import NOT_SERIALIZED, to_dict
 
@@ -63,8 +67,30 @@ class SingularSystemError(RuntimeError):
         self.diagnostics = diag
 
 
-# every matrix here is float64 (_as_square), so the LAPACK routines are looked up once
-_getrf, _getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), dtype=np.float64)
+def _load_flapack():
+    """SciPy's LAPACK extension module scipy.linalg._flapack, without the scipy.linalg package.
+
+    Importing scipy.linalg costs about 0.25 s and 19 MiB for modules nothing
+    here uses.  The extension is loaded under its full name, so a later
+    import of scipy.linalg reuses this module, and get_lapack_funcs hands out
+    the same routine objects; under a short name SciPy would load a second copy.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    found = PathFinder.find_spec("_flapack", [str(Path(scipy.__file__).parent / "linalg")])
+    if found is None:
+        raise ImportError(f"SciPy {scipy.__version__} has no LAPACK extension {name}")
+    spec = importlib.util.spec_from_file_location(name, found.origin)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# every matrix here is float64 (_as_square), so the LAPACK routines are bound once
+_flapack = _load_flapack()
+_getrf, _getrs = _flapack.dgetrf, _flapack.dgetrs
 
 
 def _as_square(matrix) -> np.ndarray:

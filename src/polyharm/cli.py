@@ -22,7 +22,7 @@ import json
 import math
 import os
 import sys
-from xml.sax.saxutils import escape
+from html import escape
 
 import numpy as np
 
@@ -65,6 +65,29 @@ class _Parser(argparse.ArgumentParser):
 
 def _emit(doc: dict) -> None:
     sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+
+
+def _write_text(path, chunks, newline=None) -> None:
+    with open(path, "w", newline=newline) as handle:
+        handle.writelines(chunks)
+
+
+def _write_outputs(*outputs) -> None:
+    """Write a command's outputs in order: write(path) for each (path, write) with a path.
+
+    When one of them fails, the files already written are deleted before the
+    error propagates, so a command that exits 1 leaves no output behind.
+    """
+    written = []
+    try:
+        for path, write in outputs:
+            if path:
+                write(path)
+                written.append(path)
+    except (OSError, MemoryError):
+        for path in written:
+            os.remove(path)
+        raise
 
 
 def _resolve_seed(value) -> int:
@@ -221,19 +244,15 @@ def cmd_interp(args) -> int:
     doc = {"command": "interp", "config": config,
            "diagnostics": model.diagnostics.to_dict()}
     model_doc = {**model.to_dict(), "config": config}
-    if args.out:
-        with open(args.out, "w") as handle:
-            json.dump(model_doc, handle, indent=2)
-            handle.write("\n")
-        doc["model"] = str(args.out)
-    else:
-        doc["model"] = model_doc
-
+    doc["model"] = str(args.out) if args.out else model_doc
     if args.pred:  # only with --eval, checked above
-        write_points_csv(args.pred, grid_points.points, predictions)
         doc["predictions"] = str(args.pred)
     elif args.eval:
         doc["predictions"] = [float(v) for v in predictions]
+    _write_outputs(
+        (args.out, lambda path: _write_text(path, [json.dumps(model_doc, indent=2), "\n"])),
+        (args.pred, lambda path: write_points_csv(path, grid_points.points, predictions)),
+    )
     _emit(doc)
     return 0
 
@@ -265,12 +284,10 @@ def cmd_verify(args) -> int:
     # replacing the value keeps "config" in its place in the key order
     doc["config"] = dict(report.config, domain_spec=_domain_spec(domain),
                          density_spec=_density_spec(density))
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(json.dumps(report_doc, indent=2) + "\n")  # report.to_json()'s bytes
-    if args.csv:
-        with open(args.csv, "w", newline="") as handle:
-            handle.write(report.records_csv())
+    _write_outputs(  # the report has report.to_json()'s bytes
+        (args.out, lambda path: _write_text(path, [json.dumps(report_doc, indent=2), "\n"])),
+        (args.csv, lambda path: _write_text(path, [report.records_csv()], "")),
+    )
     _emit(doc)
     return 0 if exploratory or report.total_failures == 0 else 2
 
@@ -416,7 +433,7 @@ def _field_svg(xs: np.ndarray, ys: np.ndarray, values: np.ndarray, desc: str) ->
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {size} {size}">',
-        f"<desc>{escape(desc)}</desc>",
+        f"<desc>{escape(desc, quote=False)}</desc>",
         f'<rect x="0" y="0" width="{size}" height="{size}" fill="#ffffff"/>',
     ]
     for i, column in enumerate(_field_bands(values).tolist()):
@@ -472,12 +489,11 @@ def cmd_field(args) -> int:
         "out": str(args.out),
         "svg": args.svg,
     }
-    with open(args.out, "w", newline="") as handle:
-        handle.writelines(_field_csv_lines(xs, ys, field))
-    if args.svg:
-        svg = _field_svg(xs, ys, field, json.dumps(config))
-        with open(args.svg, "w") as handle:
-            handle.write(svg)
+    _write_outputs(
+        (args.out, lambda path: _write_text(path, _field_csv_lines(xs, ys, field), "")),
+        (args.svg,
+         lambda path: _write_text(path, [_field_svg(xs, ys, field, json.dumps(config))])),
+    )
     doc = {
         "command": "field",
         "config": config,

@@ -470,8 +470,8 @@ def sample(domain: Domain, density: Density, n: int, seed: int,
 _GOLDEN_FRACTION = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-# ulp steps of the exact unit-distance search, nearest first: 0, 1, -1, 2, -2, ..., 256, -256
-_ULP_STEPS = np.array([0] + [s for k in range(1, 257) for s in (k, -k)])
+# steps of the exact unit-distance search, nearest first: 0, 1, -1, 2, -2, ..., 256, -256
+_SEARCH_STEPS = np.array([0] + [s for k in range(1, 257) for s in (k, -k)])
 
 
 def _unit_distance_point(center: np.ndarray, direction: np.ndarray) -> np.ndarray:
@@ -479,10 +479,21 @@ def _unit_distance_point(center: np.ndarray, direction: np.ndarray) -> np.ndarra
 
     Up to two renormalization passes divide the offset by its measured
     distance.  When they miss, an exact search measures candidates near the
-    point: for each of the _ULP_STEPS of the coordinate of second-largest
-    offset, the one of largest offset solved from the others, and its two
-    ulp neighbours.  The first that measures 1.0 is the point; else, or for
-    a degenerate direction, ConstructionError.
+    point in two rounds of one distance call each.  A round moves the
+    coordinate of second-largest offset, the free one, by each of the
+    _SEARCH_STEPS times the round's step, solves the one of largest offset
+    from the others, and takes that value and its two ulp neighbours.  The
+    first candidate that measures 1.0 is the point.
+
+    The first round steps one ulp of the free coordinate.  It can miss once
+    an ulp of either coordinate moves the squared distance by more than the
+    window whose square root rounds to 1.0, and on an axis direction, whose
+    free offset of 0 moves the squared distance by almost nothing.  The
+    second round spreads the free offset over +/-2 * sqrt(ulp of the solved
+    coordinate), so that its square can make up an ulp step of the solved
+    coordinate: up to 8.4e-8 off the direction for coordinates below 16 in
+    magnitude.  A miss in both rounds, or a degenerate direction, raises
+    ConstructionError.
     """
     point = center + direction
     for _ in range(3):
@@ -494,19 +505,22 @@ def _unit_distance_point(center: np.ndarray, direction: np.ndarray) -> np.ndarra
         point = center + (point - center) / measured
     offset = point - center
     solved_axis, free_axis = np.argsort(-np.abs(offset), kind="stable")[:2]
-    free = point[free_axis] + _ULP_STEPS * np.spacing(point[free_axis])
     rest = np.delete(offset, [solved_axis, free_axis])
-    left = 1.0 - float(rest @ rest) - (free - center[free_axis]) ** 2
-    solved = center[solved_axis] + np.copysign(np.sqrt(np.maximum(left, 0.0)), offset[solved_axis])
-    candidates = np.repeat(point[None, :], 3 * free.size, axis=0)
-    candidates[:, free_axis] = np.repeat(free, 3)
-    neighbours = solved[:, None] + np.spacing(solved)[:, None] * _ULP_STEPS[:3]
-    candidates[:, solved_axis] = neighbours.ravel()
-    hits = np.flatnonzero(cross_distance_matrix(candidates, center[None, :])[:, 0] == 1.0)
-    if hits.size == 0:
-        raise ConstructionError(
-            "could not place a point at floating-point distance exactly 1 from the center")
-    return candidates[hits[0]]
+    candidates = np.repeat(point[None, :], 3 * _SEARCH_STEPS.size, axis=0)
+    wide = 2.0 * math.sqrt(np.spacing(abs(point[solved_axis]))) / _SEARCH_STEPS.max()
+    for step in (np.spacing(point[free_axis]), wide):
+        free = point[free_axis] + _SEARCH_STEPS * step
+        left = 1.0 - float(rest @ rest) - (free - center[free_axis]) ** 2
+        solved = center[solved_axis] + np.copysign(np.sqrt(np.maximum(left, 0.0)),
+                                                   offset[solved_axis])
+        candidates[:, free_axis] = np.repeat(free, 3)
+        neighbours = solved[:, None] + np.spacing(solved)[:, None] * _SEARCH_STEPS[:3]
+        candidates[:, solved_axis] = neighbours.ravel()
+        hits = np.flatnonzero(cross_distance_matrix(candidates, center[None, :])[:, 0] == 1.0)
+        if hits.size:
+            return candidates[hits[0]]
+    raise ConstructionError(
+        "could not place a point at floating-point distance exactly 1 from the center")
 
 
 def sphere_counterexample(dimension: int, n: int, center=None) -> PointSet:
@@ -517,7 +531,8 @@ def sphere_counterexample(dimension: int, n: int, center=None) -> PointSet:
     the plane of the first two axes.  Every satellite's measured distance to
     the center is exactly 1.0 (_unit_distance_point: a satellite that
     renormalization cannot place comes from its exact search, at most a few
-    hundred ulps off its direction) and all points are verified distinct;
+    hundred ulps off its direction, or 8.4e-8 for coordinates below 16 in
+    magnitude when ulp steps miss) and all points are verified distinct;
     otherwise ConstructionError is raised.
 
     With a thin-plate spline kernel the resulting interpolation matrix has

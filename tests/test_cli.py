@@ -148,6 +148,25 @@ def test_interp_eval_failure_writes_no_file_and_one_error_line(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
+    ["verify", "--kernel", "tps:k=1", "--dim", "2", "--n", "5", "--trials", "2", "--seed", "1",
+     "--out", "report.json", "--csv", "missing/records.csv"],
+    ["field", "--kernel", "tps:k=1", "--n", "5", "--seed", "1", "--grid=0,1,0,1,4,4",
+     "--out", "field.csv", "--svg", "missing/field.svg"],
+    ["interp", "--kernel", "tps:k=1", "--points", "data.csv", "--eval", "data.csv",
+     "--out", "model.json", "--pred", "missing/pred.csv"],
+], ids=["verify", "field", "interp"])
+def test_unwritable_second_output_leaves_no_output_behind(run_cli, tmp_path, monkeypatch, argv):
+    # the first output is written before the second one fails, and is deleted again
+    monkeypatch.chdir(tmp_path)
+    make_data_csv(tmp_path / "data.csv")
+    code, out, err = run_cli(argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: [Errno 2] No such file or directory: 'missing/")
+    assert err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["data.csv"]
+
+
+@pytest.mark.parametrize("argv", [
     ["verify", "--kernel", "tps:k=1", "--dim", "2", "--n", "1e15", "--trials", "1"],
     ["field", "--kernel", "tps:k=1", "--n", "5", "--grid=0,1,0,1,1e15,2", "--out", "f.csv"],
     # counterexample allocates its points before it places any of them
@@ -317,6 +336,17 @@ def test_counterexample_off_origin_center_is_exactly_singular(run_cli):
     doc = json.loads(out)
     assert doc["exact_singular"] is True and doc["config"]["center"] == [0.1, 0.7]
     assert doc["points"][0] == [0.1, 0.7] and len(doc["points"]) == 9
+
+
+def test_counterexample_where_single_ulp_steps_miss_is_exactly_singular(run_cli):
+    # the sixth satellite needs the exact search's wide round
+    center = [-0.09105638295397789, 3.543161285788292]
+    code, out, err = run_cli(["counterexample", "--dim", "2", "--n", "7",
+                              "--center=" + ",".join(map(repr, center))])
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["exact_singular"] is True and doc["config"]["center"] == center
+    assert len(doc["points"]) == 7
 
 
 def test_counterexample_validation_exits_1(run_cli):

@@ -284,6 +284,23 @@ def test_sphere_counterexample_off_origin_up_to_40_points(center):
         assert np.array_equal(sphere_counterexample(dim, n, center).points, ps.points[:n])
 
 
+@pytest.mark.parametrize("center", [
+    (-0.09105638295397789, 3.543161285788292),
+    (5.154576906165829, -0.051546090247621024),
+    (-7.747726689188856, -1.8610439872138773, -9.993986197861542),
+    (9.479688097047102, 0.0735395840115789, 5.0689307716781045),
+])
+def test_sphere_counterexample_where_single_ulp_steps_miss(center):
+    # no ulp step of the free coordinate places some satellite here; the search's wide round
+    # does, with the free offset at most 2 * sqrt(ulp) off, 8.4e-8 for coordinates below 16
+    dim = len(center)
+    ps = sphere_counterexample(dim, 40, center)
+    dist = cross_distance_matrix(ps.points[1:], ps.points[:1])[:, 0]
+    assert (dist == 1.0).all() and ps.min_pairwise_distance > 0.0
+    off = np.abs(ps.points - np.array(center) - sphere_counterexample(dim, 40).points).max()
+    assert 1e-12 < off <= 8.4e-8
+
+
 def test_sphere_counterexample_validation():
     with pytest.raises(ValueError):
         sphere_counterexample(1, 3)

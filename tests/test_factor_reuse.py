@@ -1,8 +1,11 @@
 """One LU factorization and one assembly per matrix, with unchanged bits."""
 
 import json
+import os
+import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +29,7 @@ from polyharm import (
     unit_box,
     write_points_csv,
 )
+import polyharm
 from polyharm import _linalg
 
 
@@ -208,6 +212,26 @@ def test_stored_lu_solve_has_the_bits_of_scipy_lu_solve():
         got = _linalg.lu_solve(lu_piv, rhs)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
     assert rhs.flags.f_contiguous and not rhs.flags.c_contiguous
+
+
+@pytest.mark.parametrize("first", ["polyharm", "scipy.linalg"])
+def test_lapack_routines_are_the_ones_scipy_linalg_hands_out(first):
+    # a fresh interpreter, with scipy.linalg imported after polyharm or before it: one
+    # scipy.linalg._flapack module serves both
+    script = f"""import importlib, sys
+importlib.import_module({first!r})
+import numpy as np
+import scipy.linalg
+from polyharm import _linalg
+getrf, getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), dtype=np.float64)
+print(getrf is _linalg._getrf, getrs is _linalg._getrs,
+      sys.modules["scipy.linalg._flapack"] is _linalg._flapack)
+"""
+    src = str(Path(polyharm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert (done.returncode, done.stdout) == (0, "True True True\n"), done.stderr
 
 
 def test_stored_lu_solve_leaves_the_pivots_unchanged():

@@ -120,19 +120,42 @@ def test_memory_is_a_few_blocks_at_any_n(n):
     assert peak <= 3 * domains._CHUNK_ENTRIES * 8
 
 
-def test_no_scipy_spatial_module_is_loaded(tmp_path):
-    # a fresh interpreter: this process may have imported scipy.spatial elsewhere
-    script = ("import sys\nimport polyharm.cli\n"
-              "loaded = lambda: sorted(m for m in sys.modules if m.startswith('scipy.spatial'))\n"
-              "print(loaded())\n"
-              "code = polyharm.cli.main(['verify', '--kernel', 'tps:k=1', '--dim', '3',\n"
-              "                          '--n', '5,9', '--trials', '3', '--seed', '1',\n"
-              "                          '--out', sys.argv[1]])\n"
-              "print(code, loaded())\n")
+def test_no_scipy_spatial_linalg_or_xml_stack_module_is_loaded(tmp_path):
+    # a fresh interpreter: this process may have imported these modules elsewhere.
+    # _linalg loads SciPy's LAPACK extension alone, and the SVG is escaped without xml.sax,
+    # which brings urllib.request, http.client and ssl along
+    rng = np.random.default_rng(5)
+    np.savetxt(tmp_path / "nodes.csv", np.column_stack([rng.random((9, 2)), rng.random(9)]),
+               delimiter=",", header="x1,x2,value", comments="")
+    np.savetxt(tmp_path / "queries.csv", rng.random((4, 2)), delimiter=",", header="x1,x2",
+               comments="")
+    script = """import sys
+import polyharm.cli
+
+BANNED = ("scipy.spatial", "scipy.linalg", "xml.sax", "urllib.request", "http.client", "ssl")
+
+
+def loaded():
+    return sorted(m for m in sys.modules if m != "scipy.linalg._flapack"
+                  and any(m == b or m.startswith(b + ".") for b in BANNED))
+
+
+print(loaded())
+for argv in (
+        ["verify", "--kernel", "tps:k=1", "--dim", "3", "--n", "5,9", "--trials", "3",
+         "--seed", "1", "--threads", "2", "--out", "report.json"],
+        ["field", "--kernel", "tps:k=1", "--n", "5", "--seed", "1", "--grid=0,1,0,1,5,4",
+         "--out", "field.csv", "--svg", "field.svg"],
+        ["interp", "--kernel", "tps:k=1", "--augment", "poly", "--points", "nodes.csv",
+         "--eval", "queries.csv", "--pred", "pred.csv"]):
+    print(polyharm.cli.main(argv), loaded(), file=sys.stderr)
+"""
     src = str(Path(polyharm.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "report.json")],
-                          capture_output=True, text=True, env=env, timeout=120)
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, capture_output=True,
+                          text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
-    lines = done.stdout.splitlines()
-    assert (lines[0], lines[-1]) == ("[]", "0 []")
+    assert done.stdout.splitlines()[0] == "[]"
+    assert done.stderr.splitlines() == ["0 []"] * 3
+    assert all((tmp_path / name).stat().st_size > 0
+               for name in ("report.json", "field.csv", "field.svg", "pred.csv"))

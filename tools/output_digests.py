@@ -33,9 +33,11 @@ kernels whose powers take NumPy's sqrt path (rp:nu=0.5) and its generic
 path (tps:k=3); a scaled field (tps:k=2 at eps 0.5) and a field whose SVG
 cells' corner sums overflow; a field whose x and y spans end at -0.0;
 fields whose --grid span is not finite or whose lattice reaches a point
-too far to measure; a counterexample off the origin whose satellites
-renormalization alone cannot place; a verify whose size cannot be
-allocated; and the other subcommand paths) and library calls whose
+too far to measure; counterexamples off the origin whose satellites
+renormalization alone cannot place, one of them also beyond single ulp
+steps; a verify whose size cannot be allocated; verify, field and interp
+runs whose second output cannot be written; and the other subcommand
+paths) and library calls whose
 results are written as JSON or raw array bytes, among them a
 cardinal_values query too far to measure.  ``repr`` of library objects is
 not an output contract and is left out.  A warning is printed with the
@@ -246,6 +248,8 @@ RUNS = {
     "ce_tps": (None, ["counterexample", "--dim", "2", "--n", "9"]),
     "ce_tps_off_origin": (None, ["counterexample", "--dim", "2", "--n", "9",
                                  "--center", "0.1,0.7"]),
+    "ce_tps_off_origin_wide": (None, ["counterexample", "--dim", "2", "--n", "7",
+                                      "--center=-0.09105638295397789,3.543161285788292"]),
     "custom_density": (None, _custom_density),
     "field": (None, ["field", "--kernel", "tps:k=1", "--n", "6", "--seed", "1", FIELD_GRID,
                      "--out", "field.csv", "--svg", "field.svg"]),
@@ -278,6 +282,9 @@ RUNS = {
     "field_svg_overflow": (None, ["field", "--kernel", "rp:nu=3", "--domain", "box:0,0,148,148",
                                   "--n", "80", "--seed", "1", "--grid=0,148,0,148,9,9",
                                   "--out", "f.csv", "--svg", "f.svg"]),
+    "field_svg_unwritable": (None, ["field", "--kernel", "tps:k=1", "--n", "5", "--seed", "1",
+                                    "--grid=0,1,0,1,4,4", "--out", "field.csv",
+                                    "--svg", "missing/field.svg"]),
     "field_svg": (None, ["field", "--kernel", "rp:nu=1.5", "--n", "10", "--seed", "3",
                          "--grid=0,1,0,1,17,13", "--out", "field.csv", "--svg", "field.svg"]),
     "growth_rp15_120": (None, _growth(RadialPower(1.5), unit_box(3), Uniform(), 120, 4)),
@@ -302,6 +309,9 @@ RUNS = {
     "interp_plain": (_data_csv, ["interp", "--kernel", "rp:nu=1.5", "--points", "data.csv"]),
     "interp_plain_pred": (_data_csv, ["interp", "--kernel", "rp:nu=1.5", "--points", "data.csv",
                                       "--eval", "data.csv", "--pred", "pred.csv"]),
+    "interp_pred_unwritable": (_data_csv, ["interp", "--kernel", "tps:k=1", "--points",
+                                           "data.csv", "--eval", "data.csv", "--out",
+                                           "model.json", "--pred", "missing/pred.csv"]),
     "interp_rp05_eps": (lambda: _interp_eval_inputs(300), [
         "interp", "--kernel", "rp:nu=0.5", "--eps", "0.5", "--points", "nodes.csv",
         "--eval", "queries.csv", "--pred", "pred.csv"]),
@@ -328,6 +338,9 @@ RUNS = {
     "verify_ball": (None, ["verify", "--kernel", "tps:k=1", "--domain", "ball:0,0,1",
                            "--n", "5,10", "--trials", "10", "--seed", "6",
                            "--out", "report.json", "--csv", "records.csv"]),
+    "verify_csv_unwritable": (None, ["verify", "--kernel", "tps:k=1", "--dim", "2", "--n", "5",
+                                     "--trials", "2", "--seed", "1", "--out", "report.json",
+                                     "--csv", "missing/records.csv"]),
     "verify_dim8": (None, ["verify", "--kernel", "tps:k=1", "--dim", "8", "--n", "6,14",
                            "--trials", "5", "--seed", "9", "--out", "report.json",
                            "--csv", "records.csv"]),
