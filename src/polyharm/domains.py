@@ -470,8 +470,10 @@ def sample(domain: Domain, density: Density, n: int, seed: int,
 _GOLDEN_FRACTION = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-# steps of the exact unit-distance search, nearest first: 0, 1, -1, 2, -2, ..., 256, -256
-_SEARCH_STEPS = np.array([0] + [s for k in range(1, 257) for s in (k, -k)])
+def _search_steps(count: int) -> np.ndarray:
+    # steps of one round of the exact unit-distance search, nearest first:
+    # 0, 1, -1, 2, -2, ..., count, -count
+    return np.concatenate([[0], np.arange(1, count + 1).repeat(2) * np.tile([1, -1], count)])
 
 
 def _unit_distance_point(center: np.ndarray, direction: np.ndarray) -> np.ndarray:
@@ -479,21 +481,34 @@ def _unit_distance_point(center: np.ndarray, direction: np.ndarray) -> np.ndarra
 
     Up to two renormalization passes divide the offset by its measured
     distance.  When they miss, an exact search measures candidates near the
-    point in two rounds of one distance call each.  A round moves the
-    coordinate of second-largest offset, the free one, by each of the
-    _SEARCH_STEPS times the round's step, solves the one of largest offset
-    from the others, and takes that value and its two ulp neighbours.  The
-    first candidate that measures 1.0 is the point.
+    point in up to three rounds of one distance call each.  A round moves
+    the coordinate of second-largest offset, the free one, by each of
+    0, +-1, ..., +-256 (+-4096 in the third round) times the round's step,
+    solves the one of largest offset from the others, and takes that value
+    and its two ulp neighbours.  The first candidate that measures 1.0 is
+    the point.
 
     The first round steps one ulp of the free coordinate.  It can miss once
     an ulp of either coordinate moves the squared distance by more than the
-    window whose square root rounds to 1.0, and on an axis direction, whose
-    free offset of 0 moves the squared distance by almost nothing.  The
-    second round spreads the free offset over +/-2 * sqrt(ulp of the solved
-    coordinate), so that its square can make up an ulp step of the solved
-    coordinate: up to 8.4e-8 off the direction for coordinates below 16 in
-    magnitude.  A miss in both rounds, or a degenerate direction, raises
-    ConstructionError.
+    window whose square root rounds to 1.0 (about 3.9e-16 wide), and on an
+    axis direction, whose free offset of 0 moves the squared distance by
+    almost nothing.  The second round spreads the free offset over
+    +/-2 * sqrt(ulp of the solved coordinate), so that its square can make
+    up an ulp step of the solved coordinate: up to 8.4e-8 off the direction
+    for coordinates below 16 in magnitude.  Far from the origin its steps
+    move that square by more than the window, and can step over every hit.
+    The third round runs only when both miss.  Its step is
+    2**-52 / (2 * sqrt(2 * u)), or one ulp of the free coordinate when that
+    is larger, where u is the ulp of the larger of the solved coordinate
+    and its center coordinate.  Near a free offset of 0 the offset's square
+    then moves by less than the window per step until it has crossed 2 * u,
+    a whole ulp step of the solved coordinate's square, for coordinates
+    below 2048 in magnitude; elsewhere each of its 8,193 steps is one more
+    chance.  Its point lies up to 7.7e-6 off the direction when u is at
+    least the ulp of 16 and the free coordinate is below 2**23 in magnitude
+    (4096 steps of at most 1.32e-9, and the solved coordinate moves by no
+    more than the free one).  A miss in every round, or a degenerate
+    direction, raises ConstructionError.
     """
     point = center + direction
     for _ in range(3):
@@ -506,15 +521,19 @@ def _unit_distance_point(center: np.ndarray, direction: np.ndarray) -> np.ndarra
     offset = point - center
     solved_axis, free_axis = np.argsort(-np.abs(offset), kind="stable")[:2]
     rest = np.delete(offset, [solved_axis, free_axis])
-    candidates = np.repeat(point[None, :], 3 * _SEARCH_STEPS.size, axis=0)
-    wide = 2.0 * math.sqrt(np.spacing(abs(point[solved_axis]))) / _SEARCH_STEPS.max()
-    for step in (np.spacing(point[free_axis]), wide):
-        free = point[free_axis] + _SEARCH_STEPS * step
+    ulp_free = np.spacing(point[free_axis])  # negative for a negative coordinate
+    wide = 2.0 * math.sqrt(np.spacing(abs(point[solved_axis]))) / 256
+    grain = np.spacing(max(abs(point[solved_axis]), abs(center[solved_axis])))
+    fine = max(abs(ulp_free), math.ulp(1.0) / (2.0 * math.sqrt(2.0 * grain)))
+    for count, step in ((256, ulp_free), (256, wide), (4096, fine)):
+        steps = _search_steps(count)
+        free = point[free_axis] + steps * step
         left = 1.0 - float(rest @ rest) - (free - center[free_axis]) ** 2
         solved = center[solved_axis] + np.copysign(np.sqrt(np.maximum(left, 0.0)),
                                                    offset[solved_axis])
+        candidates = np.repeat(point[None, :], 3 * steps.size, axis=0)
         candidates[:, free_axis] = np.repeat(free, 3)
-        neighbours = solved[:, None] + np.spacing(solved)[:, None] * _SEARCH_STEPS[:3]
+        neighbours = solved[:, None] + np.spacing(solved)[:, None] * steps[:3]
         candidates[:, solved_axis] = neighbours.ravel()
         hits = np.flatnonzero(cross_distance_matrix(candidates, center[None, :])[:, 0] == 1.0)
         if hits.size:
@@ -532,7 +551,8 @@ def sphere_counterexample(dimension: int, n: int, center=None) -> PointSet:
     the center is exactly 1.0 (_unit_distance_point: a satellite that
     renormalization cannot place comes from its exact search, at most a few
     hundred ulps off its direction, or 8.4e-8 for coordinates below 16 in
-    magnitude when ulp steps miss) and all points are verified distinct;
+    magnitude when ulp steps miss, or 7.7e-6 for larger coordinates when
+    both of those rounds miss) and all points are verified distinct;
     otherwise ConstructionError is raised.
 
     With a thin-plate spline kernel the resulting interpolation matrix has
@@ -581,19 +601,22 @@ def duplicate_pair(dimension: int, base_seed: int) -> PointSet:
 _CSV_ROWS = 4096
 
 
-def _csv_lines(header, table, newline: str):
+def _csv_lines(header, table, newline: str, values=None):
     """The header line, then the rows of a 2-d table, one block of rows at a time.
 
     Each field is the repr of its Python number, which round-trips floats
     exactly and keeps the int columns of an object table as ints.  A block
-    of _CSV_ROWS rows is formatted with one "%r,...,%r" template from the
-    block's own tolist(), so memory beyond the table is one block's numbers
-    and text, whatever the number of rows.
+    of _CSV_ROWS rows, with its slice of the optional values as a last
+    column, is formatted with one "%r,...,%r" template from the block's own
+    tolist(), so memory beyond the table is one block's numbers and text,
+    whatever the number of rows.
     """
     yield ",".join(header) + newline
     line = ",".join(["%r"] * len(header)) + newline
     for start in range(0, len(table), _CSV_ROWS):
         block = table[start:start + _CSV_ROWS]
+        if values is not None:
+            block = np.column_stack([block, values[start:start + _CSV_ROWS]])
         yield (line * len(block)) % tuple(block.ravel().tolist())
 
 
@@ -608,13 +631,12 @@ def write_points_csv(path, points, values=None) -> None:
         raise ValueError("points must form a 2-d array")
     header = [f"x{i + 1}" for i in range(table.shape[1])]
     if values is not None:
-        vals = np.asarray(values, dtype=float)
-        if vals.shape != (table.shape[0],):
+        values = np.asarray(values, dtype=float)
+        if values.shape != (table.shape[0],):
             raise ValueError("values must supply one number per point")
         header.append("value")
-        table = np.column_stack([table, vals])
     with open(path, "w", newline="") as handle:
-        handle.writelines(_csv_lines(header, table, "\r\n"))
+        handle.writelines(_csv_lines(header, table, "\r\n", values))
 
 
 def _float_rejected_space(path: Path) -> bool:

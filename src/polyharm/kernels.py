@@ -53,11 +53,14 @@ class KernelInfo:
     is_odd_integer_rp: bool
 
 
-def _check_radii(r: np.ndarray) -> None:
+def _check_radii(r: np.ndarray) -> float:
+    """The smallest radius of r (inf when r is empty); ValueError when it is negative or NaN."""
     # one C-level reduction, about half the cost of (r >= 0.0).all() on a short vector; a NaN
     # minimum fails the test, -0.0 passes it, and the initial value lets 0-d and empty r pass
-    if not np.minimum.reduce(r, axis=None, initial=math.inf) >= 0.0:
+    low = np.minimum.reduce(r, axis=None, initial=math.inf)
+    if not low >= 0.0:
         raise ValueError("kernel radius must be nonnegative and not NaN")
+    return low
 
 
 def _check_scale(eps: float) -> float:
@@ -100,9 +103,11 @@ class ThinPlateSpline:
         """
         return self.value_scaled(1.0, r)  # r * 1.0 is r, bit for bit
 
-    def _apply_in_place(self, arr: np.ndarray) -> None:
-        # log is only evaluated at strictly positive radii; log(1) * 1 is +0.0 at r = 0
-        arr[arr == 0.0] = 1.0
+    def _apply_in_place(self, arr: np.ndarray, low: float) -> None:
+        # log is only evaluated at strictly positive radii; log(1) * 1 is +0.0 at r = 0.
+        # low is the smallest radius: the mask changes nothing unless it is 0.0 or -0.0
+        if low == 0.0:
+            arr[arr == 0.0] = 1.0
         log = np.log(arr)
         arr **= 2 * self.k
         arr *= log
@@ -124,8 +129,7 @@ class ThinPlateSpline:
             out = r = np.array(r, dtype=float)
         if out is not r or eps != 1.0:
             np.multiply(r, eps, out=out)
-        _check_radii(out)
-        self._apply_in_place(out)
+        self._apply_in_place(out, _check_radii(out))
         return float(out) if out.ndim == 0 else out
 
     def info(self) -> KernelInfo:
@@ -162,7 +166,7 @@ class RadialPower:
         """Evaluate r**nu at distance(s) r >= 0.  0**nu is exactly 0."""
         return self.value_scaled(1.0, r)
 
-    def _apply_in_place(self, arr: np.ndarray) -> None:
+    def _apply_in_place(self, arr: np.ndarray, low: float) -> None:
         arr **= self.nu
 
     value_scaled = ThinPlateSpline.value_scaled

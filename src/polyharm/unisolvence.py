@@ -168,17 +168,21 @@ class BorderedSystem:
         (i, j) entry is the determinant at (x_coords[i], y_coords[j]), from
         the code path of a single-point call on the "auto" route.  A far
         point's overflow ends in determinant's ValueError without a warning.
+        The points are visited x-major, one lattice column at a time, so
+        memory beyond the result is one column of (x_i, y_j) pairs.
         """
         if self.base.points.dimension != 2:
             raise ValueError("grid evaluation requires planar (d = 2) nodes")
-        xs = np.asarray(x_coords, dtype=float)
-        ys = np.asarray(y_coords, dtype=float)
-        lattice = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1)  # x-major (x_i, y_j)
+        xs = np.asarray(x_coords, dtype=float).ravel()
+        ys = np.asarray(y_coords, dtype=float).ravel()
         out = np.empty((xs.size, ys.size))
-        values = out.reshape(-1)
+        column = np.empty((ys.size, 2))
+        column[:, 1] = ys
         with np.errstate(over="ignore", invalid="ignore"):
-            for k, point in enumerate(lattice.reshape(-1, 2)):
-                values[k] = self.determinant(point)
+            for x, values in zip(xs, out):
+                column[:, 0] = x
+                for j, point in enumerate(column):
+                    values[j] = self.determinant(point)
         return out
 
 

@@ -301,6 +301,21 @@ def test_sphere_counterexample_where_single_ulp_steps_miss(center):
     assert 1e-12 < off <= 8.4e-8
 
 
+@pytest.mark.parametrize("center", [
+    (273.9233746429086, -460.4265724722594),
+    (273.9233746429086, -460.4265724722594, -918.0529521276106),
+])
+def test_sphere_counterexample_far_from_the_origin(center):
+    # neither ulp steps nor the wide round place one satellite here (the 7th in 2-d, the 9th
+    # in 3-d); the window-sized third round does, at most 7.7e-6 off for coordinates above 16
+    dim = len(center)
+    ps = sphere_counterexample(dim, 40, center)
+    dist = cross_distance_matrix(ps.points[1:], ps.points[:1])[:, 0]
+    assert (dist == 1.0).all() and ps.min_pairwise_distance > 0.0
+    off = np.abs(ps.points - np.array(center) - sphere_counterexample(dim, 40).points).max()
+    assert 1e-12 < off <= 7.7e-6
+
+
 def test_sphere_counterexample_validation():
     with pytest.raises(ValueError):
         sphere_counterexample(1, 3)

@@ -199,7 +199,7 @@ def test_field_with_a_non_finite_schur_product_exits_1(run_cli, tmp_path, svg):
 
 def assert_svg_bytes(xs, ys, values):
     desc = '{"command": "field", "note": "<&>"}'
-    assert _field_svg(xs, ys, values, desc) == cell_loop_field_svg(xs, ys, values, desc)
+    assert "".join(_field_svg(xs, ys, values, desc)) == cell_loop_field_svg(xs, ys, values, desc)
 
 
 def test_svg_bytes_on_a_non_square_lattice():
@@ -230,7 +230,7 @@ def test_svg_bytes_without_warnings_where_crossing_cells_overflow():
     xs, ys = np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 4)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        svg = _field_svg(xs, ys, values, "")
+        svg = "".join(_field_svg(xs, ys, values, ""))
         assert svg == cell_loop_field_svg(xs, ys, values, "")
 
 
@@ -329,7 +329,7 @@ def test_svg_cell_whose_corner_mean_overflows_takes_its_end_band(signs, bands):
     xs = ys = np.linspace(0.0, 1.0, 3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        svg = _field_svg(xs, ys, values, "")
+        svg = "".join(_field_svg(xs, ys, values, ""))
     with np.errstate(over="ignore"):
         assert svg == cell_loop_field_svg(xs, ys, values, "")
     fills = [line.split('fill="')[1][:7] for line in svg.splitlines()[3:7]]

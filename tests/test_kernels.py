@@ -28,6 +28,19 @@ def test_tps_exact_zeros():
     assert arr[0] == 0.0 and arr[1] == 0.0 and arr[2] < 0.0
 
 
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+def test_tps_single_zero_radius_at_the_tail_of_a_block(zero):
+    # the r = 0 mask runs whenever the smallest radius is zero, wherever that radius lies
+    kernel = ThinPlateSpline(1)
+    r = np.random.default_rng(3).uniform(0.5, 2.0, (256, 200))
+    r[-1, -1] = zero
+    with np.errstate(all="raise"):
+        v = kernel.value(r)
+    assert v[-1, -1] == 0.0 and not np.signbit(v[-1, -1])
+    assert np.array_equal(v[:-1], kernel.value(r[:-1]))
+    assert np.array_equal(v[-1, :-1], kernel.value(r[-1, :-1]))
+
+
 def test_tps_sign_pattern():
     kernel = ThinPlateSpline(1)
     r = np.array([0.25, 0.999, 1.001, 3.0])

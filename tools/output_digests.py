@@ -31,15 +31,15 @@ on every 7th of its queries, whose predictions are rows of interp_eval's; a
 points file that only float() reads; verify and scaled interp runs on the
 kernels whose powers take NumPy's sqrt path (rp:nu=0.5) and its generic
 path (tps:k=3); a scaled field (tps:k=2 at eps 0.5) and a field whose SVG
-cells' corner sums overflow; a field whose x and y spans end at -0.0;
-fields whose --grid span is not finite or whose lattice reaches a point
-too far to measure; counterexamples off the origin whose satellites
-renormalization alone cannot place, one of them also beyond single ulp
-steps; a verify whose size cannot be allocated; verify, field and interp
-runs whose second output cannot be written; and the other subcommand
-paths) and library calls whose
-results are written as JSON or raw array bytes, among them a
-cardinal_values query too far to measure.  ``repr`` of library objects is
+cells' corner sums overflow; a field whose x and y spans end at -0.0; a
+non-square field SVG of many lattice columns; a verify whose report holds
+2,000 records; fields whose --grid span is not finite or whose lattice
+reaches a point too far to measure; counterexamples off the origin whose
+satellites renormalization alone cannot place, one of them also beyond
+single ulp steps; a verify whose size cannot be allocated; verify, field
+and interp runs whose second output cannot be written; and the other
+subcommand paths) and library calls whose results are written as JSON or
+raw array bytes, among them a cardinal_values query too far to measure.  ``repr`` of library objects is
 not an output contract and is left out.  A warning is printed with the
 path of a polyharm module relative to the checkout's ``src/``, so the
 digests of a run that warns do not depend on where the checkout lies.
@@ -287,6 +287,9 @@ RUNS = {
                                     "--svg", "missing/field.svg"]),
     "field_svg": (None, ["field", "--kernel", "rp:nu=1.5", "--n", "10", "--seed", "3",
                          "--grid=0,1,0,1,17,13", "--out", "field.csv", "--svg", "field.svg"]),
+    "field_svg_many_columns": (None, ["field", "--kernel", "tps:k=1", "--n", "7", "--seed", "5",
+                                      "--grid=-2,3,-1,1,97,64", "--out", "field.csv",
+                                      "--svg", "field.svg"]),
     "growth_rp15_120": (None, _growth(RadialPower(1.5), unit_box(3), Uniform(), 120, 4)),
     "growth_tps1_200": (None, _growth(ThinPlateSpline(1), unit_box(2), Uniform(), 200, 3)),
     "growth_tps2_gauss_40": (None, _growth(
@@ -359,6 +362,8 @@ RUNS = {
     "verify_rp05": (None, ["verify", "--kernel", "rp:nu=0.5", "--dim", "2", "--n", "6,30",
                            "--trials", "8", "--seed", "10", "--out", "report.json",
                            "--csv", "records.csv"]),
+    "verify_report_2000": (None, ["verify", "--kernel", "tps:k=1", "--dim", "2", "--n", "5",
+                                  "--trials", "2000", "--seed", "12", "--out", "report.json"]),
     "verify_small": (None, ["verify", "--kernel", "tps:k=1", "--dim", "2", "--n", "5,20,50,100",
                             "--trials", "200", "--threads", "1", "--seed", "1",
                             "--out", "report.json", "--csv", "records.csv"]),
