@@ -308,7 +308,7 @@ def cmd_verify(args) -> int:
                          density_spec=_density_spec(density))
     _write_outputs(  # the report has report.to_json()'s bytes
         (args.out, lambda path: _write_text(path, _json_blocks(report_doc))),
-        (args.csv, lambda path: _write_text(path, [report.records_csv()], "")),
+        (args.csv, lambda path: _write_text(path, report.records_csv_lines(), "")),
     )
     _emit(doc)
     return 0 if exploratory or report.total_failures == 0 else 2
@@ -402,7 +402,8 @@ def _field_bands(values: np.ndarray):
     are taken from the whole field in this call.  A same-sign cell whose
     corner sum overflows has t = +-inf and takes the end band of its sign.
     """
-    vmax = float(np.abs(values).max())
+    # two reductions and no |values| temporary: nan and -0.0 give what np.abs(values).max() gives
+    vmax = float(np.maximum(abs(values.max()), abs(values.min())))
     floor = vmax * 1e-9 if vmax > 0.0 else 1.0
     scale = math.log1p(vmax / floor)
     return (_band_column(left, right, floor, scale) for left, right in zip(values[:-1], values[1:]))

@@ -32,7 +32,7 @@ import numpy as np
 from ._linalg import SingularSystemError, diagnostics, lu_sign_logabs, lu_solve
 from ._serialize import to_dict
 from .domains import Density, Domain, PointSet, _csv_lines, mix_seed, sample
-from .interpolation import InterpMatrix, _kernel_rows, assemble
+from .interpolation import _EVAL_ROWS, InterpMatrix, _kernel_rows, assemble
 from .kernels import Kernel, kernel_spec
 
 __all__ = [
@@ -119,7 +119,7 @@ class BorderedSystem:
             raise ValueError("evaluation point dimension does not match the nodes")
         return _kernel_rows(self.base, x[None, :])[0]
 
-    def determinant(self, point, method: str = "auto") -> float:
+    def determinant(self, point, method: str = "auto", *, border=None) -> float:
         """Determinant of the bordered matrix at the given point.
 
         At a fresh point this equals the determinant of the kernel matrix
@@ -130,10 +130,21 @@ class BorderedSystem:
         bordered one for "direct") exceeds double range, and when the Schur
         product of |det| of the base matrix and border @ base^-1 @ border
         is not finite.
+
+        border, when given, is taken in place of self.border(point) on
+        either route, as a float array checked only for its shape (n,): grid
+        passes rows of its block kernel rows, which have the bits of
+        border(point).
         """
         if method not in ("auto", "schur", "direct"):
             raise ValueError("method must be 'auto', 'schur' or 'direct'")
-        border = self.border(point)
+        if border is None:
+            border = self.border(point)
+        else:
+            border = np.asarray(border, dtype=float)
+            if border.shape != (self.base.n,):
+                raise ValueError(f"a border of shape {border.shape} does not match "
+                                 f"the {self.base.n} nodes")
         diag = self.base_diagnostics
         if method == "auto":
             method = "direct" if diag.singular_verdict else "schur"
@@ -166,10 +177,15 @@ class BorderedSystem:
 
         Returns an array of shape (len(x_coords), len(y_coords)) whose
         (i, j) entry is the determinant at (x_coords[i], y_coords[j]), from
-        the code path of a single-point call on the "auto" route.  A far
-        point's overflow ends in determinant's ValueError without a warning.
-        The points are visited x-major, one lattice column at a time, so
-        memory beyond the result is one column of (x_i, y_j) pairs.
+        one single-point call on the "auto" route per lattice point.  The
+        points are visited x-major, one lattice column at a time, and each
+        column's borders are computed _EVAL_ROWS rows at a time by one
+        _kernel_rows call into one reused (min(ny, _EVAL_ROWS), n) buffer,
+        as evaluate does; the distances and kernel values are element-wise,
+        so each row has the bits of border(point).  Memory beyond the result
+        is one column of (x_i, y_j) pairs, the buffer and one block's
+        distance temporaries.  A far point's overflow ends in determinant's
+        ValueError without a warning.
         """
         if self.base.points.dimension != 2:
             raise ValueError("grid evaluation requires planar (d = 2) nodes")
@@ -178,11 +194,16 @@ class BorderedSystem:
         out = np.empty((xs.size, ys.size))
         column = np.empty((ys.size, 2))
         column[:, 1] = ys
+        buffer = np.empty((min(ys.size, _EVAL_ROWS), self.base.n))
         with np.errstate(over="ignore", invalid="ignore"):
             for x, values in zip(xs, out):
                 column[:, 0] = x
-                for j, point in enumerate(column):
-                    values[j] = self.determinant(point)
+                for start in range(0, ys.size, _EVAL_ROWS):
+                    points = column[start:start + _EVAL_ROWS]
+                    borders = _kernel_rows(self.base, points, out=buffer[:len(points)])
+                    values[start:start + len(points)] = [
+                        self.determinant(point, border=border)
+                        for point, border in zip(points, borders)]
         return out
 
 
@@ -236,11 +257,17 @@ class UnisolvenceReport:
         """The to_dict() document as JSON, indented by 2 spaces."""
         return json.dumps(self.to_dict(), indent=2)
 
+    def records_csv_lines(self):
+        """The records_csv() text as its header line, then one chunk per 4096 records."""
+        # CSV_HEADER names the TrialRecord fields in order; an object table keeps the ints,
+        # filled one record at a time, with no list of per-record tuples
+        table = np.fromiter(map(_record_values, self.records), np.dtype((object, len(CSV_HEADER))),
+                            len(self.records))
+        return _csv_lines(CSV_HEADER, table, "\n")
+
     def records_csv(self) -> str:
         """Flat per-trial records under the pinned header."""
-        # CSV_HEADER names the TrialRecord fields in order; an object table keeps the ints
-        table = np.array([_record_values(r) for r in self.records], dtype=object)
-        return "".join(_csv_lines(CSV_HEADER, table, "\n"))
+        return "".join(self.records_csv_lines())
 
 
 def _run_config(kernel: Kernel, eps: float, domain: Domain, density: Density,

@@ -2,9 +2,9 @@
 
 Everything here is deliberately naive: pure-Python Laplace expansion for
 determinants, explicit coordinate loops for distances, closed forms for
-tiny matrices, one row at a time for CSV text.  The point is to share no
-code path with the functions under test, so agreement is evidence rather
-than tautology.  fresh_growth and fresh_kernel_conditions are the
+tiny matrices and for the distance matrix of points on a line, one row at
+a time for CSV text.  The point is to share no code path with the
+functions under test, so agreement is evidence rather than tautology.  fresh_growth and fresh_kernel_conditions are the
 exception: they rebuild a loop of the library from its parts, assembling
 and factorizing every matrix afresh, so that bitwise agreement shows the
 library's reuse of matrices and factors changes nothing.  whole_evaluate is
@@ -164,6 +164,19 @@ def triple_determinant(a, b, c):
     Laplace expansion of [[0, a, b], [a, 0, c], [b, c, 0]] gives 2*a*b*c.
     """
     return 2.0 * a * b * c
+
+
+def line_distance_sign_logabs(nodes):
+    """(sign, log|det|) of the distance matrix |x_i - x_j| of n >= 2 distinct points on a line.
+
+    For sorted x_1 < ... < x_n the determinant has the closed form
+    (-1)^(n-1) * 2^(n-2) * (x_n - x_1) * prod(x_(i+1) - x_i), so its log is
+    a sum of n logarithms of gaps and no factorization is involved.
+    """
+    x = np.sort(np.asarray(nodes, dtype=float))
+    n = len(x)
+    gaps = np.diff(x)
+    return (-1) ** (n - 1), float((n - 2) * np.log(2.0) + np.log(x[-1] - x[0]) + np.log(gaps).sum())
 
 
 def fresh_growth(kernel, domain, density, n_max, seed, tau=1e-12, eps=1.0):

@@ -76,6 +76,49 @@ def test_schur_determinant_bits_from_threads_sharing_one_system(spec):
         sys.setswitchinterval(interval)
 
 
+def pointwise_grid(system, xs, ys):
+    return np.array([[system.determinant(np.array([x, y])) for y in ys] for x in xs])
+
+
+@pytest.mark.parametrize("spec, singular", [("tps:k=1", False), ("rp:nu=1.5", False),
+                                            ("tps:k=1", True)], ids=["tps1", "rp1.5", "singular"])
+def test_grid_in_blocks_has_the_bits_of_pointwise_calls(spec, singular):
+    # ny = 600 takes three blocks of kernel rows, the last one short (600 = 2 * 256 + 88).
+    # Lattice point (1, 301) is a node: a zero radius in the middle of the second block
+    nodes = sphere_counterexample(2, 5) if singular else sample(unit_box(2), Uniform(), 9, 68)
+    system = BorderedSystem(assemble(nodes, parse_kernel(spec)))
+    assert system.base_diagnostics.singular_verdict == singular
+    node = nodes.points[2]
+    ys = np.linspace(-1.5, 1.5, 599)
+    ys = np.concatenate([ys[:301], [node[1]], ys[301:]])
+    xs = np.array([-0.7, node[0], 1.3])
+    field = system.grid(xs, ys)
+    assert field.shape == (3, 600)
+    assert field.tobytes() == pointwise_grid(system, xs, ys).tobytes()  # the signs of zeros too
+    if not singular:
+        assert abs(field[1, 301]) < 1e-9 * np.abs(field).max()
+    # a far column fails at its first point, with the pointwise call's message and no warning
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError) as pointwise:
+        system.determinant(np.array([1e300, ys[0]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as gridded:
+            system.grid([0.5, 1e300], ys)
+    assert str(gridded.value) == str(pointwise.value)
+
+
+def test_determinant_checks_the_shape_of_a_given_border():
+    system = schur_system("tps:k=1")
+    point = np.array([0.3, 0.4])
+    border = system.border(point)
+    assert system.determinant(point, border=border) == system.determinant(point)
+    assert system.determinant(point, "direct", border=border) == system.determinant(point, "direct")
+    assert system.determinant(point, border=border.tolist()) == system.determinant(point)
+    for bad in (border[:-1], border[None, :], np.append(border, 0.0)):
+        with pytest.raises(ValueError, match="border of shape"):
+            system.determinant(point, border=bad)
+
+
 def test_grid_raises_for_a_far_lattice_point_without_warning():
     # (1e308, 0) overflows the squared distance; determinant names the failure, nothing warns
     system = schur_system("tps:k=1")
@@ -221,6 +264,7 @@ def test_svg_bytes_on_an_all_zero_field():
     values = np.zeros((6, 7))
     values[1, 2] = -0.0
     assert_svg_bytes(np.linspace(0.0, 1.0, 6), np.linspace(-1.0, 1.0, 7), values)
+    assert_svg_bytes(np.linspace(0.0, 1.0, 6), np.linspace(-1.0, 1.0, 7), np.full((6, 7), -0.0))
 
 
 def test_svg_bytes_without_warnings_where_crossing_cells_overflow():
@@ -242,6 +286,8 @@ def test_svg_bytes_on_values_from_subnormal_to_1e300():
     values[0, 0], values[-1, -1] = 5e-324, 1e300
     assert_svg_bytes(np.linspace(0.0, 3.0, 33), np.linspace(0.0, 2.0, 29), values)
     assert_svg_bytes(np.linspace(0.0, 3.0, 33), np.linspace(0.0, 2.0, 29), np.abs(values))
+    # vmax from the smallest value alone
+    assert_svg_bytes(np.linspace(0.0, 3.0, 33), np.linspace(0.0, 2.0, 29), -np.abs(values))
 
 
 @pytest.mark.parametrize("seed", [1, 2])

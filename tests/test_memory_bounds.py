@@ -53,12 +53,12 @@ def test_field_csv_writer_holds_one_lattice_column(tmp_path):
 
 
 def test_field_svg_writer_holds_one_column_of_cells(tmp_path):
-    # measured 567 KB, of which 480 KB is |values| for vmax; bound 1 MiB (1.85x).
-    # The whole-list SVG peaked at 16.2 MB
+    # measured 124 KB; bound 192 KiB (1.6x).  Taking vmax from np.abs(values) peaked at
+    # 567 KB, and the whole-list SVG at 16.2 MB
     xs, ys, values = field_300_by_200()
     path = tmp_path / "field.svg"
     peak, _ = traced_peak(lambda: cli._write_text(path, cli._field_svg(xs, ys, values, "{}")))
-    assert peak < 1024 * 1024
+    assert peak < 192 * 1024
     assert path.read_text() == cell_loop_field_svg(xs, ys, values, "{}")
 
 
@@ -84,6 +84,17 @@ def test_grid_holds_one_lattice_column_beyond_its_result():
     assert field[617, 3] == system.determinant([xs[617], ys[3]])
 
 
+def test_grid_computes_the_borders_of_a_column_one_block_at_a_time():
+    # n = 200 nodes and ny = 1000: measured 1.38 MB beyond the 24 KB result, the (256, 200)
+    # border buffer and one block's (2, 256, 200) distance temporaries; bound 2 MiB (1.5x).
+    # One kernel-row call on the whole column peaked near 4.8 MB
+    system = BorderedSystem(assemble(sample(unit_box(2), Uniform(), 200, 1), ThinPlateSpline(1)))
+    xs, ys = np.linspace(-1.5, 1.5, 3), np.linspace(-1.5, 1.5, 1000)
+    peak, field = traced_peak(lambda: system.grid(xs, ys))
+    assert peak - field.nbytes < 2 * 1024 * 1024
+    assert field[2, 777] == system.determinant([xs[2], ys[777]])
+
+
 def test_verify_report_and_stdout_are_written_in_blocks_of_encoder_chunks(tmp_path, monkeypatch):
     # 8,000 records (2.2 MB of report JSON) without re-running the trials.  Measured 7.0 MB,
     # most of it to_dict() and the stdout text; bound 9 MiB (1.35x).  json.dumps for either
@@ -99,3 +110,29 @@ def test_verify_report_and_stdout_are_written_in_blocks_of_encoder_chunks(tmp_pa
     assert code == 0
     assert peak < 9 * 1024 * 1024
     assert path.read_text() == report.to_json() + "\n"
+
+
+def test_verify_csv_is_written_one_block_of_records_at_a_time(tmp_path, monkeypatch):
+    # 40,000 records (4.2 MB of CSV).  The write measured 3.4 MB, 2.6 MB of it the object
+    # table of the records; bound 4.5 MiB (1.37x).  Joining the whole text first
+    # peaked at 8.4 MB, and with the table built from a list of tuples at 11.2 MB
+    small = monte_carlo(ThinPlateSpline(1), unit_box(2), Uniform(), [5], 200, 3)
+    report = UnisolvenceReport(small.config, small.aggregates, small.records * 200)
+    monkeypatch.setattr(cli, "monte_carlo", lambda *args, **kwargs: report)
+    peaks = []
+    write_outputs = cli._write_outputs
+
+    def traced_outputs(*outputs):
+        # the peak of each write alone, without the report document cmd_verify holds
+        def traced(write):
+            return lambda path: peaks.append(traced_peak(lambda: write(path))[0])
+        write_outputs(*[(path, traced(write)) for path, write in outputs])
+
+    monkeypatch.setattr(cli, "_write_outputs", traced_outputs)
+    monkeypatch.setattr(cli, "_emit", lambda doc: None)  # the stdout JSON of 40,000 records
+    path = tmp_path / "records.csv"
+    argv = ["verify", "--kernel", "tps:k=1", "--dim", "2", "--n", "5", "--trials", "200",
+            "--seed", "3", "--csv", str(path)]
+    assert cli.main(argv) == 0
+    assert len(peaks) == 1 and peaks[0] < 4.5 * 1024 * 1024
+    assert path.read_text() == report.records_csv()
