@@ -88,7 +88,8 @@ def _sum_squares(diffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
     diffs is squared in place; the even-indexed coordinates are summed in
     turn into diffs[0], the odd-indexed ones in turn into diffs[1], then the
     two lanes are added into out (d = 1 copies its one lane, d = 0 sums to
-    zero).  Every distance of this module goes through this order.
+    zero).  Every distance of the package goes through this order, in the
+    chunk loop of cross_distance_matrix.
     """
     diffs *= diffs
     for k in range(2, diffs.shape[0]):
@@ -98,39 +99,23 @@ def _sum_squares(diffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
     return diffs.sum(axis=0, out=out)
 
 
-def _node_layout(b: np.ndarray) -> np.ndarray:
-    """The (d, 1, n) layout of the rows of b (n, d) that _chunk_distances reads.
-
-    Each coordinate of the n points is one contiguous row, so the inner
-    loops of the chunk kernel run over n.
-    """
-    return np.ascontiguousarray(b.T)[:, None, :]
-
-
-def _chunk_distances(coords: np.ndarray, rows: np.ndarray, out: np.ndarray | None = None
-                     ) -> np.ndarray:
-    """Distances (r, n) between rows (r, d) and the points of coords = _node_layout(b).
-
-    The one distance kernel: the squared differences are summed in the
-    two-lane order of _sum_squares, then the square root is taken in place.
-    Inputs are not checked; cross_distance_matrix does that.
-    """
-    block = _sum_squares(coords - rows.T[:, :, None], out=out)
-    return np.sqrt(block, out=block)
-
-
 def cross_distance_matrix(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None
                           ) -> np.ndarray:
     """Euclidean distances between the rows of a (m, d) and b (n, d).
 
-    Each coordinate's squared differences form one (rows, n) slice, and the
-    slices are summed in two lanes (_sum_squares): the even-indexed
-    coordinates in turn, the odd-indexed ones in turn, then the two lanes.
-    That order is fixed for every d and platform; for d <= 7 it is also the
-    order of NumPy's einsum reduction on x86-64.  Rows of a are taken in
-    chunks whose (d, rows, n) temporary holds at most _CHUNK_ENTRIES entries
-    (and at least one row), so memory beyond the (m, n) result stays bounded.
-    The result is written into out when it is given, else into a new array.
+    The one distance entry point of the package: the kernel matrices of
+    assemble, the minimum distance of a PointSet, and the kernel rows of
+    evaluate, cardinal_values and BorderedSystem (interpolation._kernel_rows)
+    all come from here.  Each coordinate's squared differences form one
+    (rows, n) slice, and the slices are summed in two lanes (_sum_squares):
+    the even-indexed coordinates in turn, the odd-indexed ones in turn, then
+    the two lanes.  That order is fixed for every d and platform; for d <= 7
+    it is also the order of NumPy's einsum reduction on x86-64.  Rows of a
+    are taken in chunks whose (d, rows, n) temporary holds at most
+    _CHUNK_ENTRIES entries (and at least one row), so memory beyond the
+    (m, n) result stays bounded; each entry is computed from its own pair of
+    rows alone, so the chunking never changes a bit.  The result is written
+    into out when it is given, else into a new array.
     ValueError unless a and b are 2-d with the same number of columns, and
     unless out, when given, has shape (m, n).
     """
@@ -144,10 +129,12 @@ def cross_distance_matrix(a: np.ndarray, b: np.ndarray, out: np.ndarray | None =
         out = np.empty((m, n))
     elif out.shape != (m, n):
         raise ValueError(f"distance buffer of shape {out.shape} does not hold ({m}, {n})")
-    coords = _node_layout(b)
+    coords = np.ascontiguousarray(b.T)[:, None, :]  # (d, 1, n): the inner loops run over n
     step = max(1, _CHUNK_ENTRIES // max(n * d, 1))
     for start in range(0, m, step):
-        _chunk_distances(coords, a[start:start + step], out=out[start:start + step])
+        chunk = _sum_squares(coords - a[start:start + step].T[:, :, None],
+                             out=out[start:start + step])
+        np.sqrt(chunk, out=chunk)
     return out
 
 
@@ -355,7 +342,8 @@ class PointSet:
     of pairwise_distance_matrix(points).  It is not a constructor argument:
     interpolation.assemble reads it off the distance matrix it builds, and
     otherwise a row-blocked minimum that builds no n x n array computes it
-    from the points on first read; either way it is cached.
+    from the points on first read; either way it is cached.  It is the one
+    value a PointSet caches: kernel rows read the points themselves.
     """
 
     points: np.ndarray
@@ -372,11 +360,6 @@ class PointSet:
     @cached_property
     def min_pairwise_distance(self) -> float:
         return _min_distance(self.points) if self.n > 1 else math.inf
-
-    @cached_property
-    def _layout(self) -> np.ndarray:
-        """The points' _node_layout, built on first read and kept for every kernel row."""
-        return _node_layout(self.points)
 
     def _note_min_distance(self, dist: np.ndarray) -> None:
         """Cache min_pairwise_distance from dist, this set's pairwise_distance_matrix.

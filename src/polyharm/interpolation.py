@@ -26,8 +26,7 @@ import numpy as np
 from ._linalg import (MatrixDiagnostics, SingularSystemError, _sigma_extremes, diagnostics,
                       lu_solve_refined)
 from ._serialize import to_dict
-from .domains import (PointSet, _chunk_distances, cross_distance_matrix, make_rng,
-                      pairwise_distance_matrix)
+from .domains import PointSet, cross_distance_matrix, make_rng, pairwise_distance_matrix
 from .kernels import Kernel, RadialPower, ThinPlateSpline, _check_scale, kernel_spec, parse_kernel
 
 __all__ = [
@@ -245,18 +244,20 @@ def _fit(points: PointSet, values, kernel: Kernel, eps, degree, tau) -> tuple:
 
 
 def _kernel_rows(system, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Kernel values (r, n) between unchecked rows (r, d) and a system's n nodes.
+    """Kernel values (r, n) between rows (r, d) and a system's n nodes.
 
-    system is an InterpMatrix or an InterpolationModel.  One _chunk_distances
-    call on the nodes' cached layout, then value_scaled in place, gives the bits
-    of value_scaled over cross_distance_matrix(rows, nodes): evaluate's blocks and
-    BorderedSystem.border both take their kernel rows from here.
+    system is an InterpMatrix or an InterpolationModel.  The distances come
+    from cross_distance_matrix(rows, nodes, out=out), which checks the shapes
+    of rows and out, and value_scaled then writes the kernel values over
+    them.  evaluate's blocks, BorderedSystem.border and grid, and
+    cardinal_values all take their kernel rows from here.
     """
-    dist = _chunk_distances(system.points._layout, rows, out=out)
+    dist = cross_distance_matrix(rows, system.points.points, out=out)
     return system.kernel.value_scaled(system.epsilon, dist, out=dist)
 
 
-# 256 rows measured fastest at the benchmark's n = 200, whose block temporaries fit in L2
+# rows per block of kernel rows: at the benchmark's n = 200, 128 to 1024 rows evaluate within
+# noise of each other (cross_distance_matrix caps each distance chunk), 64 rows about 20% slower
 _EVAL_ROWS = 256
 
 
@@ -283,13 +284,14 @@ def evaluate(model: InterpolationModel, queries) -> np.ndarray:
     Each block's kernel rows (_kernel_rows) go into one 256 x n buffer,
     reused for every block, and are summed against the coefficients apart
     from the block's tail monomials, so memory beyond the result is the
-    buffer and the block's (d, 256, n) coordinate differences for n nodes,
-    whatever m is.  The sums are NumPy's own einsum loop (with optimize off,
-    not BLAS), so each value is a fixed-order sum over its own row, whose
-    bits depend only on the model and its query: not on the other queries
-    or the BLAS thread count.  ValueError unless the queries form an (m, d)
-    array for the nodes' dimension d, and naming the first query whose
-    value is not finite; the overflow on the way there does not warn.
+    buffer, the block's tail monomials and the distance temporaries of
+    cross_distance_matrix (at most _CHUNK_ENTRIES coordinate differences, or
+    one row's), whatever m is.  The sums are NumPy's own einsum loop (with
+    optimize off, not BLAS), so each value is a fixed-order sum over its own
+    row, whose bits depend only on the model and its query: not on the other
+    queries or the BLAS thread count.  ValueError unless the queries form an
+    (m, d) array for the nodes' dimension d, and naming the first query
+    whose value is not finite; the overflow on the way there does not warn.
     """
     q = _query_array(queries, model.points.dimension)
     m = q.shape[0]
@@ -323,9 +325,8 @@ def cardinal_values(points: PointSet, kernel: Kernel, eps: float, queries,
     q = _query_array(queries, points.dimension)
     matrix = assemble(points, kernel, eps)
     with np.errstate(over="ignore", invalid="ignore"):
-        cross = cross_distance_matrix(q, points.points)
-        kernel.value_scaled(eps, cross, out=cross)
-        values = _solve(matrix.entries, cross.T, tau, "interpolation matrix", points.n)[0].T
+        rows = _kernel_rows(matrix, q)
+        values = _solve(matrix.entries, rows.T, tau, "interpolation matrix", points.n)[0].T
     _check_finite_values(values, q)
     return values
 

@@ -24,6 +24,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
+from itertools import islice
 from operator import attrgetter
 from typing import Sequence
 
@@ -31,7 +32,7 @@ import numpy as np
 
 from ._linalg import SingularSystemError, diagnostics, lu_sign_logabs, lu_solve
 from ._serialize import to_dict
-from .domains import Density, Domain, PointSet, _csv_lines, mix_seed, sample
+from .domains import _CSV_ROWS, Density, Domain, PointSet, _csv_lines, mix_seed, sample
 from .interpolation import _EVAL_ROWS, InterpMatrix, _kernel_rows, assemble
 from .kernels import Kernel, kernel_spec
 
@@ -110,8 +111,8 @@ class BorderedSystem:
     def border(self, point) -> np.ndarray:
         """Kernel values between one point (d,) and every node, shape (n,).
 
-        One row of evaluate's kernel-row path, on the nodes' cached layout,
-        so the border has the bits of the kernel values of
+        One row of the kernel-row path of evaluate (_kernel_rows), so the
+        border has the bits of the kernel values of
         cross_distance_matrix(x[None, :], nodes).
         """
         x = np.asarray(point, dtype=float)
@@ -183,9 +184,10 @@ class BorderedSystem:
         _kernel_rows call into one reused (min(ny, _EVAL_ROWS), n) buffer,
         as evaluate does; the distances and kernel values are element-wise,
         so each row has the bits of border(point).  Memory beyond the result
-        is one column of (x_i, y_j) pairs, the buffer and one block's
-        distance temporaries.  A far point's overflow ends in determinant's
-        ValueError without a warning.
+        is one column of (x_i, y_j) pairs, the buffer and the distance
+        temporaries of cross_distance_matrix, at most _CHUNK_ENTRIES
+        coordinate differences (or one row's).  A far point's overflow ends
+        in determinant's ValueError without a warning.
         """
         if self.base.points.dimension != 2:
             raise ValueError("grid evaluation requires planar (d = 2) nodes")
@@ -224,6 +226,7 @@ class TrialRecord:
 
 
 _record_values = attrgetter(*(f.name for f in fields(TrialRecord)))
+_RECORD_ROW = np.dtype((object, len(CSV_HEADER)))
 
 
 @dataclass(frozen=True)
@@ -259,11 +262,13 @@ class UnisolvenceReport:
 
     def records_csv_lines(self):
         """The records_csv() text as its header line, then one chunk per 4096 records."""
-        # CSV_HEADER names the TrialRecord fields in order; an object table keeps the ints,
-        # filled one record at a time, with no list of per-record tuples
-        table = np.fromiter(map(_record_values, self.records), np.dtype((object, len(CSV_HEADER))),
-                            len(self.records))
-        return _csv_lines(CSV_HEADER, table, "\n")
+        # CSV_HEADER names the TrialRecord fields in order; each block's object table keeps the
+        # ints and is filled one record at a time, so the writer holds one block's table and text
+        yield ",".join(CSV_HEADER) + "\n"
+        for start in range(0, len(self.records), _CSV_ROWS):
+            block = self.records[start:start + _CSV_ROWS]
+            table = np.fromiter(map(_record_values, block), _RECORD_ROW, len(block))
+            yield from islice(_csv_lines(CSV_HEADER, table, "\n"), 1, None)  # the block alone
 
     def records_csv(self) -> str:
         """Flat per-trial records under the pinned header."""
@@ -317,7 +322,8 @@ def monte_carlo(kernel: Kernel, domain: Domain, density: Density,
     if threads < 1:
         raise ValueError("threads must be at least 1")
 
-    tasks = [(n, t) for n in n_values for t in range(int(trials))]
+    trials = int(trials)
+    tasks = [(n, t) for n in n_values for t in range(trials)]
 
     def work(task):
         n, t = task
@@ -331,25 +337,24 @@ def monte_carlo(kernel: Kernel, domain: Domain, density: Density,
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(work, tasks))
 
-    records = tuple(r for r, _ in results)
     aggregates = []
-    for n in n_values:
-        subset = [r for r in records if r.n == n]
-        failures = sum(singular for r, singular in results if r.n == n)
-        ratios = [
-            0.0 if r.sigma_max == 0.0 else r.sigma_min / r.sigma_max for r in subset
-        ]
+    for n, start in zip(n_values, range(0, len(tasks), trials)):
+        # tasks run size by size, so the trials of size n are one slice of the results
+        subset = results[start:start + trials]
+        failures = sum(singular for _, singular in subset)
         aggregates.append(SizeAggregate(
             n=n,
             failures=failures,
-            failure_rate=failures / len(subset),
-            min_sigma_ratio=float(min(ratios)),
-            max_condition=float(max(r.condition for r in subset)),
+            failure_rate=failures / trials,
+            min_sigma_ratio=float(min(0.0 if r.sigma_max == 0.0 else r.sigma_min / r.sigma_max
+                                      for r, _ in subset)),
+            max_condition=float(max(r.condition for r, _ in subset)),
         ))
 
     config = _run_config(kernel, eps, domain, density,
-                         {"n_list": n_values, "trials": int(trials)}, seed, tau)
-    return UnisolvenceReport(config=config, aggregates=tuple(aggregates), records=records)
+                         {"n_list": n_values, "trials": trials}, seed, tau)
+    return UnisolvenceReport(config=config, aggregates=tuple(aggregates),
+                             records=tuple(r for r, _ in results))
 
 
 @dataclass(frozen=True)

@@ -213,6 +213,18 @@ def test_monte_carlo_counts_singular_trials():
         assert record.sigma_max == 0.0
 
 
+def test_monte_carlo_aggregates_each_size_from_its_own_trials():
+    # a trial's substream depends on its size and index alone, so each size's aggregate is
+    # that of a run of the size by itself; size 1 fails every trial, size 5 none
+    sizes = [5, 1, 9, 20]
+    report = monte_carlo(ThinPlateSpline(1), unit_box(2), Uniform(), sizes, trials=5, seed=7)
+    assert [a.failures for a in report.aggregates] == [0, 5, 0, 0]
+    for n, aggregate in zip(sizes, report.aggregates):
+        alone = monte_carlo(ThinPlateSpline(1), unit_box(2), Uniform(), [n], trials=5, seed=7)
+        assert aggregate == alone.aggregates[0]
+        assert [r for r in report.records if r.n == n] == list(alone.records)
+
+
 def test_monte_carlo_thread_count_does_not_change_output():
     kwargs = dict(n_list=[3, 7], trials=5, seed=9)
     serial = monte_carlo(RadialPower(1.5), unit_box(2), Uniform(), **kwargs)

@@ -34,7 +34,8 @@ path (tps:k=3); a scaled field (tps:k=2 at eps 0.5) and a field whose SVG
 cells' corner sums overflow; a field whose x and y spans end at -0.0; a
 non-square field SVG of many lattice columns; a field whose 600-point
 lattice columns take three blocks of kernel rows, the last one short; a
-verify whose report holds 2,000 records; fields whose --grid span is not
+field on 150 nodes, whose 256-row blocks of kernel rows each take two
+distance chunks; a verify whose report holds 2,000 records; fields whose --grid span is not
 finite or whose lattice reaches a point too far to measure; counterexamples off the origin whose
 satellites renormalization alone cannot place, one of them also beyond
 single ulp steps; a verify whose size cannot be allocated; verify, field
@@ -294,6 +295,9 @@ RUNS = {
     "field_tall_columns": (None, ["field", "--kernel", "tps:k=1", "--n", "7", "--seed", "5",
                                   "--grid=-1.5,1.5,-1.5,1.5,5,600", "--out", "field.csv",
                                   "--svg", "field.svg"]),
+    "field_chunked_borders": (None, ["field", "--kernel", "rp:nu=1.5", "--n", "150", "--seed",
+                                     "4", "--grid=-0.5,1.5,-0.5,1.5,3,300", "--out", "field.csv",
+                                     "--svg", "field.svg"]),
     "growth_rp15_120": (None, _growth(RadialPower(1.5), unit_box(3), Uniform(), 120, 4)),
     "growth_tps1_200": (None, _growth(ThinPlateSpline(1), unit_box(2), Uniform(), 200, 3)),
     "growth_tps2_gauss_40": (None, _growth(
