@@ -10,7 +10,6 @@ from importlib.machinery import PathFinder
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from ._serialize import NOT_SERIALIZED, to_dict
 
@@ -68,21 +67,34 @@ class SingularSystemError(RuntimeError):
 
 
 def _load_flapack():
-    """SciPy's LAPACK extension module scipy.linalg._flapack, without the scipy.linalg package.
+    """SciPy's LAPACK extension module scipy.linalg._flapack, without the scipy packages.
 
     Importing scipy.linalg costs about 0.25 s and 19 MiB for modules nothing
-    here uses.  The extension is loaded under its full name, so a later
-    import of scipy.linalg reuses this module, and get_lapack_funcs hands out
-    the same routine objects; under a short name SciPy would load a second copy.
+    here uses, and the scipy package's own __init__ about 15 ms and 1.3 MiB.
+    The extension is found with importlib.util.find_spec("scipy"), which runs
+    no SciPy code, and is loaded under its full name, so a later import of
+    scipy.linalg reuses this module, and get_lapack_funcs hands out the same
+    routine objects; under a short name SciPy would load a second copy.  When
+    the bare load raises ImportError (Windows wheels add the directory of
+    their DLLs in scipy/__init__.py), the scipy package is imported and the
+    extension loaded once more.  A missing SciPy or extension is one ImportError.
     """
     name = "scipy.linalg._flapack"
     if name in sys.modules:
         return sys.modules[name]
-    found = PathFinder.find_spec("_flapack", [str(Path(scipy.__file__).parent / "linalg")])
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None:
+        raise ImportError(f"polyharm needs SciPy for {name}, and no scipy package is installed")
+    linalg_dirs = [str(Path(d) / "linalg") for d in scipy_spec.submodule_search_locations]
+    found = PathFinder.find_spec("_flapack", linalg_dirs)
     if found is None:
-        raise ImportError(f"SciPy {scipy.__version__} has no LAPACK extension {name}")
+        raise ImportError(f"the SciPy in {', '.join(linalg_dirs)} has no LAPACK extension {name}")
     spec = importlib.util.spec_from_file_location(name, found.origin)
-    module = importlib.util.module_from_spec(spec)
+    try:
+        module = importlib.util.module_from_spec(spec)  # the extension's own load
+    except ImportError:
+        importlib.import_module("scipy")
+        module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
     return module

@@ -22,7 +22,6 @@ import json
 import math
 import os
 import sys
-from html import escape
 from itertools import chain, islice
 
 import numpy as np
@@ -466,9 +465,11 @@ def _field_svg(xs: np.ndarray, ys: np.ndarray, values: np.ndarray, desc: str):
     top = [f'" y="{y:.2f}" width="' for y in py[1:]]
     height = [f'" height="{b - a:.2f}" fill="' for a, b in zip(py[1:], py[:-1])]
     fills = _SVG_PALETTE + (_SVG_ZERO,)
+    # the three replacements of html.escape(desc, quote=False), in its order, without html
+    desc = desc.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
     head = (f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {size} {size}">\n'
-            f"<desc>{escape(desc, quote=False)}</desc>\n"
+            f"<desc>{desc}</desc>\n"
             f'<rect x="0" y="0" width="{size}" height="{size}" fill="#ffffff"/>\n')
     columns = ("".join([f'{left}{y}{width}{h}{fills[k]}"/>\n'
                         for y, h, k in zip(top, height, bands)])

@@ -22,7 +22,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from itertools import islice
 from operator import attrgetter
@@ -197,15 +196,17 @@ class BorderedSystem:
         column = np.empty((ys.size, 2))
         column[:, 1] = ys
         buffer = np.empty((min(ys.size, _EVAL_ROWS), self.base.n))
-        with np.errstate(over="ignore", invalid="ignore"):
-            for x, values in zip(xs, out):
-                column[:, 0] = x
-                for start in range(0, ys.size, _EVAL_ROWS):
-                    points = column[start:start + _EVAL_ROWS]
+        for x, values in zip(xs, out):
+            column[:, 0] = x
+            for start in range(0, ys.size, _EVAL_ROWS):
+                points = column[start:start + _EVAL_ROWS]
+                # a far point's distances and kernel values overflow here; the Schur steps
+                # below (getrs, ddot, a float multiply) raise no NumPy floating-point warning
+                with np.errstate(over="ignore", invalid="ignore"):
                     borders = _kernel_rows(self.base, points, out=buffer[:len(points)])
-                    values[start:start + len(points)] = [
-                        self.determinant(point, border=border)
-                        for point, border in zip(points, borders)]
+                values[start:start + len(points)] = [
+                    self.determinant(point, border=border)
+                    for point, border in zip(points, borders)]
         return out
 
 
@@ -334,6 +335,8 @@ def monte_carlo(kernel: Kernel, domain: Domain, density: Density,
     if workers == 1:
         results = [work(task) for task in tasks]
     else:
+        from concurrent.futures import ThreadPoolExecutor  # only a pool needs it: 0.5 MiB, ~6 ms
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(work, tasks))
 
@@ -392,9 +395,11 @@ def incremental_growth(kernel: Kernel, domain: Domain, density: Density,
     route: Schur when the base is nonsingular, direct otherwise) is compared
     with an independent pivoted factorization of the grown kernel matrix.
     Relative disagreement above 1e-6 is flagged as an ill-conditioning
-    event.  The determinant sign chain covers sizes 2 through n_max.  The
-    grown system of one step is the base system of the next, so every
-    prefix is assembled and diagnosed once.  ValueError, as from
+    event, and so is a step whose det_next reads 0.0 while the sign of the
+    grown matrix's LU determinant is nonzero: exp(log|det|) underflowed, so
+    the two routes were not compared.  The determinant sign chain covers
+    sizes 2 through n_max.  The grown system of one step is the base system
+    of the next, so every prefix is assembled and diagnosed once.  ValueError, as from
     BorderedSystem.determinant, once a determinant exceeds double range.
     """
     if n_max < 2:
@@ -421,7 +426,7 @@ def incremental_growth(kernel: Kernel, domain: Domain, density: Density,
             det_next=float(det_next),
             rel_disagreement=float(rel),
             cond_base=system.base_diagnostics.condition,
-            flagged=bool(rel > 1e-6),
+            flagged=bool(rel > 1e-6 or (det_next == 0.0 and sign != 0)),
         ))
         det_signs.append(sign)
         system = grown

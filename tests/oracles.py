@@ -179,6 +179,24 @@ def line_distance_sign_logabs(nodes):
     return (-1) ** (n - 1), float((n - 2) * np.log(2.0) + np.log(x[-1] - x[0]) + np.log(gaps).sum())
 
 
+def near_even_sigma_min(points, delta):
+    """First-order sigma_min of the rp:nu=2+delta kernel matrix, from NumPy alone.
+
+    r**(2 + delta) = r**2 + delta * r**2 log r + O(delta**2).  The r**2 matrix
+    has its range in span{1, x_i, |x|**2}; on that span's complement, with
+    orthonormal basis Q from a complete QR of its basis, the matrix is
+    delta * Q^T T Q to first order, T the tps:k=1 matrix, and Q^T T Q is
+    definite because the thin-plate kernel is CPD of order 2.  So the
+    prediction is |delta| * min |lambda(Q^T T Q)|, for n > d + 2 points.
+    """
+    x = np.asarray(points, dtype=float)
+    r = np.sqrt(((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=-1))
+    tps = r**2 * np.log(np.where(r > 0.0, r, 1.0))
+    span = np.column_stack([np.ones(len(x)), x, (x**2).sum(axis=1)])
+    q = np.linalg.qr(span, mode="complete")[0][:, span.shape[1]:]
+    return abs(delta) * float(np.abs(np.linalg.eigvalsh(q.T @ tps @ q)).min())
+
+
 def fresh_growth(kernel, domain, density, n_max, seed, tau=1e-12, eps=1.0):
     """incremental_growth with a fresh base system and grown matrix per step.
 
@@ -201,7 +219,7 @@ def fresh_growth(kernel, domain, density, n_max, seed, tau=1e-12, eps=1.0):
         steps.append(GrowthStep(n=n, f_value=float(f_value), f_abs=abs(float(f_value)),
                                 det_next=float(det_next), rel_disagreement=float(rel),
                                 cond_base=system.base_diagnostics.condition,
-                                flagged=bool(rel > 1e-6)))
+                                flagged=bool(rel > 1e-6 or (det_next == 0.0 and sign != 0))))
         det_signs.append(sign)
     config = _run_config(kernel, eps, domain, density, {"n_max": int(n_max)}, seed, tau)
     return GrowthReport(config=config, steps=tuple(steps), det_signs=tuple(det_signs))

@@ -214,6 +214,15 @@ def test_stored_lu_solve_has_the_bits_of_scipy_lu_solve():
     assert rhs.flags.f_contiguous and not rhs.flags.c_contiguous
 
 
+def run_fresh(script, *path):
+    """Run script in a fresh interpreter whose import path starts with path, then polyharm's."""
+    src = str(Path(polyharm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [*map(str, path), src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+
+
 @pytest.mark.parametrize("first", ["polyharm", "scipy.linalg"])
 def test_lapack_routines_are_the_ones_scipy_linalg_hands_out(first):
     # a fresh interpreter, with scipy.linalg imported after polyharm or before it: one
@@ -227,11 +236,55 @@ getrf, getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), dtype=np.float6
 print(getrf is _linalg._getrf, getrs is _linalg._getrs,
       sys.modules["scipy.linalg._flapack"] is _linalg._flapack)
 """
-    src = str(Path(polyharm.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=env, timeout=120)
+    done = run_fresh(script)
     assert (done.returncode, done.stdout) == (0, "True True True\n"), done.stderr
+
+
+def test_lapack_extension_load_falls_back_to_the_scipy_package():
+    # the bare load of the extension raises ImportError once, as on a Windows wheel whose DLL
+    # directory only scipy/__init__.py adds: _linalg imports scipy and loads it again
+    script = """import sys
+from importlib.machinery import ExtensionFileLoader
+
+create = ExtensionFileLoader.create_module
+failed = []
+
+
+def create_or_fail_once(self, spec):
+    if spec.name == "scipy.linalg._flapack" and not failed:
+        failed.append("scipy" in sys.modules)
+        raise ImportError("DLL load failed while importing _flapack")
+    return create(self, spec)
+
+
+ExtensionFileLoader.create_module = create_or_fail_once
+from polyharm import _linalg
+
+print(failed, "scipy" in sys.modules, sys.modules["scipy.linalg._flapack"] is _linalg._flapack,
+      _linalg.lu_sign_logabs([[0.0, 2.0], [3.0, 0.0]]))
+"""
+    done = run_fresh(script)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[False] True True (-1, 1.791759469228055)\n"
+
+
+@pytest.mark.parametrize("scipy_dir", [False, True])
+def test_lapack_extension_missing_is_one_import_error(tmp_path, scipy_dir):
+    # no scipy at all, or a scipy whose linalg directory has no _flapack: importing polyharm
+    # fails with one ImportError, and the stand-in package's __init__ never runs
+    if scipy_dir:
+        (tmp_path / "scipy" / "linalg").mkdir(parents=True)
+        (tmp_path / "scipy" / "__init__.py").write_text("raise AssertionError('ran')\n")
+        (tmp_path / "scipy" / "linalg" / "__init__.py").write_text("")
+        script, want = "import polyharm", "has no LAPACK extension scipy.linalg._flapack"
+    else:
+        script = "import sys\nsys.modules['scipy'] = None\nimport polyharm"
+        want = "no scipy package is installed"
+    done = run_fresh(script, tmp_path)
+    assert done.returncode == 1
+    errors = [line for line in done.stderr.splitlines() if not line.startswith(" ")]
+    assert errors[0] == "Traceback (most recent call last):" and len(errors) == 2
+    assert errors[1].startswith("ImportError: ") and errors[1].endswith(want)
 
 
 def test_stored_lu_solve_leaves_the_pivots_unchanged():

@@ -1,5 +1,6 @@
 """The row-blocked minimum distance is the distance matrix's own minimum, bit for bit."""
 
+import json
 import math
 import os
 import subprocess
@@ -122,17 +123,21 @@ def test_memory_is_a_few_blocks_at_any_n(n):
 
 def test_no_scipy_spatial_linalg_or_xml_stack_module_is_loaded(tmp_path):
     # a fresh interpreter: this process may have imported these modules elsewhere.
-    # _linalg loads SciPy's LAPACK extension alone, and the SVG is escaped without xml.sax,
-    # which brings urllib.request, http.client and ssl along
+    # _linalg loads SciPy's LAPACK extension alone, without even the scipy package's __init__;
+    # the SVG is escaped without xml.sax, which brings urllib.request, http.client and ssl
+    # along, and without html; concurrent.futures is loaded only to start a verify pool
     rng = np.random.default_rng(5)
     np.savetxt(tmp_path / "nodes.csv", np.column_stack([rng.random((9, 2)), rng.random(9)]),
                delimiter=",", header="x1,x2,value", comments="")
     np.savetxt(tmp_path / "queries.csv", rng.random((4, 2)), delimiter=",", header="x1,x2",
                comments="")
-    script = """import sys
+    script = """import json
+import os
+import sys
 import polyharm.cli
 
-BANNED = ("scipy.spatial", "scipy.linalg", "xml.sax", "urllib.request", "http.client", "ssl")
+BANNED = ("scipy", "xml.sax", "urllib.request", "http.client", "ssl", "html",
+          "concurrent.futures")
 
 
 def loaded():
@@ -140,22 +145,26 @@ def loaded():
                   and any(m == b or m.startswith(b + ".") for b in BANNED))
 
 
-print(loaded())
+os.cpu_count = lambda: 2  # so that --threads 2 starts a pool on any machine
+print(json.dumps(loaded()))
 for argv in (
-        ["verify", "--kernel", "tps:k=1", "--dim", "3", "--n", "5,9", "--trials", "3",
-         "--seed", "1", "--threads", "2", "--out", "report.json"],
         ["field", "--kernel", "tps:k=1", "--n", "5", "--seed", "1", "--grid=0,1,0,1,5,4",
          "--out", "field.csv", "--svg", "field.svg"],
         ["interp", "--kernel", "tps:k=1", "--augment", "poly", "--points", "nodes.csv",
-         "--eval", "queries.csv", "--pred", "pred.csv"]):
-    print(polyharm.cli.main(argv), loaded(), file=sys.stderr)
+         "--eval", "queries.csv", "--pred", "pred.csv"],
+        ["verify", "--kernel", "tps:k=1", "--dim", "3", "--n", "5,9", "--trials", "3",
+         "--seed", "1", "--threads", "2", "--out", "report.json"]):
+    print(json.dumps([polyharm.cli.main(argv), loaded()]), file=sys.stderr)
 """
     src = str(Path(polyharm.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, capture_output=True,
                           text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[0] == "[]"
-    assert done.stderr.splitlines() == ["0 []"] * 3
+    assert json.loads(done.stdout.splitlines()[0]) == []
+    field, interp, verify = map(json.loads, done.stderr.splitlines())
+    assert field == interp == [0, []]
+    assert verify[0] == 0 and "concurrent.futures" in verify[1]
+    assert all(m.startswith("concurrent.futures") for m in verify[1])
     assert all((tmp_path / name).stat().st_size > 0
                for name in ("report.json", "field.csv", "field.svg", "pred.csv"))

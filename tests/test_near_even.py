@@ -1,0 +1,63 @@
+"""Next to the excluded even exponent 2: rp:nu=2+delta is nonsingular and nearly rank deficient.
+
+Its sigma_min follows the first-order law |delta| * sigma_min(Q^T T Q) of
+oracles.near_even_sigma_min, T the tps:k=1 matrix and Q an orthonormal basis
+of the complement of span{1, x_i, |x|**2}, on both sides of 2.  At
+|delta| = 1e-8 the tau rule calls most n = 50 planar matrices singular,
+yet their sigma_min is still the law's nonzero value: they are matrices
+the theorem covers, ill-conditioned, not singular.
+"""
+
+import pytest
+
+from oracles import near_even_sigma_min
+from polyharm import (
+    RadialPower,
+    Uniform,
+    assemble,
+    diagnostics,
+    mix_seed,
+    monte_carlo,
+    sample,
+    unit_box,
+)
+
+CASES = [(20, 2), (50, 2), (20, 3)]
+
+
+def law_errors(n, d, delta, seeds):
+    """(relative error of sigma_min against the law, diagnostics) for each seed."""
+    for seed in seeds:
+        points = sample(unit_box(d), Uniform(), n, seed)
+        diag = diagnostics(assemble(points, RadialPower(2.0 + delta)).entries)
+        want = near_even_sigma_min(points.points, delta)
+        yield abs(diag.sigma_min - want) / want, diag
+
+
+@pytest.mark.parametrize("n, d", CASES)
+@pytest.mark.parametrize("delta", [1e-4, -1e-4, 1e-3, -1e-3])
+def test_sigma_min_follows_the_first_order_law(n, d, delta):
+    # the law's error is O(delta): over seeds 0-19 the largest relative error was
+    # 4.86 |delta| (n = 50, d = 2); 10 |delta| is a margin of 2x
+    errors = [error for error, _ in law_errors(n, d, delta, range(20))]
+    assert max(errors) <= 10 * abs(delta)
+
+
+@pytest.mark.parametrize("delta", [1e-8, -1e-8])
+def test_tau_failures_next_to_two_are_ill_conditioned_not_singular(delta):
+    # rounding, about n * eps * sigma_max, is a few percent of sigma_min here: the largest
+    # relative error over seeds 0-19 was 3.3e-2 (19 of 20 called singular); 0.1 is a margin of 3x
+    results = list(law_errors(50, 2, delta, range(20)))
+    assert sum(diag.singular_verdict for _, diag in results) >= 10
+    assert all(diag.det_sign != 0 and error <= 0.1 for error, diag in results)
+
+
+def test_verify_example_of_the_readme_fails_every_trial_of_a_covered_kernel():
+    # verify --kernel rp:nu=2.00000001 --dim 2 --n 50 --trials 3 --seed 11: failure_rate 1.0
+    kernel = RadialPower(2.00000001)
+    report = monte_carlo(kernel, unit_box(2), Uniform(), [50], 3, 11)
+    assert report.aggregates[0].failure_rate == 1.0
+    for record in report.records:
+        points = sample(unit_box(2), Uniform(), 50, mix_seed(11, 50, record.trial))
+        want = near_even_sigma_min(points.points, kernel.nu - 2.0)
+        assert record.det_sign != 0 and abs(record.sigma_min - want) <= 0.1 * want

@@ -1,5 +1,6 @@
 """Bordered determinants, Monte Carlo harness and growth induction."""
 
+import concurrent.futures
 import json
 import math
 import warnings
@@ -257,7 +258,8 @@ def test_monte_carlo_pool_is_bounded(monkeypatch, threads, trials, cores, worker
 
         map = staticmethod(map)
 
-    monkeypatch.setattr(unisolvence, "ThreadPoolExecutor", Recorder)
+    # monte_carlo imports the executor from concurrent.futures only when it starts a pool
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorder)
     monkeypatch.setattr(unisolvence.os, "cpu_count", lambda: cores)
     n_list = [3, 5] if trials > 1 else [4]
     report = monte_carlo(ThinPlateSpline(1), unit_box(2), Uniform(), n_list, trials, 2,
@@ -319,6 +321,21 @@ def test_incremental_growth_steps_and_signs():
     doc = report.to_dict()
     assert doc["config"]["n_max"] == 12
     assert len(doc["steps"]) == 11
+
+
+@pytest.mark.parametrize("kernel, n_max, hidden_steps", [
+    (ThinPlateSpline(1), 200, 47),
+    (RadialPower(1.5), 169, 1),  # the smallest n_max at seed 3 that reaches such a step
+])
+def test_incremental_growth_flags_every_determinant_that_underflows_to_zero(kernel, n_max,
+                                                                            hidden_steps):
+    # exp(log|det|) of the grown matrix underflows to 0.0 while its LU sign is nonzero, so the
+    # two routes were not compared: the step is flagged
+    report = incremental_growth(kernel, unit_box(2), Uniform(), n_max, 3)
+    hidden = [step for step, sign in zip(report.steps, report.det_signs)
+              if step.det_next == 0.0 and sign != 0]
+    assert len(hidden) == hidden_steps
+    assert all(step.flagged for step in hidden)
 
 
 def test_incremental_growth_first_step_uses_direct_route():
