@@ -9,9 +9,8 @@ derives independent substream seeds from a master seed and an integer path
 entropy-mixing, so per-trial work can run concurrently and still produce
 bitwise-identical results in any execution order.
 
-Point sets record their provenance (random sampling parameters, a
-deterministic construction label, or a source file) and report their exact
-minimum pairwise distance, computed once and cached.
+A point set is its validated points; it reports their exact minimum
+pairwise distance, computed once and cached.
 """
 
 from __future__ import annotations
@@ -335,7 +334,7 @@ Density = Union[Uniform, TruncatedGaussian, CustomDensity]
 
 @dataclass(frozen=True, eq=False)
 class PointSet:
-    """An ordered set of points in R**d with provenance.
+    """An ordered set of points in R**d: a nonempty, finite 2-d float array.
 
     min_pairwise_distance is the minimum over all pairs (0 when duplicates
     exist, +inf for a single point), bitwise the smallest off-diagonal entry
@@ -347,7 +346,6 @@ class PointSet:
     """
 
     points: np.ndarray
-    provenance: dict
 
     def __post_init__(self) -> None:
         pts = np.ascontiguousarray(np.asarray(self.points, dtype=float))
@@ -381,11 +379,6 @@ class PointSet:
     @property
     def dimension(self) -> int:
         return self.points.shape[1]
-
-    @classmethod
-    def from_array(cls, points, label: str = "array") -> "PointSet":
-        return cls(points=np.asarray(points, dtype=float),
-                   provenance={"kind": "deterministic", "label": label})
 
 
 def sample(domain: Domain, density: Density, n: int, seed: int,
@@ -440,14 +433,7 @@ def sample(domain: Domain, density: Density, n: int, seed: int,
                 have += int(np.count_nonzero(keep))
             proposed += batch
         pts = np.vstack(accepted)[:n]
-
-    provenance = {
-        "kind": "random",
-        "seed": int(seed),
-        "domain": domain.to_dict(),
-        "density": density.to_dict(),
-    }
-    return PointSet(points=pts, provenance=provenance)
+    return PointSet(pts)
 
 
 _GOLDEN_FRACTION = (math.sqrt(5.0) - 1.0) / 2.0
@@ -565,7 +551,7 @@ def sphere_counterexample(dimension: int, n: int, center=None) -> PointSet:
             direction[1] = math.sin(theta)
         pts[i] = _unit_distance_point(center_arr, direction)
 
-    ps = PointSet.from_array(pts, label=f"sphere-counterexample(d={dimension}, n={n})")
+    ps = PointSet(pts)
     if not ps.min_pairwise_distance > 0.0:
         raise ConstructionError("could not place the requested number of distinct points")
     return ps
@@ -576,8 +562,7 @@ def duplicate_pair(dimension: int, base_seed: int) -> PointSet:
     if dimension < 1:
         raise ValueError("dimension must be at least 1")
     point = make_rng(base_seed).random(dimension)
-    return PointSet.from_array(np.vstack([point, point]),
-                               label=f"duplicate-pair(d={dimension}, seed={int(base_seed)})")
+    return PointSet(np.vstack([point, point]))
 
 
 # rows per formatted block: one block's numbers and text take a few hundred KiB
@@ -587,12 +572,11 @@ _CSV_ROWS = 4096
 def _csv_lines(header, table, newline: str, values=None):
     """The header line, then the rows of a 2-d table, one block of rows at a time.
 
-    Each field is the repr of its Python number, which round-trips floats
-    exactly and keeps the int columns of an object table as ints.  A block
-    of _CSV_ROWS rows, with its slice of the optional values as a last
-    column, is formatted with one "%r,...,%r" template from the block's own
-    tolist(), so memory beyond the table is one block's numbers and text,
-    whatever the number of rows.
+    Each field is the repr of its Python float, which round-trips exactly.
+    A block of _CSV_ROWS rows, with its slice of the optional values as a
+    last column, is formatted with one "%r,...,%r" template from the block's
+    own tolist(), so memory beyond the table is one block's numbers and
+    text, whatever the number of rows.
     """
     yield ",".join(header) + newline
     line = ",".join(["%r"] * len(header)) + newline
@@ -675,7 +659,7 @@ def read_points_csv(path) -> tuple[PointSet, np.ndarray | None]:
     (blank lines counted, the first line is 1), and reads what only float()
     accepts, such as 1_000, so every field is read as float() reads it.
     Blank lines are skipped; non-finite values are rejected.  Returns the
-    point set (with file provenance) and the value column or None when absent.
+    point set and the value column or None when absent.
     """
     path = Path(path)
     with open(path, newline="") as handle:
@@ -703,8 +687,4 @@ def read_points_csv(path) -> tuple[PointSet, np.ndarray | None]:
         data = _scan_rows(path, width)
     if not np.isfinite(data).all():
         raise ValueError(f"{path}: non-finite value in data rows")
-    pts = PointSet(
-        points=data[:, :d],
-        provenance={"kind": "file", "path": str(path)},
-    )
-    return pts, (data[:, d].copy() if has_values else None)
+    return PointSet(data[:, :d]), (data[:, d].copy() if has_values else None)

@@ -106,7 +106,7 @@ class InterpolationModel:
         """
         tail = doc.get("tail")
         return cls(
-            points=PointSet.from_array(np.asarray(doc["points"], dtype=float), label="model-json"),
+            points=PointSet(doc["points"]),
             kernel=parse_kernel(doc["kernel"]),
             epsilon=_check_scale(doc["epsilon"]),
             coefficients=_finite_array(doc["coefficients"], "coefficients"),

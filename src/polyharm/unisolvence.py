@@ -23,7 +23,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, fields
-from itertools import islice
+from itertools import chain
 from operator import attrgetter
 from typing import Sequence
 
@@ -31,7 +31,7 @@ import numpy as np
 
 from ._linalg import SingularSystemError, diagnostics, lu_sign_logabs, lu_solve
 from ._serialize import to_dict
-from .domains import _CSV_ROWS, Density, Domain, PointSet, _csv_lines, mix_seed, sample
+from .domains import _CSV_ROWS, Density, Domain, PointSet, mix_seed, sample
 from .interpolation import _EVAL_ROWS, InterpMatrix, _kernel_rows, assemble
 from .kernels import Kernel, kernel_spec
 
@@ -227,7 +227,6 @@ class TrialRecord:
 
 
 _record_values = attrgetter(*(f.name for f in fields(TrialRecord)))
-_RECORD_ROW = np.dtype((object, len(CSV_HEADER)))
 
 
 @dataclass(frozen=True)
@@ -263,13 +262,13 @@ class UnisolvenceReport:
 
     def records_csv_lines(self):
         """The records_csv() text as its header line, then one chunk per 4096 records."""
-        # CSV_HEADER names the TrialRecord fields in order; each block's object table keeps the
-        # ints and is filled one record at a time, so the writer holds one block's table and text
+        # CSV_HEADER names the TrialRecord fields in order; each block of records is formatted
+        # with one "%r,...,%r" template, so the writer holds one block's values and text
         yield ",".join(CSV_HEADER) + "\n"
+        line = ",".join(["%r"] * len(CSV_HEADER)) + "\n"
         for start in range(0, len(self.records), _CSV_ROWS):
             block = self.records[start:start + _CSV_ROWS]
-            table = np.fromiter(map(_record_values, block), _RECORD_ROW, len(block))
-            yield from islice(_csv_lines(CSV_HEADER, table, "\n"), 1, None)  # the block alone
+            yield (line * len(block)) % tuple(chain.from_iterable(map(_record_values, block)))
 
     def records_csv(self) -> str:
         """Flat per-trial records under the pinned header."""
@@ -407,8 +406,7 @@ def incremental_growth(kernel: Kernel, domain: Domain, density: Density,
     pts = sample(domain, density, int(n_max), seed).points
 
     def prefix_system(n: int) -> BorderedSystem:
-        prefix = PointSet.from_array(pts[:n], label=f"growth-prefix(seed={int(seed)}, n={n})")
-        return BorderedSystem(assemble(prefix, kernel, eps), tau)
+        return BorderedSystem(assemble(PointSet(pts[:n]), kernel, eps), tau)
 
     steps = []
     det_signs = []

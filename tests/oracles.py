@@ -205,15 +205,11 @@ def fresh_growth(kernel, domain, density, n_max, seed, tau=1e-12, eps=1.0):
     """
     pts = sample(domain, density, int(n_max), seed).points
 
-    def prefix(n):
-        return PointSet(points=pts[:n], provenance={
-            "kind": "deterministic", "label": f"growth-prefix(seed={int(seed)}, n={n})"})
-
     steps, det_signs = [], []
     for n in range(1, int(n_max)):
-        system = BorderedSystem(assemble(prefix(n), kernel, eps), tau)
+        system = BorderedSystem(assemble(PointSet(pts[:n]), kernel, eps), tau)
         f_value = system.determinant(pts[n], method="auto")
-        sign, log_abs = lu_sign_logabs(assemble(prefix(n + 1), kernel, eps).entries)
+        sign, log_abs = lu_sign_logabs(assemble(PointSet(pts[:n + 1]), kernel, eps).entries)
         det_next = 0.0 if sign == 0 else sign * math.exp(log_abs)
         rel = abs(f_value - det_next) / max(abs(det_next), 1e-300)
         steps.append(GrowthStep(n=n, f_value=float(f_value), f_abs=abs(float(f_value)),
@@ -406,8 +402,7 @@ def row_scan_points_csv(path):
 
     Ragged rows, non-numeric fields and non-finite values are rejected; a bad
     row is named by csv.reader's line_num, its line in the file.  Returns
-    the point set (with file provenance) and the value column or None when
-    absent.
+    the point set and the value column or None when absent.
     """
     path = Path(path)
     with open(path, newline="") as handle:
@@ -445,8 +440,4 @@ def row_scan_points_csv(path):
         raise ValueError(f"{path}: no data rows")
     if not np.isfinite(data).all():
         raise ValueError(f"{path}: non-finite value in data rows")
-    pts = PointSet(
-        points=data[:, :d],
-        provenance={"kind": "file", "path": str(path)},
-    )
-    return pts, (data[:, d].copy() if has_values else None)
+    return PointSet(data[:, :d]), (data[:, d].copy() if has_values else None)

@@ -113,14 +113,14 @@ def test_criterion_04_base_case_closed_forms():
     worst_triple = 0.0
     for kernel in MIXED_KERNELS:
         for _ in range(100):
-            pts = PointSet.from_array(rng.random((2, 2)) * 3.0)
+            pts = PointSet(rng.random((2, 2)) * 3.0)
             sign, log_abs = lu_sign_logabs(assemble(pts, kernel).entries)
             det = sign * math.exp(log_abs)
             phi = kernel.value(float(np.linalg.norm(pts.points[1] - pts.points[0])))
             rel = abs(det - (-phi * phi)) / abs(phi * phi)
             worst_pair = max(worst_pair, rel)
         for _ in range(100):
-            pts = PointSet.from_array(rng.random((3, 2)) * 3.0)
+            pts = PointSet(rng.random((3, 2)) * 3.0)
             entries = assemble(pts, kernel).entries
             sign, log_abs = lu_sign_logabs(entries)
             det = sign * math.exp(log_abs)

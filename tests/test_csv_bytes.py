@@ -37,7 +37,7 @@ def test_points_csv_matches_the_csv_writer_loop(tmp_path, d, with_values):
         values[-len(SPECIAL):] = SPECIAL
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
     row_loop_points_csv(want, pts, values)
-    for points in (pts, PointSet.from_array(pts)):
+    for points in (pts, PointSet(pts)):
         write_points_csv(got, points, values)
         assert got.read_bytes() == want.read_bytes()
     assert want.read_bytes().endswith(b"\r\n")

@@ -57,8 +57,20 @@ def test_golden_uniform_sample():
     ps = sample(unit_box(2), Uniform(), 4, 42)
     assert np.array_equal(ps.points, GOLDEN_SAMPLE_42)
     assert ps.min_pairwise_distance == GOLDEN_MIN_DIST_42
-    assert ps.provenance["kind"] == "random"
-    assert ps.provenance["seed"] == 42
+
+
+def test_sample_serializes_no_domain_or_density(monkeypatch):
+    def refuse(self):
+        raise AssertionError(f"{type(self).__name__}.to_dict called")
+
+    for cls in (Box, Ball, Uniform, TruncatedGaussian, CustomDensity):
+        monkeypatch.setattr(cls, "to_dict", refuse)
+    gauss = TruncatedGaussian(mean=(0.3, 0.7), sd=(0.2, 0.2))
+    for domain in (unit_box(2), Ball(center=(0.0, 0.0), radius=1.0)):
+        for density in (Uniform(), gauss):
+            ps = sample(domain, density, 16, 3)
+            assert ps.points.shape == (16, 2)
+            assert domain.contains(ps.points)
 
 
 def test_sample_determinism_and_seed_sensitivity():
@@ -191,22 +203,22 @@ def test_sample_validation():
 
 
 def test_point_set_min_distance():
-    ps = PointSet.from_array([[0.0, 0.0], [3.0, 4.0], [0.0, 1.0]])
+    ps = PointSet([[0.0, 0.0], [3.0, 4.0], [0.0, 1.0]])
     assert ps.min_pairwise_distance == 1.0
     assert ps.n == 3 and ps.dimension == 2
-    single = PointSet.from_array([[2.0, 5.0]])
+    single = PointSet([[2.0, 5.0]])
     assert single.min_pairwise_distance == math.inf
-    dup = PointSet.from_array([[1.0, 1.0], [1.0, 1.0]])
+    dup = PointSet([[1.0, 1.0], [1.0, 1.0]])
     assert dup.min_pairwise_distance == 0.0
 
 
 def test_point_set_validation():
     with pytest.raises(ValueError):
-        PointSet.from_array([1.0, 2.0])
+        PointSet([1.0, 2.0])
     with pytest.raises(ValueError):
-        PointSet.from_array(np.empty((0, 2)))
+        PointSet(np.empty((0, 2)))
     with pytest.raises(ValueError):
-        PointSet.from_array([[math.nan, 0.0]])
+        PointSet([[math.nan, 0.0]])
 
 
 def test_distance_matrices_match_brute_force():
@@ -258,7 +270,6 @@ def test_sphere_counterexample_exact_unit_distances():
         dist = cross_distance_matrix(ps.points[1:], ps.points[:1])[:, 0]
         assert (dist == 1.0).all()
         assert ps.min_pairwise_distance > 0.0
-        assert ps.provenance["label"] == f"sphere-counterexample(d={dim}, n={n})"
 
 
 def test_sphere_counterexample_offcenter():
@@ -342,7 +353,6 @@ def test_points_csv_round_trip(tmp_path):
     loaded, loaded_vals = read_points_csv(path)
     assert np.array_equal(loaded.points, pts)
     assert np.array_equal(loaded_vals, vals)
-    assert loaded.provenance["kind"] == "file"
 
     bare = tmp_path / "bare.csv"
     write_points_csv(bare, pts)

@@ -38,7 +38,7 @@ def test_plain_solve_names_the_center_row():
 
 def test_tailed_solve_names_every_row_of_a_zero_kernel_block():
     # two nodes at unit distance: the thin-plate kernel block is all zeros
-    pair = PointSet.from_array([[0.0, 0.0], [1.0, 0.0]])
+    pair = PointSet([[0.0, 0.0], [1.0, 0.0]])
     error = _singular_message(
         lambda: solve_augmented(pair, [1.0, 2.0], ThinPlateSpline(1), degree=0))
     assert str(error).startswith("augmented interpolation matrix is numerically singular: ")

@@ -135,6 +135,20 @@ def test_monomial_matrix_small_case():
     assert np.array_equal(out, expected)
 
 
+def test_monomial_matrix_squares_one_dimensional_points_exactly():
+    # each exponent is its own pow, so a 1-d square is x * x; one pow of the points against
+    # the whole exponent array can take x**2 from a vectorized pow that is not correctly
+    # rounded, and then the bits of 1-d tailed fits and predictions move
+    rng = np.random.default_rng(12)
+    for m in (1, 5, 256, 1000, 5000):
+        x = rng.standard_normal((m, 1)) * rng.choice([1e-3, 1.0, 1e3], size=(m, 1))
+        x[::7] = 0.0
+        out = monomial_matrix(x, 3)
+        assert (out[:, 0] == 1.0).all()
+        assert out[:, 1].tobytes() == x[:, 0].tobytes()
+        assert out[:, 2].tobytes() == (x[:, 0] * x[:, 0]).tobytes()
+
+
 def test_solve_augmented_default_degree_and_moments():
     pts = random_points(18, 2, 55)
     values = np.cos(2.0 * pts.points).sum(axis=1)
@@ -168,7 +182,7 @@ def test_solve_augmented_rank_errors():
     few = random_points(3, 2, 57)
     with pytest.raises(AugmentationRankError):
         solve_augmented(few, np.ones(3), ThinPlateSpline(1), degree=2)
-    line = PointSet.from_array([[t, t] for t in (0.0, 1.0, 2.0, 3.0)])
+    line = PointSet([[t, t] for t in (0.0, 1.0, 2.0, 3.0)])
     with pytest.raises(AugmentationRankError):
         solve_augmented(line, np.ones(4), ThinPlateSpline(1), degree=1)
     with pytest.raises(ValueError):
@@ -257,7 +271,7 @@ def test_default_query_points():
     assert q.shape == (64, 2)
     lo, hi = pts.points.min(axis=0), pts.points.max(axis=0)
     assert (q.min(axis=0) <= lo + 1e-12).all()
-    single = PointSet.from_array([[4.0, 7.0]])
+    single = PointSet([[4.0, 7.0]])
     q = default_query_points(single, 9)
     assert q.shape == (9, 2) and np.isfinite(q).all()
     three_d = random_points(5, 3, 62)

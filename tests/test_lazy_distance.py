@@ -38,7 +38,7 @@ def sweeps(monkeypatch):
 
 
 def test_distance_is_computed_on_first_read_only(sweeps):
-    ps = PointSet.from_array([[0.0, 0.0], [3.0, 4.0], [0.0, 1.0]])
+    ps = PointSet([[0.0, 0.0], [3.0, 4.0], [0.0, 1.0]])
     assert sweeps == []
     assert ps.min_pairwise_distance == 1.0
     assert len(sweeps) == 1
@@ -48,12 +48,12 @@ def test_distance_is_computed_on_first_read_only(sweeps):
 
 def test_distance_is_not_a_constructor_argument():
     with pytest.raises(TypeError):
-        PointSet(points=[[0.0, 0.0], [1.0, 0.0]], provenance={}, min_pairwise_distance=7.0)
-    assert [f.name for f in dataclasses.fields(PointSet)] == ["points", "provenance"]
+        PointSet(points=[[0.0, 0.0], [1.0, 0.0]], min_pairwise_distance=7.0)
+    assert [f.name for f in dataclasses.fields(PointSet)] == ["points"]
 
 
 def test_replaced_points_report_their_own_distance():
-    ps = PointSet.from_array([[0.0, 0.0], [3.0, 4.0]])
+    ps = PointSet([[0.0, 0.0], [3.0, 4.0]])
     assert ps.min_pairwise_distance == 5.0
     moved = dataclasses.replace(ps, points=[[0.0, 0.0], [0.0, 1.0]])
     assert moved.min_pairwise_distance == 1.0
@@ -64,7 +64,7 @@ def test_library_paths_compute_no_distance(sweeps, tmp_path):
     path = tmp_path / "points.csv"
     write_points_csv(path, np.random.default_rng(1).random((30, 2)), np.arange(30.0))
     read_points_csv(path)
-    PointSet.from_array(np.random.default_rng(2).random((30, 3)))
+    PointSet(np.random.default_rng(2).random((30, 3)))
     doc = {"kernel": "tps:k=1", "epsilon": 1.0, "points": [[0.0, 0.0], [1.0, 2.0]],
            "coefficients": [1.0, -1.0], "tail": None}
     InterpolationModel.from_dict(json.loads(json.dumps(doc)))
@@ -97,11 +97,11 @@ def test_assemble_reads_the_distance_off_its_matrix(sweeps):
     want = dist[~np.eye(pts.n, dtype=bool)].min()
     assert np.float64(pts.min_pairwise_distance).tobytes() == want.tobytes()
     # a distance read before assembly is kept, and one point has none to read
-    first = PointSet.from_array(pts.points)
+    first = PointSet(pts.points)
     assert first.min_pairwise_distance == pts.min_pairwise_distance
     assemble(first, ThinPlateSpline(1))
     assert len(sweeps) == 1
-    single = PointSet.from_array([[0.5, 0.5]])
+    single = PointSet([[0.5, 0.5]])
     assemble(single, ThinPlateSpline(1))
     assert single.min_pairwise_distance == math.inf
 

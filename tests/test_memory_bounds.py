@@ -113,10 +113,10 @@ def test_verify_report_and_stdout_are_written_in_blocks_of_encoder_chunks(tmp_pa
 
 
 def test_verify_csv_is_written_one_block_of_records_at_a_time(tmp_path, monkeypatch):
-    # 40,000 records (4.2 MB of CSV).  The write measured 1.16 MB, one 4096-record block's
-    # object table and text; bound 1.5 MiB (1.35x).  One object table of every record
-    # peaked at 3.4 MB, joining the whole text first at 8.4 MB, and with the table built
-    # from a list of tuples at 11.2 MB
+    # 40,000 records (4.2 MB of CSV).  The write measured 0.90 MB, one 4096-record block's
+    # values and text (1.16 MB with an object table per block); bound 1.5 MiB.  One object
+    # table of every record peaked at 3.4 MB, joining the whole text first at 8.4 MB, and
+    # with the table built from a list of tuples at 11.2 MB
     small = monte_carlo(ThinPlateSpline(1), unit_box(2), Uniform(), [5], 200, 3)
     report = UnisolvenceReport(small.config, small.aggregates, small.records * 200)
     monkeypatch.setattr(cli, "monte_carlo", lambda *args, **kwargs: report)

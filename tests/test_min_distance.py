@@ -48,7 +48,7 @@ def point_arrays(draw):
 @settings(max_examples=1000, deadline=None, database=None)
 @given(point_arrays())
 def test_sweep_equals_the_matrix_minimum_bitwise(pts):
-    got = PointSet.from_array(pts).min_pairwise_distance
+    got = PointSet(pts).min_pairwise_distance
     n = pts.shape[0]
     if n == 1:
         assert got == math.inf
@@ -59,13 +59,13 @@ def test_sweep_equals_the_matrix_minimum_bitwise(pts):
 
 def test_lattice_ties_and_duplicates():
     grid = np.array([[i, j, k] for i in range(4) for j in range(5) for k in range(3)], float)
-    assert PointSet.from_array(0.25 * grid).min_pairwise_distance == 0.25
-    assert PointSet.from_array(np.vstack([grid, grid[7]])).min_pairwise_distance == 0.0
+    assert PointSet(0.25 * grid).min_pairwise_distance == 0.25
+    assert PointSet(np.vstack([grid, grid[7]])).min_pairwise_distance == 0.0
     # every point on the widest axis shares one coordinate but the last
     column = np.zeros((50, 2))
     column[:, 1] = np.arange(50.0) * 0.5
     column[-1, 0] = 100.0
-    assert PointSet.from_array(column).min_pairwise_distance == 0.5
+    assert PointSet(column).min_pairwise_distance == 0.5
 
 
 def _matrix_minimum(pts):
@@ -89,7 +89,7 @@ def test_blocked_minimum_across_block_boundaries(monkeypatch):
     for pts in [line] + spread:
         want = _matrix_minimum(pts)
         blocks.clear()
-        got = PointSet.from_array(pts).min_pairwise_distance
+        got = PointSet(pts).min_pairwise_distance
         assert np.float64(got).tobytes() == want.tobytes()
         # every row but the last is compared once with the rows after it
         assert sum(blocks) == len(pts) - 1
@@ -100,7 +100,7 @@ def test_blocked_minimum_across_block_boundaries(monkeypatch):
     for pts in (plane, np.vstack([line[:149], line[-1]])):
         want = _matrix_minimum(pts)
         blocks.clear()
-        got = PointSet.from_array(pts).min_pairwise_distance
+        got = PointSet(pts).min_pairwise_distance
         assert np.float64(got).tobytes() == want.tobytes()
         assert len(blocks) > 1 and sum(blocks) == len(pts) - 1
 
@@ -113,7 +113,7 @@ def test_memory_is_a_few_blocks_at_any_n(n):
     want = _matrix_minimum(pts)
     tracemalloc.start()
     try:
-        got = PointSet.from_array(pts).min_pairwise_distance
+        got = PointSet(pts).min_pairwise_distance
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -65,7 +65,7 @@ def outcome(read, path):
         points, values = read(path)
     except ValueError as exc:
         return "error", type(exc), str(exc)
-    return ("ok", points.points.shape, points.points.tobytes(), points.provenance,
+    return ("ok", points.points.shape, points.points.tobytes(),
             None if values is None else values.tobytes())
 
 
@@ -240,7 +240,7 @@ def test_reader_peak_memory_is_a_small_multiple_of_its_array(tmp_path):
 def test_evaluate_peak_memory_is_a_small_multiple_of_its_result():
     # 10^5 queries; a whole-query tail and 1024-row blocks peaked at 11x the result
     rng = np.random.default_rng(93)
-    nodes = PointSet.from_array(rng.random((200, 2)))
+    nodes = PointSet(rng.random((200, 2)))
     model = solve_augmented(nodes, np.sin(3.0 * nodes.points[:, 0]), ThinPlateSpline(1), degree=1)
     queries = rng.random((100_000, 2))
     out, peak = traced_peak(lambda: evaluate(model, queries))

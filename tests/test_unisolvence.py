@@ -115,7 +115,7 @@ def test_bordered_determinant_equals_grown_matrix_determinant():
     f_value = system.determinant(fresh)
     grown = np.vstack([pts.points, fresh[None, :]])
     sign, log_abs = lu_sign_logabs(
-        assemble(PointSet.from_array(grown), ThinPlateSpline(1)).entries
+        assemble(PointSet(grown), ThinPlateSpline(1)).entries
     )
     assert f_value == pytest.approx(sign * math.exp(log_abs), rel=1e-8)
 

@@ -38,9 +38,10 @@ field on 150 nodes, whose 256-row blocks of kernel rows each take two
 distance chunks; a verify whose report holds 2,000 records; fields whose --grid span is not
 finite or whose lattice reaches a point too far to measure; counterexamples off the origin whose
 satellites renormalization alone cannot place, one of them also beyond
-single ulp steps; a verify whose size cannot be allocated; verify, field
-and interp runs whose second output cannot be written; and the other
-subcommand paths) and library calls whose results are written as JSON or
+single ulp steps, and one far from it whose 7th satellite only the third
+search round, sized from the rounding window, places; a verify whose size
+cannot be allocated; verify, field and interp runs whose second output
+cannot be written; and the other subcommand paths) and library calls whose results are written as JSON or
 raw array bytes, among them a cardinal_values query too far to measure.  ``repr`` of library objects is
 not an output contract and is left out.  A warning is printed with the
 path of a polyharm module relative to the checkout's ``src/``, so the
@@ -195,7 +196,7 @@ def _scale_api(degree):
 
 def _solve_singular_messages() -> int:
     sphere = sphere_counterexample(2, 5)
-    pair = PointSet.from_array([[0.0, 0.0], [1.0, 0.0]])
+    pair = PointSet([[0.0, 0.0], [1.0, 0.0]])
     calls = (
         lambda: solve_unaugmented(sphere, np.ones(5), ThinPlateSpline(1)),
         lambda: solve_augmented(pair, [1.0, 2.0], ThinPlateSpline(1), degree=0),
@@ -252,6 +253,8 @@ RUNS = {
                                  "--center", "0.1,0.7"]),
     "ce_tps_off_origin_wide": (None, ["counterexample", "--dim", "2", "--n", "7",
                                       "--center=-0.09105638295397789,3.543161285788292"]),
+    "ce_tps_far": (None, ["counterexample", "--dim", "2", "--n", "8",
+                          "--center=273.9233746429086,-460.4265724722594"]),
     "custom_density": (None, _custom_density),
     "field": (None, ["field", "--kernel", "tps:k=1", "--n", "6", "--seed", "1", FIELD_GRID,
                      "--out", "field.csv", "--svg", "field.svg"]),
