@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import fields, is_dataclass
 
-from .kernels import RadialPower, ThinPlateSpline, kernel_spec
-
 NOT_SERIALIZED = {"serialize": False}
 
 
@@ -14,8 +12,7 @@ def to_dict(obj) -> dict:
 
     A class-level ``_json_tag = (key, value)`` pair, when present, comes
     first; fields declared with ``field(metadata=NOT_SERIALIZED)`` are left out.
-    Kernels become their kernel_spec text, tuples become lists
-    and nested dataclasses are converted recursively.
+    Tuples become lists and nested dataclasses are converted recursively.
     """
     doc = dict([obj._json_tag]) if hasattr(obj, "_json_tag") else {}
     for f in fields(obj):
@@ -25,8 +22,6 @@ def to_dict(obj) -> dict:
 
 
 def _jsonable(value):
-    if isinstance(value, (ThinPlateSpline, RadialPower)):
-        return kernel_spec(value)
     if is_dataclass(value):
         return to_dict(value)
     if isinstance(value, tuple):

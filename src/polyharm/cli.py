@@ -57,6 +57,10 @@ __all__ = ["main", "build_parser"]
 
 
 class _Parser(argparse.ArgumentParser):
+    # every option has one spelling: an abbreviation such as --k for --kernel is a usage error
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     # usage errors exit 1; code 2 is reserved for mathematical failures
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -124,8 +128,8 @@ def _resolve_seed(value) -> int:
 
 
 def _parse_floats(text: str, what: str) -> list[float]:
-    try:
-        return [float(part) for part in text.split(",") if part != ""]
+    try:  # an empty text is no numbers; any other empty field fails, as float("") does
+        return [float(part) for part in text.split(",")] if text else []
     except ValueError:
         raise ValueError(f"bad {what} {text!r}: expected comma-separated numbers") from None
 
@@ -169,7 +173,7 @@ def _parse_density(text: str | None, dim: int):
         left, sep, right = body.partition("sd=")
         if not sep or not left.startswith("mu="):
             raise ValueError(f"bad density {text!r}: expected gauss:mu=...,sd=...")
-        mean = _parse_floats(left[len("mu="):].rstrip(","), "gaussian mean")
+        mean = _parse_floats(left[len("mu="):].removesuffix(","), "gaussian mean")
         sd = _parse_floats(right, "gaussian sd")
         mean, sd = (v * dim if len(v) == 1 else v for v in (mean, sd))  # one value for every axis
         if len(mean) != dim or len(sd) != dim:
@@ -208,17 +212,18 @@ def _augment_degree(text: str | None, kernel):
 
 def _node_source(args, dim: int | None, seed: int, stream: int, missing: str):
     """(points, values, source echo) of field and scale-check: a --points file and its value
-    column (None without one), or --n uniform nodes on --domain (else the unit box of dim) drawn
-    from the seed stream, with values None.  ValueError(missing) when neither is complete.
+    column (None without one), or --n uniform nodes drawn from the seed stream on --domain,
+    which must have dimension dim unless dim is None, else on the unit box of dim, with values
+    None.  ValueError(missing) when neither is complete.
     """
     if args.points:
         points, values = read_points_csv(args.points)
         return points, values, {"points": str(args.points)}
-    if args.n is None or dim is None:
+    if args.n is None or (dim is None and args.domain is None):
         raise ValueError(missing)
     domain = _parse_domain(args.domain, dim)
     points = sample(domain, Uniform(), args.n, stream)
-    return points, None, {"dim": int(dim), "n": int(args.n), "seed": int(seed),
+    return points, None, {"dim": domain.dimension, "n": int(args.n), "seed": int(seed),
                           "domain_spec": _domain_spec(domain)}
 
 
@@ -317,10 +322,7 @@ def cmd_verify(args) -> int:
 # counterexample
 
 def cmd_counterexample(args) -> int:
-    if args.kernel is not None:
-        kernel = parse_kernel(args.kernel)
-    else:
-        kernel = ThinPlateSpline(k=args.k)
+    kernel = parse_kernel(args.kernel)
     center = None if args.center is None else _parse_floats(args.center, "center")
     if center is not None and len(center) != args.dim:
         raise ValueError(f"center has {len(center)} coordinates, expected {args.dim}")
@@ -361,8 +363,9 @@ def cmd_scale_check(args) -> int:
         raise ValueError("scale-check needs at least two scales in --eps")
     degree = _augment_degree(args.augment, kernel)
     seed = _resolve_seed(args.seed)
-    points, values, source = _node_source(args, args.dim, seed, mix_seed(seed, 0),
-                                          "scale-check needs --points or both --dim and --n")
+    points, values, source = _node_source(
+        args, args.dim, seed, mix_seed(seed, 0),
+        "scale-check needs --points, or --n with --dim or --domain")
     if not args.points:
         values = make_rng(mix_seed(seed, 1)).standard_normal(points.n)
     elif values is None:
@@ -482,7 +485,8 @@ def _field_svg(xs: np.ndarray, ys: np.ndarray, values: np.ndarray, desc: str):
 def cmd_field(args) -> int:
     kernel = parse_kernel(args.kernel)
     seed = _resolve_seed(args.seed)
-    points, _, source = _node_source(args, 2 if args.dim is None else args.dim, seed, seed,
+    # nodes are planar: a --domain of another dimension fails the check below
+    points, _, source = _node_source(args, None if args.domain else 2, seed, seed,
                                      "field needs --points or --n")
     if points.dimension != 2:
         raise ValueError("field rendering requires planar (d = 2) points")
@@ -577,8 +581,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("counterexample", help="unit-sphere singular configuration")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, default=1, help="thin-plate spline order")
-    p.add_argument("--kernel", default=None, help="override kernel, e.g. rp:nu=1")
+    p.add_argument("--kernel", default="tps:k=1", help="default tps:k=1; e.g. rp:nu=1")
     p.add_argument("--center", default=None, help="comma-separated center coordinates")
     p.add_argument("--eps", type=float, default=1.0)
     p.add_argument("--tau", type=float, default=1e-12)
@@ -599,7 +602,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("field", help="bordered-determinant field on a planar lattice")
     p.add_argument("--kernel", required=True)
     p.add_argument("--points", default=None, help="CSV of nodes (values ignored)")
-    p.add_argument("--dim", type=int, default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--domain", default=None)
     p.add_argument("--seed", type=int, default=None)

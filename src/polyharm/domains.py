@@ -381,14 +381,13 @@ class PointSet:
         return self.points.shape[1]
 
 
-def sample(domain: Domain, density: Density, n: int, seed: int,
-           max_proposals: int | None = None) -> PointSet:
+def sample(domain: Domain, density: Density, n: int, seed: int) -> PointSet:
     """Draw n i.i.d. points from density restricted to domain.
 
     Uniform densities use per-axis (box) or direction-radius (ball) inverse
     transforms directly.  Other densities go through rejection sampling
     against the uniform envelope scaled by the stated bound; exceeding the
-    proposal cap (default 10**6 * n) raises SamplingError, which usually
+    proposal cap of 10**6 * n raises SamplingError, which usually
     means the stated bound is far above the density's actual maximum.
 
     The result is a pure function of the arguments: identical calls return
@@ -404,9 +403,7 @@ def sample(domain: Domain, density: Density, n: int, seed: int,
         pts = domain.sample_uniform(rng, n)
     else:
         bound = density.bound
-        cap = 10**6 * n if max_proposals is None else int(max_proposals)
-        if cap < 1:
-            raise ValueError("proposal cap must be positive")
+        cap = 10**6 * n
         accepted: list[np.ndarray] = []
         have = 0
         proposed = 0

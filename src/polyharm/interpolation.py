@@ -359,16 +359,17 @@ def default_query_points(points: PointSet, count: int = 64) -> np.ndarray:
 class ScaleInvarianceReport:
     """Outcome of re-solving one data set across several scale parameters.
 
-    max_rel_deviation is the largest spread of interpolant values over the
-    query set, relative to the largest interpolant magnitude seen.
-    conditions holds the kernel-matrix condition number at each scale and
-    cond_rel_spread their relative spread.  asserted_bound / cond_bound are
+    kernel is the kernel_spec text of the kernel.  max_rel_deviation is
+    the largest spread of interpolant values over the query set, relative
+    to the largest interpolant magnitude seen.  conditions holds the
+    kernel-matrix condition number at each scale and cond_rel_spread
+    their relative spread.  asserted_bound / cond_bound are
     the tolerances this kernel/tail combination is expected to meet (None
     when the deviation is reported without any claim), and passed records
     the comparison (None when nothing is asserted).
     """
 
-    kernel: Kernel
+    kernel: str
     eps_list: tuple
     degree: Optional[int]
     max_rel_deviation: float
@@ -436,7 +437,7 @@ def scale_invariance_check(points: PointSet, values, kernel: Kernel,
         if cond_bound is not None:
             passed = passed and cond_rel_spread <= cond_bound
     return ScaleInvarianceReport(
-        kernel=kernel,
+        kernel=kernel_spec(kernel),
         eps_list=scales,
         degree=degree,
         max_rel_deviation=max_rel_deviation,

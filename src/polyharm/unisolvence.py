@@ -97,8 +97,7 @@ class BorderedSystem:
 
     def __init__(self, base: InterpMatrix, tau: float = 1e-12):
         self.base = base
-        self.tau = float(tau)
-        self.base_diagnostics = diag = diagnostics(base.entries, self.tau)
+        self.base_diagnostics = diag = diagnostics(base.entries, tau)
         # the Schur factor -det(base), once per system; a base whose |det| exceeds double
         # range keeps the message, and each Schur call raises it
         self._schur_factor = self._schur_overflow = None

@@ -179,20 +179,33 @@ def line_distance_sign_logabs(nodes):
     return (-1) ** (n - 1), float((n - 2) * np.log(2.0) + np.log(x[-1] - x[0]) + np.log(gaps).sum())
 
 
-def near_even_sigma_min(points, delta):
-    """First-order sigma_min of the rp:nu=2+delta kernel matrix, from NumPy alone.
+def near_even_sigma_min(points, delta, k=1):
+    """First-order sigma_min of the rp:nu=2k+delta kernel matrix, k = 1 or 2, from NumPy alone.
 
-    r**(2 + delta) = r**2 + delta * r**2 log r + O(delta**2).  The r**2 matrix
-    has its range in span{1, x_i, |x|**2}; on that span's complement, with
+    r**(2k + delta) = r**2k + delta * r**2k log r + O(delta**2).  The r**2k
+    matrix has its range in the span of the functions that expanding
+    |x - y|**2k gives: {1, x_i, |x|**2} for k = 1 and {1, x_i, x_i x_j,
+    |x|**2 x_i, |x|**4} for k = 2.  On that span's complement, with
     orthonormal basis Q from a complete QR of its basis, the matrix is
-    delta * Q^T T Q to first order, T the tps:k=1 matrix, and Q^T T Q is
-    definite because the thin-plate kernel is CPD of order 2.  So the
-    prediction is |delta| * min |lambda(Q^T T Q)|, for n > d + 2 points.
+    delta * Q^T T Q to first order, T the tps:k=k matrix, and Q^T T Q is
+    definite because the thin-plate kernel is CPD of order k + 1 and the
+    complement is orthogonal to every polynomial of degree at most k.  So the
+    prediction is |delta| * min |lambda(Q^T T Q)|, for more points than
+    the span has functions: d + 2 for k = 1, 9 in 2-d and 14 in 3-d for k = 2.
     """
     x = np.asarray(points, dtype=float)
     r = np.sqrt(((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=-1))
-    tps = r**2 * np.log(np.where(r > 0.0, r, 1.0))
-    span = np.column_stack([np.ones(len(x)), x, (x**2).sum(axis=1)])
+    tps = r ** (2 * k) * np.log(np.where(r > 0.0, r, 1.0))
+    square = (x**2).sum(axis=1)
+    if k == 1:
+        span = [np.ones(len(x)), *x.T, square]
+    elif k == 2:
+        d = x.shape[1]
+        products = [x[:, i] * x[:, j] for i in range(d) for j in range(i, d)]
+        span = [np.ones(len(x)), *x.T, *products, *(square[:, None] * x).T, square**2]
+    else:
+        raise ValueError("near_even_sigma_min covers k = 1 and k = 2")
+    span = np.column_stack(span)
     q = np.linalg.qr(span, mode="complete")[0][:, span.shape[1]:]
     return abs(delta) * float(np.abs(np.linalg.eigvalsh(q.T @ tps @ q)).min())
 

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -309,7 +310,7 @@ def test_verify_gauss_density_and_ball_domain(run_cli):
 
 
 def test_counterexample_exact_singularity(run_cli):
-    code, out, _ = run_cli(["counterexample", "--dim", "2", "--n", "5", "--k", "2"])
+    code, out, _ = run_cli(["counterexample", "--dim", "2", "--n", "5", "--kernel", "tps:k=2"])
     assert code == 0
     doc = json.loads(out)
     assert doc["exact_singular"] is True
@@ -540,28 +541,52 @@ def test_field_without_grid_pads_the_nodes_on_a_64_by_64_lattice(run_cli, tmp_pa
 @pytest.mark.parametrize("argv, message", [
     (["field", "--kernel", "tps:k=1", "--out", "f.csv"], "field needs --points or --n"),
     (["field", "--kernel", "tps:k=1", "--n", "5", "--domain", "box:0,0,0,1,1,1", "--out", "f.csv"],
-     "domain dimension 3 does not match --dim 2"),
-    (["field", "--kernel", "tps:k=1", "--n", "5", "--dim", "3", "--out", "f.csv"],
+     "field rendering requires planar (d = 2) points"),
+    (["field", "--kernel", "tps:k=1", "--points", "space.csv", "--out", "f.csv"],
      "field rendering requires planar (d = 2) points"),
     (["field", "--kernel", "tps:k=1", "--points", "missing.csv", "--out", "f.csv"],
      "[Errno 2] No such file or directory: 'missing.csv'"),
     (["scale-check", "--kernel", "tps:k=1", "--eps", "1,2"],
-     "scale-check needs --points or both --dim and --n"),
+     "scale-check needs --points, or --n with --dim or --domain"),
     (["scale-check", "--kernel", "tps:k=1", "--eps", "1,2", "--n", "5"],
-     "scale-check needs --points or both --dim and --n"),
+     "scale-check needs --points, or --n with --dim or --domain"),
     (["scale-check", "--kernel", "tps:k=1", "--eps", "1,2", "--dim", "2"],
-     "scale-check needs --points or both --dim and --n"),
+     "scale-check needs --points, or --n with --dim or --domain"),
     (["scale-check", "--kernel", "tps:k=1", "--eps", "1,2", "--points", "nodes.csv"],
      "nodes.csv: scale-check requires a value column"),
     (["scale-check", "--kernel", "tps:k=1", "--eps", "1,2", "--dim", "3", "--n", "5",
       "--domain", "box:0,0,1,1"], "domain dimension 2 does not match --dim 3"),
+    (["scale-check", "--kernel", "tps:k=1", "--eps", "1,2", "--domain", "box:0,0,1,1"],
+     "scale-check needs --points, or --n with --dim or --domain"),
 ])
 def test_node_source_errors_exit_1_with_one_error_line(run_cli, tmp_path, monkeypatch,
                                                        argv, message):
     monkeypatch.chdir(tmp_path)
     write_points_csv("nodes.csv", np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+    write_points_csv("space.csv", np.eye(3))
     assert run_cli(argv) == (1, "", f"error: {message}\n")
-    assert [p.name for p in tmp_path.iterdir()] == ["nodes.csv"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["nodes.csv", "space.csv"]
+
+
+def test_scale_check_takes_the_dimension_of_its_domain(run_cli):
+    argv = ["scale-check", "--kernel", "rp:nu=1.5", "--eps", "1,2", "--n", "10", "--seed", "1"]
+    by_dim = run_cli(argv + ["--dim", "2"])
+    by_domain = run_cli(argv + ["--domain", "box:0,0,1,1"])
+    assert by_dim[0] == 0 and by_domain == by_dim
+    assert json.loads(by_dim[1])["config"]["source"]["domain_spec"] == "box:0.0,0.0,1.0,1.0"
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["counterexample", "--dim", "2", "--n", "5", "--k", "2"], "--k 2"),
+    (["field", "--kernel", "tps:k=1", "--n", "5", "--dim", "2", "--out", "f.csv"], "--dim 2"),
+])
+def test_removed_options_are_usage_errors(run_cli, tmp_path, monkeypatch, argv, option):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(argv)
+    assert (code, out) == (1, "")
+    assert err.endswith(f"error: unrecognized arguments: {option}\n")
+    assert err.count("error:") == 1 and err.startswith("usage: polyharm ")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_field_reads_the_nodes_of_a_points_file_without_values(run_cli, tmp_path):
@@ -617,6 +642,15 @@ VERIFY = ["verify", "--kernel", "tps:k=1", "--n", "4", "--trials", "1"]
      "bad augmentation degree in 'poly:1.5'"),
     (["scale-check", "--kernel", "tps:k=1", "--eps", "1,2", "--dim", "2", "--n", "5",
       "--augment", "polynomial"], "bad augmentation 'polynomial': expected poly or poly:<degree>"),
+    # an empty field is an error, not a field to skip
+    (["field", "--kernel", "tps:k=1", "--n", "5", "--grid=0,1,,0,1,8,8", "--out", "f.csv"],
+     "bad grid description '0,1,,0,1,8,8': expected comma-separated numbers"),
+    (["verify", "--kernel", "tps:k=1", "--dim", "2", "--n", "5,,20", "--trials", "1"],
+     "bad size list '5,,20': expected comma-separated numbers"),
+    (["counterexample", "--dim", "2", "--n", "5", "--center=0.5,0.5,"],
+     "bad center '0.5,0.5,': expected comma-separated numbers"),
+    (VERIFY + ["--dim", "2", "--density", "gauss:mu=0.5,,sd=1"],
+     "bad gaussian mean '0.5,': expected comma-separated numbers"),
 ])
 def test_spec_errors_exit_1_with_one_error_line(run_cli, tmp_path, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)
@@ -663,6 +697,25 @@ def test_usage_errors_exit_1(run_cli, tmp_path):
                             "--pred", str(pred)])
     assert code == 1 and "--eval" in err and not pred.exists()
     assert run_cli([])[0] == 1
+
+
+def readme_commands():
+    """The argv of each polyharm command in README's "Command line" block, continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text[text.index("## Command line"):].split("```")[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("polyharm ")]
+
+
+def test_readme_command_examples_parse():
+    commands = readme_commands()
+    assert [argv[0] for argv in commands] == [
+        "interp", "verify", "counterexample", "scale-check", "field"]
+    for argv in commands:
+        try:
+            polyharm.cli.build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: polyharm {shlex.join(argv)}")
 
 
 def test_console_script_entry_point():

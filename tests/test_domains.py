@@ -1,5 +1,6 @@
 """Domains, densities, seeded sampling and point-set bookkeeping."""
 
+import inspect
 import math
 
 import numpy as np
@@ -182,9 +183,14 @@ def test_custom_density_negative_values_detected():
 
 
 def test_sampling_error_when_cap_exhausted():
+    # the cap is 10**6 proposals per point: n = 1 rejects a million of them
     dens = CustomDensity(fn=lambda pts: np.zeros(pts.shape[0]), bound=1.0)
-    with pytest.raises(SamplingError):
-        sample(unit_box(2), dens, 10, 1, max_proposals=4096)
+    with pytest.raises(SamplingError, match="^rejection sampling used 1000000 proposals "):
+        sample(unit_box(2), dens, 1, 1)
+
+
+def test_sample_takes_no_proposal_cap():
+    assert list(inspect.signature(sample).parameters) == ["domain", "density", "n", "seed"]
 
 
 def test_sample_validation():
@@ -194,9 +200,6 @@ def test_sample_validation():
         sample(unit_box(2), TruncatedGaussian(mean=(0.5,), sd=(0.1,)), 5, 1)
     with pytest.raises(ValueError, match="^density bound must be a positive finite real$"):
         CustomDensity(fn=lambda pts: np.ones(pts.shape[0]), bound=0.0)
-    gauss = TruncatedGaussian(mean=(0.5, 0.5), sd=(0.2, 0.2))
-    with pytest.raises(ValueError, match="^proposal cap must be positive$"):
-        sample(unit_box(2), gauss, 5, 1, max_proposals=0)
     short = CustomDensity(fn=lambda pts: np.ones(pts.shape[0] - 1), bound=1.0)
     with pytest.raises(ValueError, match="^density must return one value per proposal$"):
         sample(unit_box(2), short, 5, 1)

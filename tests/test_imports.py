@@ -41,3 +41,10 @@ def test_module_uses_every_name_it_imports(path):
     used = used_names(tree)
     unused = [(name, line) for name, line in imported_names(tree) if name not in used]
     assert unused == [], f"{path.name} imports names it never uses: {unused}"
+
+
+def test_serializer_imports_nothing_from_the_package():
+    # _serialize is imported by the other modules, so it depends on none of them
+    tree = ast.parse((Path(polyharm.__file__).parent / "_serialize.py").read_text())
+    assert [node.module for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level > 0] == []

@@ -12,6 +12,7 @@ import polyharm
 from polyharm import (
     Ball,
     CustomDensity,
+    RadialPower,
     ThinPlateSpline,
     TruncatedGaussian,
     Uniform,
@@ -74,6 +75,13 @@ def test_scale_invariance_report_key_order():
                          "cond_rel_spread", "asserted_bound", "cond_bound", "passed"]
     assert doc["kernel"] == "tps:k=1"
     assert doc["eps_list"] == [0.5, 2.0] and isinstance(doc["conditions"], list)
+
+
+def test_scale_invariance_report_holds_the_kernel_spec_text():
+    # the report names its kernel as the CLI echoes it; a kernel object would serialize as a dict
+    report = scale_invariance_check(sample(unit_box(2), Uniform(), 6, 4), np.arange(6.0),
+                                    RadialPower(1.5), [1.0, 2.0])
+    assert report.kernel == "rp:nu=1.5" and report.to_dict()["kernel"] == "rp:nu=1.5"
 
 
 def test_unisolvence_report_key_order():

@@ -1,11 +1,13 @@
-"""Next to the excluded even exponent 2: rp:nu=2+delta is nonsingular and nearly rank deficient.
+"""Next to the even exponents 2 and 4: rp:nu=2k+delta is nonsingular and nearly rank deficient.
 
 Its sigma_min follows the first-order law |delta| * sigma_min(Q^T T Q) of
-oracles.near_even_sigma_min, T the tps:k=1 matrix and Q an orthonormal basis
-of the complement of span{1, x_i, |x|**2}, on both sides of 2.  At
-|delta| = 1e-8 the tau rule calls most n = 50 planar matrices singular,
-yet their sigma_min is still the law's nonzero value: they are matrices
-the theorem covers, ill-conditioned, not singular.
+oracles.near_even_sigma_min, T the tps:k=k matrix and Q an orthonormal basis
+of the complement of the range of the r**2k matrix (span{1, x_i, |x|**2}
+for k = 1; span{1, x_i, x_i x_j, |x|**2 x_i, |x|**4} for k = 2), on both
+sides of 2 and of 4.  At |delta| = 1e-8 next to 2, and at 1e-6 next to 4,
+the tau rule calls most n = 50 planar matrices singular, yet their
+sigma_min is still the law's nonzero value: they are matrices the theorem
+covers, ill-conditioned, not singular.
 """
 
 import pytest
@@ -23,14 +25,16 @@ from polyharm import (
 )
 
 CASES = [(20, 2), (50, 2), (20, 3)]
+# next to 4 the range of the r**4 matrix spans 9 functions in 2-d and 14 in 3-d; n exceeds them
+CASES_NEXT_TO_FOUR = [(20, 2), (50, 2), (30, 3)]
 
 
-def law_errors(n, d, delta, seeds):
-    """(relative error of sigma_min against the law, diagnostics) for each seed."""
+def law_errors(n, d, delta, seeds, k=1):
+    """(relative error of sigma_min against the law, diagnostics) of rp:nu=2k+delta per seed."""
     for seed in seeds:
         points = sample(unit_box(d), Uniform(), n, seed)
-        diag = diagnostics(assemble(points, RadialPower(2.0 + delta)).entries)
-        want = near_even_sigma_min(points.points, delta)
+        diag = diagnostics(assemble(points, RadialPower(2.0 * k + delta)).entries)
+        want = near_even_sigma_min(points.points, delta, k)
         yield abs(diag.sigma_min - want) / want, diag
 
 
@@ -50,6 +54,24 @@ def test_tau_failures_next_to_two_are_ill_conditioned_not_singular(delta):
     results = list(law_errors(50, 2, delta, range(20)))
     assert sum(diag.singular_verdict for _, diag in results) >= 10
     assert all(diag.det_sign != 0 and error <= 0.1 for error, diag in results)
+
+
+@pytest.mark.parametrize("n, d", CASES_NEXT_TO_FOUR)
+@pytest.mark.parametrize("delta", [1e-4, -1e-4, 1e-3, -1e-3])
+def test_sigma_min_follows_the_first_order_law_next_to_four(n, d, delta):
+    # over seeds 0-19 the largest relative error was 4.49 |delta| (n = 50, d = 2,
+    # delta = -1e-4) and 1.12-2.43 |delta| elsewhere; 10 |delta| is a margin of 2x
+    errors = [error for error, _ in law_errors(n, d, delta, range(20), k=2)]
+    assert max(errors) <= 10 * abs(delta)
+
+
+@pytest.mark.parametrize("delta", [1e-6, -1e-6])
+def test_tau_failures_next_to_four_are_ill_conditioned_not_singular(delta):
+    # the largest relative error over seeds 0-19 was 1.68e-2 (18 of 20 called singular);
+    # 0.05 is a margin of 3x
+    results = list(law_errors(50, 2, delta, range(20), k=2))
+    assert sum(diag.singular_verdict for _, diag in results) >= 10
+    assert all(diag.det_sign != 0 and error <= 0.05 for error, diag in results)
 
 
 def test_verify_example_of_the_readme_fails_every_trial_of_a_covered_kernel():

@@ -95,6 +95,12 @@ def test_border_is_matrix_row_at_nodes():
         system.border(np.zeros(3))
 
 
+def test_bordered_system_keeps_its_threshold_only_in_its_diagnostics():
+    system = BorderedSystem(assemble(random_points(5, 2, 71), ThinPlateSpline(1)), 1e-9)
+    assert "tau" not in vars(system)
+    assert system.base_diagnostics.rel_threshold == 1e-9
+
+
 def test_bordered_determinant_routes_agree():
     pts = random_points(9, 2, 73)
     system = BorderedSystem(assemble(pts, RadialPower(1.5)))
