@@ -365,7 +365,7 @@ def cmd_scale_check(args) -> int:
     seed = _resolve_seed(args.seed)
     points, values, source = _node_source(
         args, args.dim, seed, mix_seed(seed, 0),
-        "scale-check needs --points, or --n with --dim or --domain")
+        "scale-check needs --points or --n with --dim or --domain")
     if not args.points:
         values = make_rng(mix_seed(seed, 1)).standard_normal(points.n)
     elif values is None:

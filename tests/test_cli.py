@@ -547,17 +547,17 @@ def test_field_without_grid_pads_the_nodes_on_a_64_by_64_lattice(run_cli, tmp_pa
     (["field", "--kernel", "tps:k=1", "--points", "missing.csv", "--out", "f.csv"],
      "[Errno 2] No such file or directory: 'missing.csv'"),
     (["scale-check", "--kernel", "tps:k=1", "--eps", "1,2"],
-     "scale-check needs --points, or --n with --dim or --domain"),
+     "scale-check needs --points or --n with --dim or --domain"),
     (["scale-check", "--kernel", "tps:k=1", "--eps", "1,2", "--n", "5"],
-     "scale-check needs --points, or --n with --dim or --domain"),
+     "scale-check needs --points or --n with --dim or --domain"),
     (["scale-check", "--kernel", "tps:k=1", "--eps", "1,2", "--dim", "2"],
-     "scale-check needs --points, or --n with --dim or --domain"),
+     "scale-check needs --points or --n with --dim or --domain"),
     (["scale-check", "--kernel", "tps:k=1", "--eps", "1,2", "--points", "nodes.csv"],
      "nodes.csv: scale-check requires a value column"),
     (["scale-check", "--kernel", "tps:k=1", "--eps", "1,2", "--dim", "3", "--n", "5",
       "--domain", "box:0,0,1,1"], "domain dimension 2 does not match --dim 3"),
     (["scale-check", "--kernel", "tps:k=1", "--eps", "1,2", "--domain", "box:0,0,1,1"],
-     "scale-check needs --points, or --n with --dim or --domain"),
+     "scale-check needs --points or --n with --dim or --domain"),
 ])
 def test_node_source_errors_exit_1_with_one_error_line(run_cli, tmp_path, monkeypatch,
                                                        argv, message):
