@@ -101,17 +101,21 @@ def _write_outputs(*outputs) -> None:
     """Write a command's outputs in order: write(path) for each (path, write) with a path.
 
     When one of them fails, the files already written are deleted before the
-    error propagates, so a command that exits 1 leaves no output behind.
+    error propagates, and so is the failing one if this call created it, so a
+    command that exits 1 leaves no output behind.  Only regular files are
+    deleted (os.path.isfile): never a device or FIFO such as os.devnull.
     """
-    written = []
+    written, created = [], None
     try:
         for path, write in outputs:
             if path:
+                created = None if os.path.exists(path) else path
                 write(path)
                 written.append(path)
     except (OSError, MemoryError):
-        for path in written:
-            os.remove(path)
+        for path in written + [created]:
+            if path and os.path.isfile(path):
+                os.remove(path)
         raise
 
 
@@ -327,15 +331,17 @@ def cmd_counterexample(args) -> int:
     if center is not None and len(center) != args.dim:
         raise ValueError(f"center has {len(center)} coordinates, expected {args.dim}")
     points = sphere_counterexample(args.dim, args.n, center)
-    diag = diagnostics(assemble(points, kernel, args.eps).entries, args.tau)
+    # scale 1, so that the unit distances are kernel zeros of the thin-plate kernels
+    matrix = assemble(points, kernel)
+    diag = diagnostics(matrix.entries)
     config = {
         "command": "counterexample",
         "kernel": kernel_spec(kernel),
-        "epsilon": float(args.eps),
+        "epsilon": matrix.epsilon,
         "dimension": int(args.dim),
         "n": int(args.n),
         "center": [float(v) for v in (center if center is not None else [0.0] * args.dim)],
-        "tau": float(args.tau),
+        "tau": diag.rel_threshold,
     }
     doc = {
         "command": "counterexample",
@@ -583,8 +589,6 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--kernel", default="tps:k=1", help="default tps:k=1; e.g. rp:nu=1")
     p.add_argument("--center", default=None, help="comma-separated center coordinates")
-    p.add_argument("--eps", type=float, default=1.0)
-    p.add_argument("--tau", type=float, default=1e-12)
     p.set_defaults(func=cmd_counterexample)
 
     p = sub.add_parser("scale-check", help="re-solve across scale parameters")

@@ -194,11 +194,19 @@ def monomial_exponents(dimension: int, degree: int) -> list[tuple[int, ...]]:
 
 
 def monomial_matrix(points: np.ndarray, degree: int) -> np.ndarray:
-    """Matrix of monomials of total degree <= degree evaluated at points."""
+    """Matrix of monomials of total degree <= degree evaluated at points.
+
+    A monomial is its factors multiplied onto 1.0 left to right, coordinate 1's
+    first (x1**2 * x2 is ((1.0 * x1) * x1) * x2): correctly rounded steps, the
+    same bits on every CPU, where NumPy's SIMD pow may round x**2 otherwise.
+    """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     exponents = monomial_exponents(pts.shape[1], degree)
-    cols = [np.prod(pts**np.asarray(exp, dtype=float), axis=1) for exp in exponents]
-    return np.column_stack(cols)
+    out = np.ones((pts.shape[0], len(exponents)))
+    for col, exp in zip(out.T, exponents):
+        for axis in np.repeat(np.arange(len(exp)), exp):
+            col *= pts[:, axis]
+    return out
 
 
 def solve_augmented(points: PointSet, values, kernel: Kernel, eps: float = 1.0,

@@ -385,8 +385,7 @@ class GrowthReport:
 
 
 def incremental_growth(kernel: Kernel, domain: Domain, density: Density,
-                       n_max: int, seed: int, tau: float = 1e-12,
-                       eps: float = 1.0) -> GrowthReport:
+                       n_max: int, seed: int) -> GrowthReport:
     """Grow a random configuration one point at a time, cross-checking routes.
 
     At each step the bordered determinant at the incoming point (automatic
@@ -397,7 +396,9 @@ def incremental_growth(kernel: Kernel, domain: Domain, density: Density,
     grown matrix's LU determinant is nonzero: exp(log|det|) underflowed, so
     the two routes were not compared.  The determinant sign chain covers
     sizes 2 through n_max.  The grown system of one step is the base system
-    of the next, so every prefix is assembled and diagnosed once.  ValueError, as from
+    of the next, so every prefix is assembled and diagnosed once, at the
+    defaults of assemble and BorderedSystem (scale 1, tau 1e-12), which the
+    echoed configuration reads off the last system.  ValueError, as from
     BorderedSystem.determinant, once a determinant exceeds double range.
     """
     if n_max < 2:
@@ -405,7 +406,7 @@ def incremental_growth(kernel: Kernel, domain: Domain, density: Density,
     pts = sample(domain, density, int(n_max), seed).points
 
     def prefix_system(n: int) -> BorderedSystem:
-        return BorderedSystem(assemble(PointSet(pts[:n]), kernel, eps), tau)
+        return BorderedSystem(assemble(PointSet(pts[:n]), kernel))
 
     steps = []
     det_signs = []
@@ -428,5 +429,6 @@ def incremental_growth(kernel: Kernel, domain: Domain, density: Density,
         det_signs.append(sign)
         system = grown
 
-    config = _run_config(kernel, eps, domain, density, {"n_max": int(n_max)}, seed, tau)
+    config = _run_config(kernel, system.base.epsilon, domain, density, {"n_max": int(n_max)},
+                         seed, system.base_diagnostics.rel_threshold)
     return GrowthReport(config=config, steps=tuple(steps), det_signs=tuple(det_signs))

@@ -21,6 +21,7 @@ from polyharm import (
     InterpolationModel,
     ThinPlateSpline,
     Uniform,
+    cli,
     make_rng,
     read_points_csv,
     sample,
@@ -165,6 +166,45 @@ def test_unwritable_second_output_leaves_no_output_behind(run_cli, tmp_path, mon
     assert err.startswith("error: [Errno 2] No such file or directory: 'missing/")
     assert err.count("\n") == 1
     assert [p.name for p in tmp_path.iterdir()] == ["data.csv"]
+
+
+def _record_removals(monkeypatch) -> list:
+    # os.remove records its paths and deletes nothing, so no test can unlink a device
+    removed = []
+    monkeypatch.setattr(os, "remove", removed.append)
+    return removed
+
+
+def test_output_cleanup_never_removes_a_device(run_cli, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    make_data_csv(tmp_path / "data.csv")
+    removed = _record_removals(monkeypatch)
+    code, out, err = run_cli(["interp", "--kernel", "tps:k=1", "--points", "data.csv",
+                              "--eval", "data.csv", "--out", os.devnull,
+                              "--pred", "missing/pred.csv"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: [Errno 2] No such file or directory: 'missing/")
+    assert removed == []
+
+
+def test_output_cleanup_removes_a_failing_output_it_created(run_cli, tmp_path, monkeypatch):
+    def write_then_fail(path, points, values):
+        with open(path, "w") as handle:
+            handle.write("x1,x2,value\n")
+        raise OSError("disk full")
+
+    monkeypatch.chdir(tmp_path)
+    make_data_csv(tmp_path / "data.csv")
+    monkeypatch.setattr(cli, "write_points_csv", write_then_fail)
+    removed = _record_removals(monkeypatch)
+    argv = ["interp", "--kernel", "tps:k=1", "--points", "data.csv", "--eval", "data.csv",
+            "--out", "model.json", "--pred", "pred.csv"]
+    assert run_cli(argv) == (1, "", "error: disk full\n")
+    assert removed == ["model.json", "pred.csv"]
+    # a failing output that was there before the run is not this run's to delete
+    removed.clear()
+    assert run_cli(argv) == (1, "", "error: disk full\n")
+    assert removed == ["model.json"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -579,6 +619,8 @@ def test_scale_check_takes_the_dimension_of_its_domain(run_cli):
 @pytest.mark.parametrize("argv, option", [
     (["counterexample", "--dim", "2", "--n", "5", "--k", "2"], "--k 2"),
     (["field", "--kernel", "tps:k=1", "--n", "5", "--dim", "2", "--out", "f.csv"], "--dim 2"),
+    (["counterexample", "--dim", "2", "--n", "5", "--eps", "0.5"], "--eps 0.5"),
+    (["counterexample", "--dim", "2", "--n", "5", "--tau", "1e-3"], "--tau 1e-3"),
 ])
 def test_removed_options_are_usage_errors(run_cli, tmp_path, monkeypatch, argv, option):
     monkeypatch.chdir(tmp_path)

@@ -136,9 +136,8 @@ def test_monomial_matrix_small_case():
 
 
 def test_monomial_matrix_squares_one_dimensional_points_exactly():
-    # each exponent is its own pow, so a 1-d square is x * x; one pow of the points against
-    # the whole exponent array can take x**2 from a vectorized pow that is not correctly
-    # rounded, and then the bits of 1-d tailed fits and predictions move
+    # a 1-d square is x * x; a vectorized pow of the points can give an x**2 that is not
+    # correctly rounded, and then the bits of 1-d tailed fits and predictions move
     rng = np.random.default_rng(12)
     for m in (1, 5, 256, 1000, 5000):
         x = rng.standard_normal((m, 1)) * rng.choice([1e-3, 1.0, 1e3], size=(m, 1))
@@ -147,6 +146,15 @@ def test_monomial_matrix_squares_one_dimensional_points_exactly():
         assert (out[:, 0] == 1.0).all()
         assert out[:, 1].tobytes() == x[:, 0].tobytes()
         assert out[:, 2].tobytes() == (x[:, 0] * x[:, 0]).tobytes()
+
+
+@pytest.mark.parametrize("d, degree", [(2, 2), (3, 2), (2, 3), (3, 3)])
+def test_monomial_matrix_is_the_left_to_right_product_of_its_factors(d, degree):
+    # one Python float product per entry: 1.0 times coordinate 1's factors, then coordinate 2's
+    pts = np.random.default_rng(13).uniform(-2.0, 2.0, (2000, d))
+    want = [[math.prod([x for x, p in zip(row, exp) for _ in range(p)], start=1.0)
+             for exp in monomial_exponents(d, degree)] for row in pts.tolist()]
+    assert monomial_matrix(pts, degree).tobytes() == np.array(want).tobytes()
 
 
 def test_solve_augmented_default_degree_and_moments():

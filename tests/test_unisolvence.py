@@ -1,6 +1,7 @@
 """Bordered determinants, Monte Carlo harness and growth induction."""
 
 import concurrent.futures
+import inspect
 import json
 import math
 import warnings
@@ -352,6 +353,14 @@ def test_incremental_growth_first_step_uses_direct_route():
     r = float(np.linalg.norm(pts[1] - pts[0]))
     expected = pair_determinant(ThinPlateSpline(1).value(r))
     assert report.steps[0].f_value == pytest.approx(expected, rel=1e-12)
+
+
+def test_incremental_growth_takes_no_scale_or_threshold():
+    # every prefix is built at scale 1 and tau 1e-12, and the echo reads both off the systems
+    params = list(inspect.signature(incremental_growth).parameters)
+    assert params == ["kernel", "domain", "density", "n_max", "seed"]
+    config = incremental_growth(ThinPlateSpline(1), unit_box(2), Uniform(), 3, 3).config
+    assert (config["epsilon"], config["tau"]) == (1.0, 1e-12)
 
 
 def test_incremental_growth_validation():

@@ -41,7 +41,8 @@ satellites renormalization alone cannot place, one of them also beyond
 single ulp steps, and one far from it whose 7th satellite only the third
 search round, sized from the rounding window, places; a verify whose size
 cannot be allocated; verify, field and interp runs whose second output
-cannot be written; and the other subcommand paths) and library calls whose results are written as JSON or
+cannot be written; a tps:k=2 interp whose tail has degree 2; and the other subcommand
+paths) and library calls whose results are written as JSON or
 raw array bytes, among them a cardinal_values query too far to measure.  ``repr`` of library objects is
 not an output contract and is left out.  A warning is printed with the
 path of a polyharm module relative to the checkout's ``src/``, so the
@@ -308,6 +309,9 @@ RUNS = {
         TruncatedGaussian(mean=(0.0, 0.0), sd=(0.5, 0.5)), 40, 5)),
     "interp_aug": (_data_csv, ["interp", "--kernel", "tps:k=1", "--augment", "poly",
                                "--points", "data.csv", "--out", "model.json"]),
+    "interp_aug_deg2": (_data_csv, ["interp", "--kernel", "tps:k=2", "--augment", "poly",
+                                    "--points", "data.csv", "--eval", "data.csv",
+                                    "--pred", "pred.csv", "--out", "model.json"]),
     "interp_eval": (_interp_eval_inputs, [
         "interp", "--kernel", "tps:k=1", "--augment", "poly", "--points", "nodes.csv",
         "--eval", "queries.csv", "--pred", "pred.csv", "--out", "model.json"]),
