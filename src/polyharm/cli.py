@@ -250,21 +250,21 @@ def cmd_interp(args) -> int:
     if values is None:
         raise ValueError(f"{args.points}: interp requires a value column")
     degree = _augment_degree(args.augment, kernel)
+    if degree is None:
+        model = solve_unaugmented(points, values, kernel, args.eps)
+    else:
+        model = solve_augmented(points, values, kernel, args.eps, degree)
     config = {
         "command": "interp",
         "kernel": kernel_spec(kernel),
         "epsilon": float(args.eps),
         "points": str(args.points),
         "augment": None if degree is None else f"poly:{degree}",
-        "tau": float(args.tau),
+        "tau": model.diagnostics.rel_threshold,
         "out": args.out,
         "eval": args.eval,
         "pred": args.pred,
     }
-    if degree is None:
-        model = solve_unaugmented(points, values, kernel, args.eps, args.tau)
-    else:
-        model = solve_augmented(points, values, kernel, args.eps, degree, args.tau)
 
     # evaluated before any file is written, so a failed query leaves no output behind
     if args.eval:
@@ -297,7 +297,7 @@ def cmd_verify(args) -> int:
     n_list = [_integral(v, "size in --n") for v in _parse_floats(args.n, "size list")]
     seed = _resolve_seed(args.seed)
     report = monte_carlo(kernel, domain, density, n_list, args.trials, seed,
-                         tau=args.tau, eps=args.eps, threads=args.threads)
+                         tau=args.tau, threads=args.threads)
     exploratory = _is_exploratory(kernel, domain.dimension)
     if exploratory:
         print("EXPLORATORY: no nonsingularity assertion for this configuration "
@@ -376,14 +376,13 @@ def cmd_scale_check(args) -> int:
         values = make_rng(mix_seed(seed, 1)).standard_normal(points.n)
     elif values is None:
         raise ValueError(f"{args.points}: scale-check requires a value column")
-    report = scale_invariance_check(points, values, kernel, eps_list,
-                                    degree=degree, tau=args.tau)
+    report = scale_invariance_check(points, values, kernel, eps_list, degree=degree)
     config = {
         "command": "scale-check",
         "kernel": kernel_spec(kernel),
         "eps_list": [float(v) for v in eps_list],
         "augment": None if degree is None else f"poly:{degree}",
-        "tau": float(args.tau),
+        "tau": 1e-12,  # the threshold of every fit of scale_invariance_check
         "source": source,
     }
     _emit({"command": "scale-check", "config": config, "report": report.to_dict()})
@@ -515,7 +514,12 @@ def cmd_field(args) -> int:
     if not (math.isfinite(gx1 - gx0) and math.isfinite(gy1 - gy0)):
         raise ValueError("bad --grid: the spans x1 - x0 and y1 - y0 must be finite")
 
-    system = BorderedSystem(assemble(points, kernel, args.eps), args.tau)
+    system = BorderedSystem(assemble(points, kernel, args.eps))
+    base = system.base_diagnostics
+    # the Schur route scales every value by det(base): one that reads 0.0 would zero the field
+    if not base.singular_verdict and math.exp(min(base.log_abs_det, 0.0)) == 0.0:
+        raise ValueError(f"bordered determinant below double range: log|det| of the base "
+                         f"matrix is {base.log_abs_det!r}, so its determinant reads 0.0")
     xs = np.linspace(gx0, gx1, nx)
     ys = np.linspace(gy0, gy1, ny)
     field = system.grid(xs, ys)
@@ -524,7 +528,7 @@ def cmd_field(args) -> int:
         "command": "field",
         "kernel": kernel_spec(kernel),
         "epsilon": float(args.eps),
-        "tau": float(args.tau),
+        "tau": base.rel_threshold,
         "source": source,
         "grid": [gx0, gx1, gy0, gy1, nx, ny],
         "out": str(args.out),
@@ -542,7 +546,7 @@ def cmd_field(args) -> int:
             "n_nodes": points.n,
             "min_value": float(field.min()),
             "max_value": float(field.max()),
-            "base_diagnostics": system.base_diagnostics.to_dict(),
+            "base_diagnostics": base.to_dict(),
         },
         "outputs": {"csv": str(args.out), "svg": args.svg},
     }
@@ -563,7 +567,6 @@ def build_parser() -> _Parser:
     p.add_argument("--points", required=True, help="CSV with header x1,..,xd,value")
     p.add_argument("--eps", type=float, default=1.0, help="scale parameter (default 1)")
     p.add_argument("--augment", default=None, help="poly or poly:<degree>")
-    p.add_argument("--tau", type=float, default=1e-12)
     p.add_argument("--out", default=None, help="write the model JSON here")
     p.add_argument("--eval", default=None, help="CSV of query points to evaluate")
     p.add_argument("--pred", default=None, help="write predictions CSV here")
@@ -578,7 +581,6 @@ def build_parser() -> _Parser:
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--tau", type=float, default=1e-12)
-    p.add_argument("--eps", type=float, default=1.0)
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", default=None, help="write the JSON report here")
     p.add_argument("--csv", default=None, help="write per-trial records CSV here")
@@ -600,7 +602,6 @@ def build_parser() -> _Parser:
     p.add_argument("--domain", default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--augment", default=None, help="poly or poly:<degree>")
-    p.add_argument("--tau", type=float, default=1e-12)
     p.set_defaults(func=cmd_scale_check)
 
     p = sub.add_parser("field", help="bordered-determinant field on a planar lattice")
@@ -610,7 +611,6 @@ def build_parser() -> _Parser:
     p.add_argument("--domain", default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--eps", type=float, default=1.0)
-    p.add_argument("--tau", type=float, default=1e-12)
     p.add_argument("--grid", default=None, help="x0,x1,y0,y1,nx,ny")
     p.add_argument("--out", required=True, help="write the field CSV here")
     p.add_argument("--svg", default=None, help="write a contour-band SVG here")

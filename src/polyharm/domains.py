@@ -603,21 +603,22 @@ def write_points_csv(path, points, values=None) -> None:
         handle.writelines(_csv_lines(header, table, "\r\n", values))
 
 
-def _float_rejected_space(path: Path) -> bool:
-    # whether the file holds one of \x1c-\x1f, which str.strip() and NumPy's tokenizer
-    # strip from a field and float() rejects; read 64 KiB at a time
-    with open(path, "rb") as raw:
-        return any(any(c in chunk for c in (b"\x1c", b"\x1d", b"\x1e", b"\x1f"))
-                   for chunk in iter(partial(raw.read, 1 << 16), b""))
+def _float_rejected_space(handle) -> bool:
+    # whether the text file holds one of \x1c-\x1f, which str.strip() and NumPy's tokenizer
+    # strip from a field and float() rejects; its bytes from the start, 64 KiB at a time
+    # (decoded, the scan took 6x as long), so the handle must seek to 0 before it reads again
+    handle.seek(0)
+    return any(any(c in chunk for c in (b"\x1c", b"\x1d", b"\x1e", b"\x1f"))
+               for chunk in iter(partial(handle.buffer.read, 1 << 16), b""))
 
 
-def _scan_rows(path: Path, width: int) -> np.ndarray:
+def _scan_rows(reader, rows, width: int, path) -> np.ndarray:
     # the rows after the header through csv.reader and float() in one streamed pass;
     # the first ragged row is named, else the first row with a non-numeric field, each by
     # the reader's line_num: its (last) line in the file, blank lines counted
     ragged = non_numeric = None
 
-    def fields(reader, rows):
+    def fields():
         nonlocal ragged, non_numeric
         for row in rows:
             i = reader.line_num
@@ -630,11 +631,7 @@ def _scan_rows(path: Path, width: int) -> np.ndarray:
                 except ValueError:
                     non_numeric = f"row {i} contains a non-numeric field"
 
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        rows = filter(None, reader)
-        next(rows)  # the header
-        data = np.fromiter(chain.from_iterable(fields(reader, rows)), float)
+    data = np.fromiter(chain.from_iterable(fields()), float)
     if ragged or non_numeric:
         raise ValueError(f"{path}: {ragged or non_numeric}")
     return data.reshape(-1, width)
@@ -643,24 +640,30 @@ def _scan_rows(path: Path, width: int) -> np.ndarray:
 def read_points_csv(path) -> tuple[PointSet, np.ndarray | None]:
     """Read a points CSV with header x1,...,xd and optional value column.
 
-    The header is read with csv.reader.  The body goes from the same handle
-    through NumPy's C tokenizer (np.loadtxt), which takes one line at a time
-    and parses each field with PyOS_string_to_double, the correctly rounded
-    routine behind float(), so memory beyond the result array stays small.
-    The body is scanned again with csv.reader and float() when loadtxt
+    The input is opened once, so it may be a pipe or a FIFO, such as
+    /dev/stdin.  The header is read with csv.reader.  From a seekable file
+    the body goes from the same handle through NumPy's C tokenizer
+    (np.loadtxt), which takes one line at a time and parses each field with
+    PyOS_string_to_double, the correctly rounded routine behind float(), so
+    memory beyond the result array stays small.  The body is scanned again,
+    from the start of the handle, with csv.reader and float() when loadtxt
     raises ValueError, when it finds the wrong number of columns, and when
     the file holds one of the characters \\x1c-\\x1f, which loadtxt strips
-    from a field and float() does not.  That scan is one streamed pass, so
-    memory beyond the result stays small on both paths; it names the first
-    ragged row, else the first non-numeric one, by its line in the file
-    (blank lines counted, the first line is 1), and reads what only float()
-    accepts, such as 1_000, so every field is read as float() reads it.
-    Blank lines are skipped; non-finite values are rejected.  Returns the
-    point set and the value column or None when absent.
+    from a field and float() does not.  An input that cannot seek, such as
+    a pipe, takes that scan alone, continuing the header's reader.  The
+    scan is one streamed pass, so memory beyond the result stays small on
+    every path; it names the first ragged row, else the first non-numeric
+    one, by its line in the input (blank lines counted, the first line is
+    1), and reads what only float() accepts, such as 1_000, so every field
+    is read as float() reads it, from a file and from a pipe alike.  Blank
+    lines are skipped; non-finite values are rejected.  Returns the point
+    set and the value column or None when absent.
     """
     path = Path(path)
     with open(path, newline="") as handle:
-        header = next((row for row in csv.reader(handle) if row), None)
+        reader = csv.reader(handle)
+        rows = filter(None, reader)
+        header = next(rows, None)
         if header is None:
             raise ValueError(f"{path}: empty points file")
         header = [h.strip().lower() for h in header]
@@ -671,17 +674,26 @@ def read_points_csv(path) -> tuple[PointSet, np.ndarray | None]:
             raise ValueError(
                 f"{path}: header must be x1,...,xd with an optional trailing value column")
         width = d + 1 if has_values else d
-        # loadtxt warns on an empty body, so the first data line is found here
-        first = next((line for line in handle if line.strip("\r\n")), None)
-        if first is None:
-            raise ValueError(f"{path}: no data rows")
-        try:
-            data = np.loadtxt(chain([first], handle), delimiter=",", comments=None,
-                              quotechar='"', ndmin=2)
-        except ValueError:
-            data = None
-    if data is None or data.shape[1] != width or _float_rejected_space(path):
-        data = _scan_rows(path, width)
+        if handle.seekable():
+            # loadtxt warns on an empty body, so the first data line is found here
+            first = next((line for line in handle if line.strip("\r\n")), None)
+            if first is None:
+                raise ValueError(f"{path}: no data rows")
+            try:
+                data = np.loadtxt(chain([first], handle), delimiter=",", comments=None,
+                                  quotechar='"', ndmin=2)
+            except ValueError:
+                data = None
+            if data is None or data.shape[1] != width or _float_rejected_space(handle):
+                handle.seek(0)
+                reader = csv.reader(handle)
+                rows = filter(None, reader)
+                next(rows)  # the header
+                data = _scan_rows(reader, rows, width, path)
+        else:
+            data = _scan_rows(reader, rows, width, path)
+            if not len(data):
+                raise ValueError(f"{path}: no data rows")
     if not np.isfinite(data).all():
         raise ValueError(f"{path}: non-finite value in data rows")
     return PointSet(data[:, :d]), (data[:, d].copy() if has_values else None)

@@ -150,7 +150,7 @@ def _check_values(values, n: int) -> np.ndarray:
     return arr
 
 
-def _solve(matrix: np.ndarray, rhs: np.ndarray, tau: float, what: str, n: int):
+def _solve(matrix: np.ndarray, rhs: np.ndarray, what: str, n: int, tau: float = 1e-12):
     # n is the size of the leading kernel block; a singular verdict names its zero rows
     diag = diagnostics(matrix, tau)
     if diag.singular_verdict:
@@ -224,7 +224,7 @@ def solve_augmented(points: PointSet, values, kernel: Kernel, eps: float = 1.0,
     return _fit(points, values, kernel, eps, degree, tau)[0]
 
 
-def _fit(points: PointSet, values, kernel: Kernel, eps, degree, tau) -> tuple:
+def _fit(points: PointSet, values, kernel: Kernel, eps, degree, tau=1e-12) -> tuple:
     # the plain (degree None) or tailed solve, also returning the kernel matrix it assembled
     if degree is not None:
         degree = int(degree)
@@ -245,7 +245,7 @@ def _fit(points: PointSet, values, kernel: Kernel, eps, degree, tau) -> tuple:
         system = np.block([[system, poly], [poly.T, np.zeros((p, p))]])
         rhs = np.concatenate([rhs, np.zeros(p)])
         what = "augmented interpolation matrix"
-    solution, diag = _solve(system, rhs, tau, what, n)
+    solution, diag = _solve(system, rhs, what, n, tau)
     tail = None if degree is None else PolynomialTail(degree=degree, coefficients=solution[n:])
     return InterpolationModel(points=points, kernel=kernel, epsilon=matrix.epsilon,
                               coefficients=solution[:n], tail=tail, diagnostics=diag), matrix
@@ -319,22 +319,22 @@ def evaluate(model: InterpolationModel, queries) -> np.ndarray:
     return out
 
 
-def cardinal_values(points: PointSet, kernel: Kernel, eps: float, queries,
-                    tau: float = 1e-12) -> np.ndarray:
+def cardinal_values(points: PointSet, kernel: Kernel, eps: float, queries) -> np.ndarray:
     """Values of all cardinal interpolants at the query points.
 
     Entry (i, j) is the value at query i of the interpolant that is 1 at
-    node j and 0 at every other node.  Rows sum to 1 only where constants
-    are reproduced; no such claim is made here.  Queries and far values are
-    taken as evaluate takes them: ValueError for queries that are not an
-    (m, d) array, and naming the first query whose value is not finite,
-    with no warning on the way.
+    node j and 0 at every other node; the kernel matrix is diagnosed at
+    relative threshold 1e-12, the default of the solvers.  Rows sum to 1
+    only where constants are reproduced; no such claim is made here.
+    Queries and far values are taken as evaluate takes them: ValueError for
+    queries that are not an (m, d) array, and naming the first query whose
+    value is not finite, with no warning on the way.
     """
     q = _query_array(queries, points.dimension)
     matrix = assemble(points, kernel, eps)
     with np.errstate(over="ignore", invalid="ignore"):
         rows = _kernel_rows(matrix, q)
-        values = _solve(matrix.entries, rows.T, tau, "interpolation matrix", points.n)[0].T
+        values = _solve(matrix.entries, rows.T, "interpolation matrix", points.n)[0].T
     _check_finite_values(values, q)
     return values
 
@@ -404,14 +404,15 @@ def _invariance_bounds(kernel: Kernel, degree: Optional[int]) -> tuple:
 
 def scale_invariance_check(points: PointSet, values, kernel: Kernel,
                            eps_list: Sequence[float], degree: Optional[int] = None,
-                           queries=None, tau: float = 1e-12) -> ScaleInvarianceReport:
+                           queries=None) -> ScaleInvarianceReport:
     """Solve the same interpolation problem at several scales and compare.
 
     Requires at least two scales and at least one query, taken as evaluate
-    takes them (default_query_points when None).  Singularity at any scale
-    propagates as SingularSystemError.  The report asserts a deviation bound
-    only for the combinations with a scale-invariance guarantee; everything
-    else is measured and reported as-is.
+    takes them (default_query_points when None).  Each fit is diagnosed at
+    relative threshold 1e-12, the default of the solvers, and singularity at
+    any scale propagates as SingularSystemError.  The report asserts a
+    deviation bound only for the combinations with a scale-invariance
+    guarantee; everything else is measured and reported as-is.
     """
     scales = tuple(float(e) for e in eps_list)
     if len(scales) < 2:
@@ -424,7 +425,7 @@ def scale_invariance_check(points: PointSet, values, kernel: Kernel,
     surfaces = []
     conditions = []
     for eps in scales:
-        model, matrix = _fit(points, values, kernel, eps, degree, tau)
+        model, matrix = _fit(points, values, kernel, eps, degree)
         # with a tail, model.diagnostics belongs to the saddle matrix, not the kernel matrix
         conditions.append(model.diagnostics.condition if degree is None
                           else _sigma_extremes(matrix.entries)[2])

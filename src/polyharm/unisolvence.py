@@ -283,10 +283,10 @@ def _run_config(kernel: Kernel, eps: float, domain: Domain, density: Density,
 
 
 def _run_trial(kernel: Kernel, domain: Domain, density: Density, n: int, trial: int,
-               master_seed: int, tau: float, eps: float) -> tuple[TrialRecord, bool]:
+               master_seed: int, tau: float) -> tuple[TrialRecord, bool]:
     substream = mix_seed(master_seed, n, trial)
     points = sample(domain, density, n, substream)
-    diag = diagnostics(assemble(points, kernel, eps).entries, tau)
+    diag = diagnostics(assemble(points, kernel).entries, tau)
     return TrialRecord(
         n=n,
         trial=trial,
@@ -301,15 +301,17 @@ def _run_trial(kernel: Kernel, domain: Domain, density: Density, n: int, trial: 
 
 def monte_carlo(kernel: Kernel, domain: Domain, density: Density,
                 n_list: Sequence[int], trials: int, seed: int,
-                tau: float = 1e-12, eps: float = 1.0, threads: int = 1) -> UnisolvenceReport:
+                tau: float = 1e-12, threads: int = 1) -> UnisolvenceReport:
     """Random-node nonsingularity experiment.
 
     For every size n in n_list (sizes must be distinct) and trial index t,
     a point set is drawn from the substream mix_seed(seed, n, t), its kernel
-    matrix is assembled and diagnosed, and the singularity verdicts are
-    aggregated per size.  The report is a pure function of the
-    configuration; threads only caps the number of concurrent workers (so
-    do the task and core counts) and never changes the output.
+    matrix is assembled at scale 1 (the default of assemble, which the
+    echoed configuration holds) and diagnosed at relative threshold tau, and
+    the singularity verdicts are aggregated per size.  The report is a pure
+    function of the configuration; threads only caps the number of
+    concurrent workers (so do the task and core counts) and never changes
+    the output.
     """
     n_values = [int(n) for n in n_list]
     if not n_values or any(n < 1 for n in n_values):
@@ -326,7 +328,7 @@ def monte_carlo(kernel: Kernel, domain: Domain, density: Density,
 
     def work(task):
         n, t = task
-        return _run_trial(kernel, domain, density, n, t, seed, tau, eps)
+        return _run_trial(kernel, domain, density, n, t, seed, tau)
 
     # more workers than tasks or cores only adds OS threads
     workers = min(threads, len(tasks), os.cpu_count() or 1)
@@ -352,7 +354,7 @@ def monte_carlo(kernel: Kernel, domain: Domain, density: Density,
             max_condition=float(max(r.condition for r, _ in subset)),
         ))
 
-    config = _run_config(kernel, eps, domain, density,
+    config = _run_config(kernel, 1.0, domain, density,
                          {"n_list": n_values, "trials": trials}, seed, tau)
     return UnisolvenceReport(config=config, aggregates=tuple(aggregates),
                              records=tuple(r for r, _ in results))

@@ -621,6 +621,13 @@ def test_scale_check_takes_the_dimension_of_its_domain(run_cli):
     (["field", "--kernel", "tps:k=1", "--n", "5", "--dim", "2", "--out", "f.csv"], "--dim 2"),
     (["counterexample", "--dim", "2", "--n", "5", "--eps", "0.5"], "--eps 0.5"),
     (["counterexample", "--dim", "2", "--n", "5", "--tau", "1e-3"], "--tau 1e-3"),
+    (["interp", "--kernel", "tps:k=1", "--points", "data.csv", "--tau", "1e-9"], "--tau 1e-9"),
+    (["scale-check", "--kernel", "tps:k=1", "--eps", "1,2", "--dim", "2", "--n", "5",
+      "--tau", "1e-9"], "--tau 1e-9"),
+    (["field", "--kernel", "tps:k=1", "--n", "5", "--out", "f.csv", "--tau", "1e-9"],
+     "--tau 1e-9"),
+    (["verify", "--kernel", "tps:k=1", "--dim", "2", "--n", "5", "--trials", "1",
+      "--eps", "0.5"], "--eps 0.5"),
 ])
 def test_removed_options_are_usage_errors(run_cli, tmp_path, monkeypatch, argv, option):
     monkeypatch.chdir(tmp_path)
@@ -628,6 +635,45 @@ def test_removed_options_are_usage_errors(run_cli, tmp_path, monkeypatch, argv, 
     assert (code, out) == (1, "")
     assert err.endswith(f"error: unrecognized arguments: {option}\n")
     assert err.count("error:") == 1 and err.startswith("usage: polyharm ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_fixed_scale_and_threshold_are_echoed(run_cli, tmp_path, monkeypatch):
+    # every command diagnoses at tau 1e-12 and verify assembles at scale 1; verify keeps --tau
+    monkeypatch.chdir(tmp_path)
+    make_data_csv("data.csv")
+    runs = {
+        "interp": ["interp", "--kernel", "tps:k=1", "--points", "data.csv"],
+        "scale-check": ["scale-check", "--kernel", "rp:nu=1.5", "--eps", "1,2", "--points",
+                        "data.csv"],
+        "field": ["field", "--kernel", "tps:k=1", "--points", "data.csv", "--grid=0,1,0,1,3,3",
+                  "--out", "f.csv"],
+        "verify": ["verify", "--kernel", "tps:k=1", "--dim", "2", "--n", "5", "--trials", "1"],
+    }
+    for command, argv in runs.items():
+        code, out, err = run_cli(argv)
+        assert (code, err) == (0, ""), command
+        assert json.loads(out)["config"]["tau"] == 1e-12
+    assert json.loads(out)["config"]["epsilon"] == 1.0
+    code, out, _ = run_cli(runs["verify"] + ["--tau", "0.5"])
+    assert (code, json.loads(out)["config"]["tau"]) == (2, 0.5)
+
+
+@pytest.mark.parametrize("argv, log_abs_det", [
+    (["field", "--kernel", "tps:k=1", "--n", "200", "--seed", "7", "--grid=0,1,0,1,8,8"],
+     "-1024.2"),
+    (["field", "--kernel", "rp:nu=1.5", "--n", "200", "--seed", "3", "--grid=0,1,0,1,16,16",
+      "--svg", "field.svg"], "-915.4"),
+], ids=["tps1", "rp15"])
+def test_field_refuses_a_base_whose_determinant_underflows(run_cli, tmp_path, monkeypatch,
+                                                           argv, log_abs_det):
+    # the base is nonsingular, but exp(log|det|) reads 0.0, which would zero every value
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(argv + ["--out", "field.csv"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: bordered determinant below double range: log|det| of the "
+                          f"base matrix is {log_abs_det}")
+    assert err.endswith(", so its determinant reads 0.0\n") and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
 
 

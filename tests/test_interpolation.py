@@ -1,5 +1,6 @@
 """Matrix assembly, solves, polynomial tails and scale invariance."""
 
+import inspect
 import json
 import math
 import os
@@ -405,3 +406,9 @@ def test_a_query_whose_value_overflows_is_named():
     values = evaluate(model, near)
     assert np.isfinite(values).all()
     assert values.tobytes() == whole_evaluate(model, near, fixed_order=True).tobytes()
+
+
+def test_cardinal_values_and_scale_invariance_check_take_no_threshold():
+    # both diagnose every fit at tau 1e-12, the default of the solvers
+    assert "tau" not in inspect.signature(cardinal_values).parameters
+    assert "tau" not in inspect.signature(scale_invariance_check).parameters

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -80,6 +81,38 @@ def test_reader_matches_the_row_scan_reader(tmp_path, name, newline):
     assert outcome(read_points_csv, path) == outcome(row_scan_points_csv, path)
 
 
+def piped_outcome(body: bytes, file_path):
+    """outcome() of the body read from a pipe, with the pipe's path spelled as file_path."""
+    # the body fits in the pipe's buffer, so it is written whole before the reader opens it
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, body)
+        os.close(write_end)
+        source = f"/dev/fd/{read_end}"
+        result = outcome(read_points_csv, source)
+    finally:
+        os.close(read_end)
+    if result[0] == "error":
+        return result[:2] + (result[2].replace(source, str(file_path)),)
+    return result
+
+
+posix_only = pytest.mark.skipif(sys.platform == "win32", reason="needs /dev/fd and FIFOs")
+
+
+@posix_only
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+@pytest.mark.parametrize("name", sorted(TRICKY_BODIES))
+def test_reader_reads_a_pipe_as_it_reads_a_file(tmp_path, name, newline):
+    # a pipe cannot seek, so its body takes the csv.reader and float() scan alone
+    body = newline.join(TRICKY_BODIES[name])
+    if name not in ("empty", "no_final_line_end"):
+        body += newline
+    path = tmp_path / f"{name}.csv"
+    path.write_bytes(body.encode())
+    assert piped_outcome(body.encode(), path) == outcome(read_points_csv, path)
+
+
 def spelled_cell(draw, value):
     # repr of a finite float, padded with spaces or with one _ between two digits
     text = repr(value)
@@ -127,6 +160,66 @@ def test_reader_matches_the_row_scan_reader_on_generated_bodies(body):
         assert outcome(read_points_csv, path) == outcome(row_scan_points_csv, path)
 
 
+@posix_only
+@settings(max_examples=100, deadline=None, database=None)
+@given(points_csv_bodies())
+def test_reader_reads_generated_bodies_from_a_pipe_as_from_a_file(body):
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "points.csv"
+        path.write_bytes(body)
+        assert piped_outcome(body, path) == outcome(read_points_csv, path)
+
+
+def cli_run(argv, cwd, stdin=None):
+    """(exit code, stdout, stderr) of the command line in a subprocess, which a hang cannot stop
+    for more than 30 s."""
+    src = str(Path(polyharm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-m", "polyharm.cli", *argv], cwd=cwd, input=stdin,
+                          capture_output=True, env=env, timeout=30)
+    return done.returncode, done.stdout, done.stderr
+
+
+@posix_only
+def test_interp_reads_its_points_from_a_fifo(tmp_path):
+    # a FIFO gives its bytes to one open only: a second open waits for a writer that never comes
+    body = b"x1,x2,value\n0.25,0.5,1.5\n0.75,0.125,-2\n0.5,0.875,0.25\n0.1,0.2,3\n"
+    nodes = tmp_path / "nodes.csv"
+    nodes.write_bytes(body)
+    argv = ["interp", "--kernel", "rp:nu=1", "--points", "nodes.csv"]
+    from_file = cli_run(argv, tmp_path)
+    assert from_file[0] == 0
+    nodes.unlink()
+    os.mkfifo(nodes)
+
+    def feed():
+        with open(nodes, "wb") as fifo:
+            fifo.write(body)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    assert cli_run(argv, tmp_path) == from_file
+    writer.join(timeout=30)
+    assert not writer.is_alive()
+
+
+@posix_only
+@pytest.mark.parametrize("row", [b"0.5,bar,1", b"1_000,0.5,1", b"0.5,0.5,1\x1c"],
+                         ids=["non_numeric", "underscore", "separator"])
+def test_interp_reads_stdin_as_it_reads_a_file(tmp_path, row):
+    # the same exit code, stdout and stderr, up to the name of the input
+    body = b"x1,x2,value\n0.25,0.5,1.5\n" + row + b"\n0.75,0.125,-2\n0.1,0.2,3\n"
+    (tmp_path / "nodes.csv").write_bytes(body)
+    from_file = cli_run(["interp", "--kernel", "rp:nu=1", "--points", "nodes.csv"], tmp_path)
+    code, out, err = cli_run(["interp", "--kernel", "rp:nu=1", "--points", "/dev/stdin"],
+                             tmp_path, stdin=body)
+    assert (code, out.replace(b"/dev/stdin", b"nodes.csv"),
+            err.replace(b"/dev/stdin", b"nodes.csv")) == from_file
+    assert from_file[0] == (0 if row.startswith(b"1_000") else 1)
+    if from_file[0]:
+        assert from_file[2] == b"error: nodes.csv: row 3 contains a non-numeric field\n"
+
+
 def hard_decimal_strings():
     """Decimal spellings that only a correctly rounded parser reads exactly."""
     rng = np.random.default_rng(91)
@@ -156,7 +249,7 @@ def test_loadtxt_parses_fields_as_float_does():
     assert parsed[:, 0].tobytes() == np.array([float(s) for s in strings]).tobytes()
 
 
-def refuse_row_scan(path, width):
+def refuse_row_scan(*args):
     raise AssertionError("the body was scanned again with csv.reader and float()")
 
 

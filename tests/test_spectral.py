@@ -1,10 +1,13 @@
-"""The symmetric spectral pass: sigma = |eigenvalue|, checked against an SVD."""
+"""The symmetric spectral pass: sigma = |eigenvalue|, checked against an SVD and the theory."""
+
+import math
 
 import numpy as np
 import pytest
 
 from oracles import svd_sigma_extremes
 from polyharm import (
+    RadialPower,
     ThinPlateSpline,
     Uniform,
     assemble,
@@ -62,3 +65,28 @@ def test_non_symmetric_matrix_is_rejected():
 def test_diagnostics_rejects_bad_input_with_its_message(matrix, tau, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         diagnostics(matrix, tau)
+
+
+@pytest.mark.parametrize("spec", ["tps:k=1", "tps:k=2", "rp:nu=0.5", "rp:nu=1", "rp:nu=1.5",
+                                  "rp:nu=3"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_sign_and_inertia_follow_conditional_definiteness(spec, d):
+    # a kernel conditionally definite of order m makes (-1)^m A positive definite on the
+    # vectors orthogonal to the polynomials of degree < m, which span C(m - 1 + d, d)
+    # dimensions, so at most that many eigenvalues have a sign other than (-1)^m; for
+    # 0 < nu < 2 (m = 1) the zero trace leaves exactly one positive eigenvalue
+    kernel = parse_kernel(spec)
+    m = kernel.info().cpd_order
+    free = math.comb(m - 1 + d, d)
+    for n in (5, 20, 50, 100):
+        for seed in range(10):
+            matrix = assemble(random_points(n, d, 7000 + 100 * n + seed), kernel).entries
+            eigenvalues = np.linalg.eigvalsh(matrix)
+            scale = np.abs(eigenvalues).max()
+            assert np.abs(eigenvalues).min() > 1e-13 * n * scale  # every sign is resolved
+            negative = int((eigenvalues < 0.0).sum())
+            assert diagnostics(matrix).det_sign == (-1) ** negative, (n, seed)
+            wrong_sign = int((eigenvalues * (-1) ** m <= 0.0).sum())
+            assert wrong_sign <= free, (n, seed, wrong_sign)
+            if isinstance(kernel, RadialPower) and kernel.nu < 2.0:
+                assert (n - negative, negative) == (1, n - 1), (n, seed)

@@ -363,6 +363,15 @@ def test_incremental_growth_takes_no_scale_or_threshold():
     assert (config["epsilon"], config["tau"]) == (1.0, 1e-12)
 
 
+def test_monte_carlo_takes_no_scale():
+    # every trial is assembled at scale 1, which the echo holds; tau stays a setting
+    assert "eps" not in inspect.signature(monte_carlo).parameters
+    assert list(inspect.signature(unisolvence._run_trial).parameters) == [
+        "kernel", "domain", "density", "n", "trial", "master_seed", "tau"]
+    config = monte_carlo(ThinPlateSpline(1), unit_box(2), Uniform(), [4], 1, 3, tau=0.5).config
+    assert (config["epsilon"], config["tau"]) == (1.0, 0.5)
+
+
 def test_incremental_growth_validation():
     with pytest.raises(ValueError):
         incremental_growth(ThinPlateSpline(1), unit_box(2), Uniform(), 1, 3)

@@ -36,7 +36,8 @@ non-square field SVG of many lattice columns; a field whose 600-point
 lattice columns take three blocks of kernel rows, the last one short; a
 field on 150 nodes, whose 256-row blocks of kernel rows each take two
 distance chunks; a verify whose report holds 2,000 records; fields whose --grid span is not
-finite or whose lattice reaches a point too far to measure; counterexamples off the origin whose
+finite or whose lattice reaches a point too far to measure; a field whose nonsingular base
+has a determinant below double range; counterexamples off the origin whose
 satellites renormalization alone cannot place, one of them also beyond
 single ulp steps, and one far from it whose 7th satellite only the third
 search round, sized from the rounding window, places; a verify whose size
@@ -288,6 +289,8 @@ RUNS = {
     "field_svg_overflow": (None, ["field", "--kernel", "rp:nu=3", "--domain", "box:0,0,148,148",
                                   "--n", "80", "--seed", "1", "--grid=0,148,0,148,9,9",
                                   "--out", "f.csv", "--svg", "f.svg"]),
+    "field_underflow": (None, ["field", "--kernel", "tps:k=1", "--n", "200", "--seed", "7",
+                               "--grid=0,1,0,1,8,8", "--out", "field.csv"]),
     "field_svg_unwritable": (None, ["field", "--kernel", "tps:k=1", "--n", "5", "--seed", "1",
                                     "--grid=0,1,0,1,4,4", "--out", "field.csv",
                                     "--svg", "missing/field.svg"]),
