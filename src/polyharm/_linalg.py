@@ -20,6 +20,8 @@ __all__ = [
     "lu_sign_logabs",
 ]
 
+TAU = 1e-12  # the singularity threshold of diagnostics, so of every fit and bordered system
+
 
 @dataclass(frozen=True)
 class MatrixDiagnostics:
@@ -177,7 +179,7 @@ def _sigma_extremes(arr: np.ndarray) -> tuple[float, float, float]:
     return sigma_min, sigma_max, condition
 
 
-def diagnostics(matrix, tau: float = 1e-12) -> MatrixDiagnostics:
+def diagnostics(matrix, tau: float = TAU) -> MatrixDiagnostics:
     """Compute MatrixDiagnostics for an exactly symmetric matrix.
 
     Parameters
@@ -186,8 +188,8 @@ def diagnostics(matrix, tau: float = 1e-12) -> MatrixDiagnostics:
         Square, exactly symmetric and finite, or ValueError; an eigvalsh that
         fails to converge raises numpy.linalg.LinAlgError, a ValueError too.
     tau : float
-        Positive relative threshold; the matrix is declared numerically
-        singular when sigma_min <= tau * sigma_max.
+        Positive relative threshold (default TAU); the matrix is
+        declared numerically singular when sigma_min <= tau * sigma_max.
 
     Returns
     -------

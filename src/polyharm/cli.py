@@ -26,7 +26,7 @@ from itertools import chain, islice
 
 import numpy as np
 
-from ._linalg import SingularSystemError, diagnostics
+from ._linalg import TAU, SingularSystemError, diagnostics
 from .domains import (
     Ball,
     Box,
@@ -382,7 +382,7 @@ def cmd_scale_check(args) -> int:
         "kernel": kernel_spec(kernel),
         "eps_list": [float(v) for v in eps_list],
         "augment": None if degree is None else f"poly:{degree}",
-        "tau": 1e-12,  # the threshold of every fit of scale_invariance_check
+        "tau": TAU,  # the threshold of every fit of scale_invariance_check
         "source": source,
     }
     _emit({"command": "scale-check", "config": config, "report": report.to_dict()})
@@ -580,7 +580,7 @@ def build_parser() -> _Parser:
     p.add_argument("--n", required=True, help="comma-separated sizes, e.g. 5,20,50")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--tau", type=float, default=1e-12)
+    p.add_argument("--tau", type=float, default=TAU)
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", default=None, help="write the JSON report here")
     p.add_argument("--csv", default=None, help="write per-trial records CSV here")

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from typing import Optional, Sequence
 
 import numpy as np
@@ -150,9 +151,9 @@ def _check_values(values, n: int) -> np.ndarray:
     return arr
 
 
-def _solve(matrix: np.ndarray, rhs: np.ndarray, what: str, n: int, tau: float = 1e-12):
+def _solve(matrix: np.ndarray, rhs: np.ndarray, what: str, n: int):
     # n is the size of the leading kernel block; a singular verdict names its zero rows
-    diag = diagnostics(matrix, tau)
+    diag = diagnostics(matrix)
     if diag.singular_verdict:
         message = f"{what} is numerically singular: {diag.describe()}"
         dead = np.flatnonzero(~np.any(matrix[:n, :n] != 0.0, axis=1)).tolist()
@@ -162,35 +163,31 @@ def _solve(matrix: np.ndarray, rhs: np.ndarray, what: str, n: int, tau: float = 
     return lu_solve_refined(diag.lu_piv, matrix, rhs), diag
 
 
-def solve_unaugmented(points: PointSet, values, kernel: Kernel, eps: float = 1.0,
-                      tau: float = 1e-12) -> InterpolationModel:
+def solve_unaugmented(points: PointSet, values, kernel: Kernel,
+                      eps: float = 1.0) -> InterpolationModel:
     """Solve the pure kernel system for interpolation coefficients.
 
     Raises SingularSystemError, carrying the matrix diagnostics, when the
-    kernel matrix is numerically singular at relative threshold tau.
+    kernel matrix is numerically singular at the threshold of diagnostics, TAU.
     """
-    return _fit(points, values, kernel, eps, None, tau)[0]
+    return _fit(points, values, kernel, eps, None)[0]
 
 
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total, -1, -1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
-
-
-def monomial_exponents(dimension: int, degree: int) -> list[tuple[int, ...]]:
-    """Exponent tuples of total degree <= degree in graded lexicographic order."""
+def _monomial_factors(dimension: int, degree: int) -> list[tuple[int, ...]]:
+    # each monomial of total degree <= degree as its factor axes, coordinate 1's first
+    # ((0, 0, 1) is x1**2 * x2), in graded lexicographic order
     if dimension < 1:
         raise ValueError("dimension must be at least 1")
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    exponents: list[tuple[int, ...]] = []
-    for total in range(degree + 1):
-        exponents.extend(_compositions(total, dimension))
-    return exponents
+    return [axes for total in range(degree + 1)
+            for axes in combinations_with_replacement(range(dimension), total)]
+
+
+def monomial_exponents(dimension: int, degree: int) -> list[tuple[int, ...]]:
+    """Exponent tuples of total degree <= degree in graded lexicographic order."""
+    return [tuple(axes.count(axis) for axis in range(dimension))
+            for axes in _monomial_factors(dimension, degree)]
 
 
 def monomial_matrix(points: np.ndarray, degree: int) -> np.ndarray:
@@ -201,30 +198,30 @@ def monomial_matrix(points: np.ndarray, degree: int) -> np.ndarray:
     same bits on every CPU, where NumPy's SIMD pow may round x**2 otherwise.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    exponents = monomial_exponents(pts.shape[1], degree)
-    out = np.ones((pts.shape[0], len(exponents)))
-    for col, exp in zip(out.T, exponents):
-        for axis in np.repeat(np.arange(len(exp)), exp):
+    factors = _monomial_factors(pts.shape[1], degree)
+    out = np.ones((pts.shape[0], len(factors)))
+    for col, axes in zip(out.T, factors):
+        for axis in axes:
             col *= pts[:, axis]
     return out
 
 
 def solve_augmented(points: PointSet, values, kernel: Kernel, eps: float = 1.0,
-                    degree: Optional[int] = None, tau: float = 1e-12) -> InterpolationModel:
+                    degree: Optional[int] = None) -> InterpolationModel:
     """Solve the polynomially augmented (saddle) interpolation system.
 
     degree defaults to one less than the kernel's conditional positive
     definiteness order.  Raises AugmentationRankError when there are fewer
     points than tail monomials or the monomial block is rank deficient
     (points on a low-degree algebraic variety), and SingularSystemError when
-    the saddle matrix is numerically singular.
+    the saddle matrix is numerically singular at the threshold of diagnostics.
     """
     if degree is None:
         degree = kernel.info().cpd_order - 1
-    return _fit(points, values, kernel, eps, degree, tau)[0]
+    return _fit(points, values, kernel, eps, degree)[0]
 
 
-def _fit(points: PointSet, values, kernel: Kernel, eps, degree, tau=1e-12) -> tuple:
+def _fit(points: PointSet, values, kernel: Kernel, eps, degree) -> tuple:
     # the plain (degree None) or tailed solve, also returning the kernel matrix it assembled
     if degree is not None:
         degree = int(degree)
@@ -245,7 +242,7 @@ def _fit(points: PointSet, values, kernel: Kernel, eps, degree, tau=1e-12) -> tu
         system = np.block([[system, poly], [poly.T, np.zeros((p, p))]])
         rhs = np.concatenate([rhs, np.zeros(p)])
         what = "augmented interpolation matrix"
-    solution, diag = _solve(system, rhs, what, n, tau)
+    solution, diag = _solve(system, rhs, what, n)
     tail = None if degree is None else PolynomialTail(degree=degree, coefficients=solution[n:])
     return InterpolationModel(points=points, kernel=kernel, epsilon=matrix.epsilon,
                               coefficients=solution[:n], tail=tail, diagnostics=diag), matrix
@@ -324,8 +321,8 @@ def cardinal_values(points: PointSet, kernel: Kernel, eps: float, queries) -> np
 
     Entry (i, j) is the value at query i of the interpolant that is 1 at
     node j and 0 at every other node; the kernel matrix is diagnosed at
-    relative threshold 1e-12, the default of the solvers.  Rows sum to 1
-    only where constants are reproduced; no such claim is made here.
+    the relative threshold of diagnostics (TAU), as every fit is.  Rows
+    sum to 1 only where constants are reproduced; no such claim is made.
     Queries and far values are taken as evaluate takes them: ValueError for
     queries that are not an (m, d) array, and naming the first query whose
     value is not finite, with no warning on the way.
@@ -409,8 +406,8 @@ def scale_invariance_check(points: PointSet, values, kernel: Kernel,
 
     Requires at least two scales and at least one query, taken as evaluate
     takes them (default_query_points when None).  Each fit is diagnosed at
-    relative threshold 1e-12, the default of the solvers, and singularity at
-    any scale propagates as SingularSystemError.  The report asserts a
+    the relative threshold of diagnostics (TAU), and singularity at any
+    scale propagates as SingularSystemError.  The report asserts a
     deviation bound only for the combinations with a scale-invariance
     guarantee; everything else is measured and reported as-is.
     """

@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._linalg import SingularSystemError, diagnostics, lu_sign_logabs, lu_solve
+from ._linalg import TAU, SingularSystemError, diagnostics, lu_sign_logabs, lu_solve
 from ._serialize import to_dict
 from .domains import _CSV_ROWS, Density, Domain, PointSet, mix_seed, sample
 from .interpolation import _EVAL_ROWS, InterpMatrix, _kernel_rows, assemble
@@ -87,17 +87,17 @@ class BorderedSystem:
     column with a zero corner.  determinant(x) is its determinant:
 
     * route "schur": -det(base) * (border @ base^{-1} @ border), available
-      when the base matrix is numerically nonsingular (it reuses the LU
-      factorization of base_diagnostics);
+      when the base matrix is numerically nonsingular at the threshold of
+      diagnostics, TAU (it reuses the LU factorization of base_diagnostics);
     * route "direct": pivoted LU of the full (n + 1) x (n + 1) matrix;
     * route "auto": Schur when available, direct otherwise.
 
     Instances are immutable after construction and safe to share.
     """
 
-    def __init__(self, base: InterpMatrix, tau: float = 1e-12):
+    def __init__(self, base: InterpMatrix):
         self.base = base
-        self.base_diagnostics = diag = diagnostics(base.entries, tau)
+        self.base_diagnostics = diag = diagnostics(base.entries)
         # the Schur factor -det(base), once per system; a base whose |det| exceeds double
         # range keeps the message, and each Schur call raises it
         self._schur_factor = self._schur_overflow = None
@@ -301,7 +301,7 @@ def _run_trial(kernel: Kernel, domain: Domain, density: Density, n: int, trial: 
 
 def monte_carlo(kernel: Kernel, domain: Domain, density: Density,
                 n_list: Sequence[int], trials: int, seed: int,
-                tau: float = 1e-12, threads: int = 1) -> UnisolvenceReport:
+                tau: float = TAU, threads: int = 1) -> UnisolvenceReport:
     """Random-node nonsingularity experiment.
 
     For every size n in n_list (sizes must be distinct) and trial index t,
@@ -399,9 +399,9 @@ def incremental_growth(kernel: Kernel, domain: Domain, density: Density,
     the two routes were not compared.  The determinant sign chain covers
     sizes 2 through n_max.  The grown system of one step is the base system
     of the next, so every prefix is assembled and diagnosed once, at the
-    defaults of assemble and BorderedSystem (scale 1, tau 1e-12), which the
-    echoed configuration reads off the last system.  ValueError, as from
-    BorderedSystem.determinant, once a determinant exceeds double range.
+    defaults of assemble and diagnostics (scale 1, TAU), which the echoed
+    configuration holds.  ValueError, as from BorderedSystem.determinant,
+    once a determinant exceeds double range.
     """
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
@@ -432,5 +432,5 @@ def incremental_growth(kernel: Kernel, domain: Domain, density: Density,
         system = grown
 
     config = _run_config(kernel, system.base.epsilon, domain, density, {"n_max": int(n_max)},
-                         seed, system.base_diagnostics.rel_threshold)
+                         seed, TAU)
     return GrowthReport(config=config, steps=tuple(steps), det_signs=tuple(det_signs))

@@ -210,7 +210,7 @@ def near_even_sigma_min(points, delta, k=1):
     return abs(delta) * float(np.abs(np.linalg.eigvalsh(q.T @ tps @ q)).min())
 
 
-def fresh_growth(kernel, domain, density, n_max, seed, tau=1e-12, eps=1.0):
+def fresh_growth(kernel, domain, density, n_max, seed, eps=1.0):
     """incremental_growth with a fresh base system and grown matrix per step.
 
     Every prefix is assembled twice, once as step n's grown matrix and once
@@ -220,7 +220,7 @@ def fresh_growth(kernel, domain, density, n_max, seed, tau=1e-12, eps=1.0):
 
     steps, det_signs = [], []
     for n in range(1, int(n_max)):
-        system = BorderedSystem(assemble(PointSet(pts[:n]), kernel, eps), tau)
+        system = BorderedSystem(assemble(PointSet(pts[:n]), kernel, eps))
         f_value = system.determinant(pts[n], method="auto")
         sign, log_abs = lu_sign_logabs(assemble(PointSet(pts[:n + 1]), kernel, eps).entries)
         det_next = 0.0 if sign == 0 else sign * math.exp(log_abs)
@@ -230,7 +230,8 @@ def fresh_growth(kernel, domain, density, n_max, seed, tau=1e-12, eps=1.0):
                                 cond_base=system.base_diagnostics.condition,
                                 flagged=bool(rel > 1e-6 or (det_next == 0.0 and sign != 0))))
         det_signs.append(sign)
-    config = _run_config(kernel, eps, domain, density, {"n_max": int(n_max)}, seed, tau)
+    # every bordered system is diagnosed at the threshold of diagnostics, 1e-12
+    config = _run_config(kernel, eps, domain, density, {"n_max": int(n_max)}, seed, 1e-12)
     return GrowthReport(config=config, steps=tuple(steps), det_signs=tuple(det_signs))
 
 

@@ -54,10 +54,15 @@ def test_cardinal_values_name_the_center_row():
 
 
 def test_nearly_singular_solve_names_no_rows():
-    # a tiny threshold miss with no exactly zero row keeps the plain message
-    pts = sample(unit_box(2), Uniform(), 8, 71)
+    # node 1 at 1e-10 from node 0: sigma_min / sigma_max is 1.7e-16, below tau = 1e-12,
+    # and no row is exactly zero, so the plain message stays
+    pts = sample(unit_box(2), Uniform(), 8, 71).points.copy()
+    pts[1] = pts[0] + [1e-10, 0.0]
     error = _singular_message(
-        lambda: solve_unaugmented(pts, np.ones(8), RadialPower(1.5), tau=0.5))
+        lambda: solve_unaugmented(PointSet(pts), np.ones(8), RadialPower(1.5)))
+    diag = error.diagnostics
+    assert diag.det_sign != 0 and diag.sigma_min > 0.0
+    assert diag.sigma_min <= 1e-12 * diag.sigma_max
     assert ZERO_ROWS not in str(error)
 
 

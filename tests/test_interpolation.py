@@ -409,6 +409,6 @@ def test_a_query_whose_value_overflows_is_named():
 
 
 def test_cardinal_values_and_scale_invariance_check_take_no_threshold():
-    # both diagnose every fit at tau 1e-12, the default of the solvers
+    # both diagnose every fit at tau 1e-12, the default of diagnostics
     assert "tau" not in inspect.signature(cardinal_values).parameters
     assert "tau" not in inspect.signature(scale_invariance_check).parameters

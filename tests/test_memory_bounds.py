@@ -14,6 +14,7 @@ import numpy as np
 from oracles import cell_loop_field_svg, row_loop_field_csv
 from polyharm import (
     BorderedSystem,
+    Box,
     ThinPlateSpline,
     Uniform,
     assemble,
@@ -85,13 +86,17 @@ def test_grid_holds_one_lattice_column_beyond_its_result():
 
 
 def test_grid_computes_the_borders_of_a_column_one_block_at_a_time():
-    # n = 200 nodes and ny = 1000: measured 1.38 MB beyond the 24 KB result, the (256, 200)
-    # border buffer and one block's (2, 256, 200) distance temporaries; bound 2 MiB (1.5x).
-    # One kernel-row call on the whole column peaked near 4.8 MB
-    system = BorderedSystem(assemble(sample(unit_box(2), Uniform(), 200, 1), ThinPlateSpline(1)))
-    xs, ys = np.linspace(-1.5, 1.5, 3), np.linspace(-1.5, 1.5, 1000)
+    # n = 200 nodes and ny = 1000: measured 1.08 MB beyond the 24 KB result, the (256, 200)
+    # border buffer and one block's (2, 256, 200) distance temporaries; bound 2 MiB.
+    # One kernel-row call on the whole column peaked near 4.8 MB.  The nodes fill a 4 x 4
+    # box, so the base's log|det| is -473 and the field's values lie in double range; in
+    # the unit box it is -1032.5, every value reads 0.0 and a wrong border could not show
+    box = Box((-2.0, -2.0), (2.0, 2.0))
+    system = BorderedSystem(assemble(sample(box, Uniform(), 200, 1), ThinPlateSpline(1)))
+    xs, ys = np.linspace(-3.0, 3.0, 3), np.linspace(-3.0, 3.0, 1000)
     peak, field = traced_peak(lambda: system.grid(xs, ys))
     assert peak - field.nbytes < 2 * 1024 * 1024
+    assert field[2, 777] != 0.0
     assert field[2, 777] == system.determinant([xs[2], ys[777]])
 
 

@@ -27,6 +27,8 @@ from polyharm import (
     lu_sign_logabs,
     monte_carlo,
     sample,
+    solve_augmented,
+    solve_unaugmented,
     sphere_counterexample,
     unisolvence,
     unit_box,
@@ -97,9 +99,15 @@ def test_border_is_matrix_row_at_nodes():
 
 
 def test_bordered_system_keeps_its_threshold_only_in_its_diagnostics():
-    system = BorderedSystem(assemble(random_points(5, 2, 71), ThinPlateSpline(1)), 1e-9)
+    system = BorderedSystem(assemble(random_points(5, 2, 71), ThinPlateSpline(1)))
     assert "tau" not in vars(system)
-    assert system.base_diagnostics.rel_threshold == 1e-9
+    assert system.base_diagnostics.rel_threshold == 1e-12
+
+
+def test_bordered_systems_and_fits_take_no_threshold():
+    # every one of them diagnoses at the default of diagnostics, tau = 1e-12
+    for call in (BorderedSystem, solve_unaugmented, solve_augmented):
+        assert "tau" not in inspect.signature(call).parameters
 
 
 def test_bordered_determinant_routes_agree():
@@ -356,7 +364,8 @@ def test_incremental_growth_first_step_uses_direct_route():
 
 
 def test_incremental_growth_takes_no_scale_or_threshold():
-    # every prefix is built at scale 1 and tau 1e-12, and the echo reads both off the systems
+    # every prefix is built at scale 1 and tau 1e-12; the echo reads the scale off the last
+    # system and the threshold from the one constant
     params = list(inspect.signature(incremental_growth).parameters)
     assert params == ["kernel", "domain", "density", "n_max", "seed"]
     config = incremental_growth(ThinPlateSpline(1), unit_box(2), Uniform(), 3, 3).config
