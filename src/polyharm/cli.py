@@ -207,7 +207,7 @@ def _augment_degree(text: str | None, kernel):
     if head != "poly":
         raise ValueError(f"bad augmentation {text!r}: expected poly or poly:<degree>")
     if not rest:
-        return kernel.info().cpd_order - 1
+        return kernel.cpd_order - 1
     try:
         return int(rest)
     except ValueError:
@@ -234,9 +234,8 @@ def _node_source(args, dim: int | None, seed: int, stream: int, missing: str):
 def _is_exploratory(kernel, dimension: int) -> bool:
     if dimension == 1:
         return True
-    return (isinstance(kernel, RadialPower)
-            and kernel.info().is_odd_integer_rp
-            and kernel.nu >= 5)
+    # a radial power of odd integer exponent nu >= 5
+    return isinstance(kernel, RadialPower) and kernel.nu >= 5 and kernel.nu % 2 == 1
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +313,7 @@ def cmd_verify(args) -> int:
     # replacing the value keeps "config" in its place in the key order
     doc["config"] = dict(report.config, domain_spec=_domain_spec(domain),
                          density_spec=_density_spec(density))
-    _write_outputs(  # the report has report.to_json()'s bytes
+    _write_outputs(  # the report is json.dumps(report.to_dict(), indent=2) + a newline
         (args.out, lambda path: _write_text(path, _json_blocks(report_doc))),
         (args.csv, lambda path: _write_text(path, report.records_csv_lines(), "")),
     )

@@ -45,7 +45,6 @@ __all__ = [
     "sample",
     "sphere_counterexample",
     "unit_box",
-    "duplicate_pair",
     "read_points_csv",
     "write_points_csv",
 ]
@@ -200,12 +199,6 @@ class Box:
         width = np.asarray(self.upper) - lo
         return lo + width * rng.random((count, self.dimension))
 
-    def contains(self, points: np.ndarray) -> bool:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if pts.ndim != 2 or pts.shape[1] != self.dimension:
-            raise ValueError(f"points of shape {pts.shape} are not {self.dimension}-d points")
-        return bool(np.all(pts >= self.lower) and np.all(pts <= self.upper))
-
 
 @dataclass(frozen=True, eq=False)
 class Ball:
@@ -246,11 +239,6 @@ class Ball:
             out[filled : filled + pts.shape[0]] = pts
             filled += pts.shape[0]
         return out
-
-    def contains(self, points: np.ndarray) -> bool:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        dist = cross_distance_matrix(pts, np.asarray(self.center)[None, :])
-        return bool(np.all(dist <= self.radius))
 
 
 Domain = Union[Box, Ball]
@@ -552,14 +540,6 @@ def sphere_counterexample(dimension: int, n: int, center=None) -> PointSet:
     if not ps.min_pairwise_distance > 0.0:
         raise ConstructionError("could not place the requested number of distinct points")
     return ps
-
-
-def duplicate_pair(dimension: int, base_seed: int) -> PointSet:
-    """Two identical random points; the interpolation matrix is all zeros."""
-    if dimension < 1:
-        raise ValueError("dimension must be at least 1")
-    point = make_rng(base_seed).random(dimension)
-    return PointSet(np.vstack([point, point]))
 
 
 # rows per formatted block: one block's numbers and text take a few hundred KiB

@@ -42,7 +42,6 @@ __all__ = [
     "evaluate",
     "cardinal_values",
     "scale_invariance_check",
-    "monomial_exponents",
     "monomial_matrix",
     "default_query_points",
 ]
@@ -184,12 +183,6 @@ def _monomial_factors(dimension: int, degree: int) -> list[tuple[int, ...]]:
             for axes in combinations_with_replacement(range(dimension), total)]
 
 
-def monomial_exponents(dimension: int, degree: int) -> list[tuple[int, ...]]:
-    """Exponent tuples of total degree <= degree in graded lexicographic order."""
-    return [tuple(axes.count(axis) for axis in range(dimension))
-            for axes in _monomial_factors(dimension, degree)]
-
-
 def monomial_matrix(points: np.ndarray, degree: int) -> np.ndarray:
     """Matrix of monomials of total degree <= degree evaluated at points.
 
@@ -217,7 +210,7 @@ def solve_augmented(points: PointSet, values, kernel: Kernel, eps: float = 1.0,
     the saddle matrix is numerically singular at the threshold of diagnostics.
     """
     if degree is None:
-        degree = kernel.info().cpd_order - 1
+        degree = kernel.cpd_order - 1
     return _fit(points, values, kernel, eps, degree)[0]
 
 

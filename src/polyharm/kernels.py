@@ -7,9 +7,10 @@ Two families are provided, both functions of the Euclidean distance r >= 0:
   not an even integer (even integer powers of r are plain polynomials and
   are rejected at construction).
 
-Both families are conditionally positive definite; the order is k + 1 for
-thin-plate splines and ceil(nu / 2) for radial powers.  The value at r = 0
-is hard-coded to 0, which is the analytic limit; log(0) is never evaluated.
+Both families are conditionally positive definite; the order (a kernel's
+cpd_order) is k + 1 for thin-plate splines and ceil(nu / 2) for radial
+powers.  The value at r = 0 is hard-coded to 0, which is the analytic
+limit; log(0) is never evaluated.
 
 Kernels are immutable value objects and every operation here is a pure
 function, except that value_scaled writes into the out array its caller
@@ -25,32 +26,12 @@ from typing import Union
 import numpy as np
 
 __all__ = [
-    "KernelInfo",
     "ThinPlateSpline",
     "RadialPower",
     "Kernel",
     "parse_kernel",
     "kernel_spec",
 ]
-
-
-@dataclass(frozen=True)
-class KernelInfo:
-    """Structural metadata for a kernel.
-
-    Attributes
-    ----------
-    cpd_order : int
-        Order of conditional positive definiteness.
-    singular_derivative_order : int
-        Order of the first radial derivative that is singular at r = 0.
-    is_odd_integer_rp : bool
-        True only for radial powers whose exponent is an odd integer.
-    """
-
-    cpd_order: int
-    singular_derivative_order: int
-    is_odd_integer_rp: bool
 
 
 def _check_radii(r: np.ndarray) -> float:
@@ -132,12 +113,10 @@ class ThinPlateSpline:
         self._apply_in_place(out, _check_radii(out))
         return float(out) if out.ndim == 0 else out
 
-    def info(self) -> KernelInfo:
-        return KernelInfo(
-            cpd_order=self.k + 1,
-            singular_derivative_order=2 * self.k,
-            is_odd_integer_rp=False,
-        )
+    @property
+    def cpd_order(self) -> int:
+        """Order of conditional positive definiteness, k + 1."""
+        return self.k + 1
 
 
 @dataclass(frozen=True)
@@ -171,13 +150,10 @@ class RadialPower:
 
     value_scaled = ThinPlateSpline.value_scaled
 
-    def info(self) -> KernelInfo:
-        rounded = round(self.nu)
-        return KernelInfo(
-            cpd_order=math.ceil(self.nu / 2.0),
-            singular_derivative_order=math.ceil(self.nu),
-            is_odd_integer_rp=(self.nu == rounded and int(rounded) % 2 == 1),
-        )
+    @property
+    def cpd_order(self) -> int:
+        """Order of conditional positive definiteness, ceil(nu / 2)."""
+        return math.ceil(self.nu / 2.0)
 
 
 Kernel = Union[ThinPlateSpline, RadialPower]

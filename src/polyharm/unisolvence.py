@@ -19,7 +19,6 @@ regardless of how many worker threads are used.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass, fields
@@ -255,12 +254,8 @@ class UnisolvenceReport:
     def total_failures(self) -> int:
         return sum(a.failures for a in self.aggregates)
 
-    def to_json(self) -> str:
-        """The to_dict() document as JSON, indented by 2 spaces."""
-        return json.dumps(self.to_dict(), indent=2)
-
     def records_csv_lines(self):
-        """The records_csv() text as its header line, then one chunk per 4096 records."""
+        """The per-trial records CSV: its header line, then one chunk per 4096 records."""
         # CSV_HEADER names the TrialRecord fields in order; each block of records is formatted
         # with one "%r,...,%r" template, so the writer holds one block's values and text
         yield ",".join(CSV_HEADER) + "\n"
@@ -268,10 +263,6 @@ class UnisolvenceReport:
         for start in range(0, len(self.records), _CSV_ROWS):
             block = self.records[start:start + _CSV_ROWS]
             yield (line * len(block)) % tuple(chain.from_iterable(map(_record_values, block)))
-
-    def records_csv(self) -> str:
-        """Flat per-trial records under the pinned header."""
-        return "".join(self.records_csv_lines())
 
 
 def _run_config(kernel: Kernel, eps: float, domain: Domain, density: Density,

@@ -210,7 +210,7 @@ def near_even_sigma_min(points, delta, k=1):
     return abs(delta) * float(np.abs(np.linalg.eigvalsh(q.T @ tps @ q)).min())
 
 
-def fresh_growth(kernel, domain, density, n_max, seed, eps=1.0):
+def fresh_growth(kernel, domain, density, n_max, seed):
     """incremental_growth with a fresh base system and grown matrix per step.
 
     Every prefix is assembled twice, once as step n's grown matrix and once
@@ -220,9 +220,9 @@ def fresh_growth(kernel, domain, density, n_max, seed, eps=1.0):
 
     steps, det_signs = [], []
     for n in range(1, int(n_max)):
-        system = BorderedSystem(assemble(PointSet(pts[:n]), kernel, eps))
+        system = BorderedSystem(assemble(PointSet(pts[:n]), kernel))
         f_value = system.determinant(pts[n], method="auto")
-        sign, log_abs = lu_sign_logabs(assemble(PointSet(pts[:n + 1]), kernel, eps).entries)
+        sign, log_abs = lu_sign_logabs(assemble(PointSet(pts[:n + 1]), kernel).entries)
         det_next = 0.0 if sign == 0 else sign * math.exp(log_abs)
         rel = abs(f_value - det_next) / max(abs(det_next), 1e-300)
         steps.append(GrowthStep(n=n, f_value=float(f_value), f_abs=abs(float(f_value)),
@@ -230,14 +230,15 @@ def fresh_growth(kernel, domain, density, n_max, seed, eps=1.0):
                                 cond_base=system.base_diagnostics.condition,
                                 flagged=bool(rel > 1e-6 or (det_next == 0.0 and sign != 0))))
         det_signs.append(sign)
-    # every bordered system is diagnosed at the threshold of diagnostics, 1e-12
-    config = _run_config(kernel, eps, domain, density, {"n_max": int(n_max)}, seed, 1e-12)
+    # every matrix is assembled at scale 1.0, and every bordered system is diagnosed at the
+    # threshold of diagnostics, 1e-12
+    config = _run_config(kernel, 1.0, domain, density, {"n_max": int(n_max)}, seed, 1e-12)
     return GrowthReport(config=config, steps=tuple(steps), det_signs=tuple(det_signs))
 
 
-def fresh_kernel_conditions(points, kernel, eps_list, tau=1e-12):
+def fresh_kernel_conditions(points, kernel, eps_list):
     """Kernel-matrix condition numbers, assembled and diagnosed afresh per scale."""
-    return tuple(diagnostics(assemble(points, kernel, eps).entries, tau).condition
+    return tuple(diagnostics(assemble(points, kernel, eps).entries, 1e-12).condition
                  for eps in eps_list)
 
 
@@ -272,7 +273,7 @@ def term_magnitudes(model, queries):
     return total
 
 
-def separate_solves(points, values, kernel, eps=1.0, degree=None, tau=1e-12):
+def separate_solves(points, values, kernel, eps=1.0, degree=None):
     """A fitted model from one of two solve bodies: plain, or tailed with degree.
 
     The tailed body fills a zeroed saddle matrix slice by slice.  Neither
@@ -281,7 +282,7 @@ def separate_solves(points, values, kernel, eps=1.0, degree=None, tau=1e-12):
     matrix = assemble(points, kernel, eps)
     rhs = np.asarray(values, dtype=float)
     if degree is None:
-        diag = diagnostics(matrix.entries, tau)
+        diag = diagnostics(matrix.entries, 1e-12)
         coeffs = lu_solve_refined(diag.lu_piv, matrix.entries, rhs)
         return InterpolationModel(points=points, kernel=kernel, epsilon=matrix.epsilon,
                                   coefficients=coeffs, diagnostics=diag)
@@ -292,7 +293,7 @@ def separate_solves(points, values, kernel, eps=1.0, degree=None, tau=1e-12):
     saddle[:n, n:] = poly
     saddle[n:, :n] = poly.T
     full_rhs = np.concatenate([rhs, np.zeros(p)])
-    diag = diagnostics(saddle, tau)
+    diag = diagnostics(saddle, 1e-12)
     solution = lu_solve_refined(diag.lu_piv, saddle, full_rhs)
     return InterpolationModel(points=points, kernel=kernel, epsilon=matrix.epsilon,
                               coefficients=solution[:n],

@@ -337,6 +337,17 @@ def test_verify_exploratory_banner_high_odd_power(run_cli):
     assert json.loads(out)["exploratory"] is False
 
 
+@pytest.mark.parametrize("spec, exploratory_in_2d", [
+    ("rp:nu=1", False), ("rp:nu=3", False), ("rp:nu=5", True), ("rp:nu=5.5", False),
+    ("rp:nu=7", True), ("tps:k=1", False), ("tps:k=2", False),
+])
+def test_exploratory_configurations(spec, exploratory_in_2d):
+    # univariate nodes, or a radial power of odd integer exponent >= 5
+    kernel = polyharm.parse_kernel(spec)
+    assert cli._is_exploratory(kernel, 1) is True
+    assert cli._is_exploratory(kernel, 2) is exploratory_in_2d
+
+
 def test_verify_gauss_density_and_ball_domain(run_cli):
     code, out, _ = run_cli([
         "verify", "--kernel", "tps:k=1", "--domain", "ball:0,0,2",

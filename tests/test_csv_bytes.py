@@ -1,5 +1,6 @@
 """CSV writers produce the bytes of row-by-row reference writers; the reader parses as float()."""
 
+import json
 import math
 
 import numpy as np
@@ -72,9 +73,9 @@ def test_records_csv_matches_the_csv_writer():
                     condition=odd[(i + 3) % 5], min_pairwise_distance=odd[(i + 4) % 5])
         for i in range(len(odd)))
     report = UnisolvenceReport(config={}, aggregates=(), records=records)
-    assert report.records_csv() == csv_writer_records(records)
+    assert "".join(report.records_csv_lines()) == csv_writer_records(records)
     sampled = monte_carlo(ThinPlateSpline(1), unit_box(2), Uniform(), [2, 6], 4, 3)
-    assert sampled.records_csv() == csv_writer_records(sampled.records)
+    assert "".join(sampled.records_csv_lines()) == csv_writer_records(sampled.records)
 
 
 EDGE_VALUES = (-0.0, 5e-324, 1e300, 1e16, 1e-5)
@@ -115,7 +116,7 @@ def test_records_csv_keeps_int_columns_across_blocks(count):
                     sigma_max=float(i), condition=math.inf if i % 7 == 0 else 2.5,
                     min_pairwise_distance=EDGE_VALUES[(i + 3) % 5])
         for i in range(count))
-    text = UnisolvenceReport(config={}, aggregates=(), records=records).records_csv()
+    text = "".join(UnisolvenceReport(config={}, aggregates=(), records=records).records_csv_lines())
     assert text == csv_writer_records(records)
     assert text.splitlines()[-1].startswith(f"7,{count - 1},")
 
@@ -163,5 +164,5 @@ def test_verify_files_are_the_report_bytes(run_cli, tmp_path):
                             "--csv", str(table)])
     assert code == 0, err
     report = monte_carlo(ThinPlateSpline(1), unit_box(2), Uniform(), [5, 9], 3, 4)
-    assert out.read_bytes() == (report.to_json() + "\n").encode()
-    assert table.read_bytes() == report.records_csv().encode()
+    assert out.read_bytes() == (json.dumps(report.to_dict(), indent=2) + "\n").encode()
+    assert table.read_bytes() == "".join(report.records_csv_lines()).encode()

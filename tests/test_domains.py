@@ -18,7 +18,6 @@ from polyharm import (
     Uniform,
     cross_distance_matrix,
     domains,
-    duplicate_pair,
     make_rng,
     mix_seed,
     pairwise_distance_matrix,
@@ -71,7 +70,10 @@ def test_sample_serializes_no_domain_or_density(monkeypatch):
         for density in (Uniform(), gauss):
             ps = sample(domain, density, 16, 3)
             assert ps.points.shape == (16, 2)
-            assert domain.contains(ps.points)
+            if isinstance(domain, Box):
+                assert (ps.points >= 0.0).all() and (ps.points <= 1.0).all()
+            else:
+                assert (cross_distance_matrix(ps.points, [[0.0, 0.0]]) <= 1.0).all()
 
 
 def test_sample_determinism_and_seed_sensitivity():
@@ -87,7 +89,6 @@ def test_box_validation_and_sampling():
     assert box.dimension == 2
     pts = box.sample_uniform(make_rng(3), 200)
     assert pts.shape == (200, 2)
-    assert box.contains(pts)
     assert pts[:, 0].min() >= -1.0 and pts[:, 0].max() <= 1.0
     assert pts[:, 1].min() >= 0.0 and pts[:, 1].max() <= 2.0
     with pytest.raises(ValueError):
@@ -98,7 +99,7 @@ def test_box_validation_and_sampling():
         Box(lower=(0.0,), upper=(math.inf,))
 
 
-def test_distances_and_containment_reject_mismatched_dimensions():
+def test_distances_reject_mismatched_dimensions():
     # a one-coordinate side used to broadcast against d coordinates
     for a, b in (([[3.0]], [[0.0, 0.0]]), ([[0.0, 0.0]], [[3.0]]), ([3.0, 0.0], [[0.0, 0.0]]),
                  (np.zeros((2, 3)), np.zeros((4, 2)))):
@@ -109,14 +110,6 @@ def test_distances_and_containment_reject_mismatched_dimensions():
     with pytest.raises(ValueError, match=r"^distance buffer of shape \(2, 2\) does not hold "
                                          r"\(3, 4\)$"):
         cross_distance_matrix(np.zeros((3, 2)), np.zeros((4, 2)), out=np.empty((2, 2)))
-    ball = Ball(center=(0.0, 0.0), radius=1.0)
-    box = Box(lower=(0.0, 0.0), upper=(1.0, 1.0))
-    for domain in (ball, box):
-        for points in ([[0.5]], [[0.9]], [0.5], [[0.5, 0.5, 0.5]]):
-            with pytest.raises(ValueError):
-                domain.contains(points)
-        assert domain.contains([0.5, 0.5]) and domain.contains([[0.5, 0.5], [0.1, 0.2]])
-        assert not domain.contains([[0.5, 0.5], [1.5, 0.5]])
 
 
 def test_unit_box():
@@ -132,8 +125,6 @@ def test_ball_validation_and_sampling():
     pts = ball.sample_uniform(make_rng(4), 500)
     radii = np.linalg.norm(pts - np.array(ball.center), axis=1)
     assert radii.max() <= 1.5 * (1.0 + 1e-12)
-    assert ball.contains(np.array(ball.center))
-    assert not ball.contains(np.array([1.0, -2.0, 2.1]))
     # radial CDF r**d concentrates mass near the boundary
     assert np.median(radii) > 1.5 * 0.5
     with pytest.raises(ValueError):
@@ -158,7 +149,7 @@ def test_rejection_sampling_concentrates_near_mode():
     dens = TruncatedGaussian(mean=(0.3, 0.7), sd=(0.1, 0.1))
     ps = sample(unit_box(2), dens, 3000, 11)
     assert ps.n == 3000
-    assert unit_box(2).contains(ps.points)
+    assert (ps.points >= 0.0).all() and (ps.points <= 1.0).all()
     center = ps.points.mean(axis=0)
     assert abs(center[0] - 0.3) < 0.02 and abs(center[1] - 0.7) < 0.02
 
@@ -337,15 +328,6 @@ def test_sphere_counterexample_validation():
         sphere_counterexample(2, 1)
     with pytest.raises(ValueError):
         sphere_counterexample(2, 3, center=(0.0,))
-
-
-def test_duplicate_pair():
-    ps = duplicate_pair(3, 17)
-    assert ps.n == 2
-    assert np.array_equal(ps.points[0], ps.points[1])
-    assert ps.min_pairwise_distance == 0.0
-    with pytest.raises(ValueError, match="^dimension must be at least 1$"):
-        duplicate_pair(0, 1)
 
 
 def test_points_csv_round_trip(tmp_path):

@@ -1,6 +1,7 @@
 """Matrix assembly, solves, polynomial tails and scale invariance."""
 
 import inspect
+import itertools
 import json
 import math
 import os
@@ -26,9 +27,7 @@ from polyharm import (
     assemble,
     cardinal_values,
     default_query_points,
-    duplicate_pair,
     evaluate,
-    monomial_exponents,
     monomial_matrix,
     sample,
     scale_invariance_check,
@@ -93,7 +92,7 @@ def test_solve_unaugmented_interpolates():
 
 
 def test_solve_unaugmented_rejects_singular():
-    dup = duplicate_pair(2, 3)
+    dup = PointSet(np.array([[0.3, 0.7], [0.3, 0.7]]))
     with pytest.raises(SingularSystemError) as info:
         solve_unaugmented(dup, [1.0, 2.0], ThinPlateSpline(1))
     assert info.value.diagnostics.sigma_max == 0.0
@@ -113,17 +112,25 @@ def test_solve_value_validation():
         solve_unaugmented(pts, [1.0, 2.0, math.nan, 4.0], ThinPlateSpline(1))
 
 
-def test_monomial_exponents_graded_lexicographic():
-    assert monomial_exponents(2, 2) == [
-        (0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2),
-    ]
-    assert monomial_exponents(1, 3) == [(0,), (1,), (2,), (3,)]
-    assert len(monomial_exponents(3, 2)) == 10
-    assert monomial_exponents(3, 0) == [(0, 0, 0)]
+def _graded_lex_exponents(d, degree):
+    # exponent tuples of total degree <= degree: by total degree, then x1's exponent descending
+    exps = [e for e in itertools.product(range(degree + 1), repeat=d) if sum(e) <= degree]
+    return sorted(exps, key=lambda e: (sum(e), [-p for p in e]))
+
+
+def test_monomial_matrix_columns_graded_lexicographic():
+    # at x = (2, 3, 5) each column's value names its monomial
+    assert monomial_matrix([[2.0, 3.0, 5.0]], 2).tolist() == [
+        [1.0, 2.0, 3.0, 5.0, 4.0, 6.0, 10.0, 9.0, 15.0, 25.0]]
+    assert monomial_matrix([[2.0]], 3).tolist() == [[1.0, 2.0, 4.0, 8.0]]
+    assert monomial_matrix([[2.0, 3.0, 5.0]], 0).tolist() == [[1.0]]
+    for d in range(1, 5):
+        for degree in range(5):
+            assert monomial_matrix(np.ones((2, d)), degree).shape == (2, math.comb(d + degree, d))
     with pytest.raises(ValueError):
-        monomial_exponents(0, 1)
+        monomial_matrix(np.zeros((3, 0)), 1)
     with pytest.raises(ValueError):
-        monomial_exponents(2, -1)
+        monomial_matrix(np.zeros((3, 2)), -1)
 
 
 def test_monomial_matrix_small_case():
@@ -154,7 +161,7 @@ def test_monomial_matrix_is_the_left_to_right_product_of_its_factors(d, degree):
     # one Python float product per entry: 1.0 times coordinate 1's factors, then coordinate 2's
     pts = np.random.default_rng(13).uniform(-2.0, 2.0, (2000, d))
     want = [[math.prod([x for x, p in zip(row, exp) for _ in range(p)], start=1.0)
-             for exp in monomial_exponents(d, degree)] for row in pts.tolist()]
+             for exp in _graded_lex_exponents(d, degree)] for row in pts.tolist()]
     assert monomial_matrix(pts, degree).tobytes() == np.array(want).tobytes()
 
 
@@ -243,7 +250,8 @@ def test_cardinal_values_identity_at_nodes():
     card = cardinal_values(pts, ThinPlateSpline(1), 1.0, pts.points)
     assert np.abs(card - np.eye(10)).max() <= 1e-8
     with pytest.raises(SingularSystemError):
-        cardinal_values(duplicate_pair(2, 5), ThinPlateSpline(1), 1.0, pts.points[:1])
+        cardinal_values(PointSet(np.array([[0.2, 0.9], [0.2, 0.9]])), ThinPlateSpline(1), 1.0,
+                        pts.points[:1])
 
 
 def test_cardinal_values_takes_queries_as_evaluate_does():

@@ -5,6 +5,8 @@ order of every to_dict() is pinned here.
 """
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 
@@ -33,13 +35,13 @@ EXPORTED = {
     "MatrixDiagnostics", "SingularSystemError", "diagnostics", "lu_sign_logabs",
     "Ball", "Box", "ConstructionError", "CustomDensity", "Density", "Domain", "PointSet",
     "SamplingError", "TruncatedGaussian", "Uniform", "cross_distance_matrix",
-    "duplicate_pair", "make_rng", "mix_seed", "pairwise_distance_matrix",
+    "make_rng", "mix_seed", "pairwise_distance_matrix",
     "read_points_csv", "sample", "sphere_counterexample", "unit_box", "write_points_csv",
     "AugmentationRankError", "InterpMatrix", "InterpolationModel", "PolynomialTail",
     "ScaleInvarianceReport", "assemble", "cardinal_values", "default_query_points",
-    "evaluate", "monomial_exponents", "monomial_matrix", "scale_invariance_check",
+    "evaluate", "monomial_matrix", "scale_invariance_check",
     "solve_augmented", "solve_unaugmented",
-    "Kernel", "KernelInfo", "RadialPower", "ThinPlateSpline", "kernel_spec", "parse_kernel",
+    "Kernel", "RadialPower", "ThinPlateSpline", "kernel_spec", "parse_kernel",
     "BorderedSystem", "CSV_HEADER", "GrowthReport", "GrowthStep", "SizeAggregate",
     "TrialRecord", "UnisolvenceReport", "det3_null_diag", "incremental_growth",
     "monte_carlo",
@@ -94,7 +96,7 @@ def test_unisolvence_report_key_order():
     assert list(report.records[0].to_dict()) == RECORD_KEYS
     assert [list(a) for a in doc["aggregates"]] == [AGGREGATE_KEYS] * 2
     assert [list(r) for r in doc["records"]] == [RECORD_KEYS] * 4
-    assert json.loads(report.to_json()) == doc
+    assert json.loads(json.dumps(report.to_dict(), indent=2)) == doc
 
 
 def test_growth_report_key_order():
@@ -113,3 +115,25 @@ def test_exported_names():
     assert set(polyharm.__all__) == EXPORTED
     for name in polyharm.__all__:
         assert getattr(polyharm, name) is not None
+
+
+def readme_entry_point_names():
+    """Each backticked Python name in README's "Key entry points" bullets, up to any "(".
+
+    A backticked span that is not a dotted Python name there (a command line) is left out.
+    """
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    start = text.index("Key entry points:")
+    section = text[start:text.index("\n## ", start)]
+    spans = (span.split("(")[0].strip() for span in re.findall(r"`([^`]+)`", section))
+    return [span for span in spans if re.fullmatch(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*", span)]
+
+
+def test_readme_entry_points_name_attributes_of_the_package():
+    names = readme_entry_point_names()
+    assert {"ThinPlateSpline.cpd_order", "monomial_matrix", "polyharm._linalg.TAU"} <= set(names)
+    for name in names:
+        target = polyharm
+        for step in name.removeprefix("polyharm.").split("."):
+            assert hasattr(target, step), f"README names {name!r}, which polyharm lacks"
+            target = getattr(target, step)

@@ -1,12 +1,15 @@
 """Kernel values, metadata and the compact text descriptions."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import polyharm
 from oracles import copying_kernel_value, rp_scalar, tps_scalar
-from polyharm import KernelInfo, RadialPower, ThinPlateSpline, kernel_spec, parse_kernel
+from polyharm import (Ball, Box, RadialPower, ThinPlateSpline, UnisolvenceReport, domains,
+                      interpolation, kernel_spec, kernels, parse_kernel)
 
 
 def test_tps_matches_scalar_oracle():
@@ -175,15 +178,29 @@ def test_rp_homogeneity():
     )
 
 
-def test_kernel_info():
-    assert ThinPlateSpline(1).info() == KernelInfo(2, 2, False)
-    assert ThinPlateSpline(3).info() == KernelInfo(4, 6, False)
-    assert RadialPower(0.5).info() == KernelInfo(1, 1, False)
-    assert RadialPower(1.0).info() == KernelInfo(1, 1, True)
-    assert RadialPower(1.5).info() == KernelInfo(1, 2, False)
-    assert RadialPower(2.5).info() == KernelInfo(2, 3, False)
-    assert RadialPower(3.0).info() == KernelInfo(2, 3, True)
-    assert RadialPower(5.0).info() == KernelInfo(3, 5, True)
+def test_kernel_cpd_order():
+    table = [(ThinPlateSpline(1), 2), (ThinPlateSpline(3), 4), (RadialPower(0.5), 1),
+             (RadialPower(1.0), 1), (RadialPower(1.5), 1), (RadialPower(2.5), 2),
+             (RadialPower(3.0), 2), (RadialPower(5.0), 3)]
+    assert [kernel.cpd_order for kernel, _ in table] == [order for _, order in table]
+
+
+def test_cpd_order_is_a_read_only_property_and_the_removed_names_are_gone():
+    for cls in (ThinPlateSpline, RadialPower):
+        assert isinstance(cls.cpd_order, property)
+        assert "cpd_order" not in {f.name for f in dataclasses.fields(cls)}
+        assert not hasattr(cls, "info")
+    with pytest.raises(AttributeError):
+        ThinPlateSpline(1).cpd_order = 3
+    with pytest.raises(TypeError):
+        RadialPower(1.5, cpd_order=1)
+    for cls in (Box, Ball):
+        assert not hasattr(cls, "contains")
+    assert not hasattr(UnisolvenceReport, "to_json")
+    assert not hasattr(UnisolvenceReport, "records_csv")
+    for module, name in ((kernels, "KernelInfo"), (domains, "duplicate_pair"),
+                         (interpolation, "monomial_exponents")):
+        assert not hasattr(module, name) and not hasattr(polyharm, name)
 
 
 def test_parse_kernel_round_trip():

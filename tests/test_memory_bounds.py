@@ -6,6 +6,7 @@ margin, and sits well below the peak of the whole-output code it replaced
 """
 
 import contextlib
+import json
 import os
 import tracemalloc
 
@@ -114,7 +115,7 @@ def test_verify_report_and_stdout_are_written_in_blocks_of_encoder_chunks(tmp_pa
         peak, code = traced_peak(lambda: cli.main(argv))
     assert code == 0
     assert peak < 9 * 1024 * 1024
-    assert path.read_text() == report.to_json() + "\n"
+    assert path.read_text() == json.dumps(report.to_dict(), indent=2) + "\n"
 
 
 def test_verify_csv_is_written_one_block_of_records_at_a_time(tmp_path, monkeypatch):
@@ -141,4 +142,4 @@ def test_verify_csv_is_written_one_block_of_records_at_a_time(tmp_path, monkeypa
             "--seed", "3", "--csv", str(path)]
     assert cli.main(argv) == 0
     assert len(peaks) == 1 and peaks[0] < 1.5 * 1024 * 1024
-    assert path.read_text() == report.records_csv()
+    assert path.read_text() == "".join(report.records_csv_lines())

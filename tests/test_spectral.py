@@ -76,7 +76,7 @@ def test_sign_and_inertia_follow_conditional_definiteness(spec, d):
     # dimensions, so at most that many eigenvalues have a sign other than (-1)^m; for
     # 0 < nu < 2 (m = 1) the zero trace leaves exactly one positive eigenvalue
     kernel = parse_kernel(spec)
-    m = kernel.info().cpd_order
+    m = kernel.cpd_order
     free = math.comb(m - 1 + d, d)
     for n in (5, 20, 50, 100):
         for seed in range(10):

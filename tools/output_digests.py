@@ -173,8 +173,8 @@ def _cardinal_far_query() -> int:
 def _custom_density() -> int:
     density = CustomDensity(fn=lambda p: np.exp(-np.sum((p - 0.5) ** 2, axis=1)), bound=1.0)
     report = monte_carlo(ThinPlateSpline(1), unit_box(2), density, [6, 12], 8, 23)
-    Path("report.json").write_text(report.to_json() + "\n")
-    Path("records.csv").write_text(report.records_csv())
+    _dump("report.json", report.to_dict())
+    Path("records.csv").write_text("".join(report.records_csv_lines()))
     return 0
 
 
