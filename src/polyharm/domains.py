@@ -9,8 +9,8 @@ derives independent substream seeds from a master seed and an integer path
 entropy-mixing, so per-trial work can run concurrently and still produce
 bitwise-identical results in any execution order.
 
-A point set is its validated points; it reports their exact minimum
-pairwise distance, computed once and cached.
+A point set is its validated points and caches nothing computed from them;
+their minimum distance is InterpMatrix.min_dist, which assemble reads.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import partial
 from itertools import chain
 from pathlib import Path
 from typing import Callable, Union
@@ -102,7 +102,7 @@ def cross_distance_matrix(a: np.ndarray, b: np.ndarray, out: np.ndarray | None =
     """Euclidean distances between the rows of a (m, d) and b (n, d).
 
     The one distance entry point of the package: the kernel matrices of
-    assemble, the minimum distance of a PointSet, and the kernel rows of
+    assemble, with their minimum node distance, and the kernel rows of
     evaluate, cardinal_values and BorderedSystem (interpolation._kernel_rows)
     all come from here.  Each coordinate's squared differences form one
     (rows, n) slice, and the slices are summed in two lanes (_sum_squares):
@@ -134,29 +134,6 @@ def cross_distance_matrix(a: np.ndarray, b: np.ndarray, out: np.ndarray | None =
                              out=out[start:start + step])
         np.sqrt(chunk, out=chunk)
     return out
-
-
-def _min_distance(points: np.ndarray) -> float:
-    """Smallest off-diagonal entry of pairwise_distance_matrix(points), n >= 2.
-
-    Rows i are taken in blocks of about _CHUNK_ENTRIES entries, each block
-    against the points j > start of the block through cross_distance_matrix
-    (whose entries are those of the whole matrix, bit for bit), with the
-    pairs j <= i of the block's leading corner masked.  Memory is one block
-    buffer, reused, and a mask of min(block rows, n - 1) squared entries.
-    """
-    n = points.shape[0]
-    step = min(max(1, _CHUNK_ENTRIES // n), n - 1)
-    buffer = np.empty((step, n - 1))
-    below = np.tri(step, k=-1, dtype=bool)  # (r, c) with c < r: the pair j = start + 1 + c <= i
-    best = math.inf
-    for start in range(0, n - 1, step):
-        rows = min(step, n - 1 - start)
-        block = cross_distance_matrix(points[start:start + rows], points[start + 1:],
-                                      out=buffer[:rows, :n - 1 - start])
-        block[:, :rows][below[:rows, :rows]] = math.inf
-        best = min(best, float(block.min()))
-    return best
 
 
 def pairwise_distance_matrix(points: np.ndarray) -> np.ndarray:
@@ -324,13 +301,8 @@ Density = Union[Uniform, TruncatedGaussian, CustomDensity]
 class PointSet:
     """An ordered set of points in R**d: a nonempty, finite 2-d float array.
 
-    min_pairwise_distance is the minimum over all pairs (0 when duplicates
-    exist, +inf for a single point), bitwise the smallest off-diagonal entry
-    of pairwise_distance_matrix(points).  It is not a constructor argument:
-    interpolation.assemble reads it off the distance matrix it builds, and
-    otherwise a row-blocked minimum that builds no n x n array computes it
-    from the points on first read; either way it is cached.  It is the one
-    value a PointSet caches: kernel rows read the points themselves.
+    It holds nothing computed from them: their minimum pairwise distance is
+    InterpMatrix.min_dist, read off the distance matrix assemble builds.
     """
 
     points: np.ndarray
@@ -342,23 +314,6 @@ class PointSet:
         if not np.isfinite(pts).all():
             raise ValueError("point coordinates must be finite")
         object.__setattr__(self, "points", pts)
-
-    @cached_property
-    def min_pairwise_distance(self) -> float:
-        return _min_distance(self.points) if self.n > 1 else math.inf
-
-    def _note_min_distance(self, dist: np.ndarray) -> None:
-        """Cache min_pairwise_distance from dist, this set's pairwise_distance_matrix.
-
-        Nothing is done when the value is already cached or n = 1.  Row i of
-        the (n - 1, n) view below starts right after dist[i, i] and ends
-        right before dist[i + 1, i + 1], so it holds the off-diagonal
-        entries without a copy.
-        """
-        n = self.n
-        if n > 1 and "min_pairwise_distance" not in self.__dict__:
-            off_diagonal = dist.ravel()[1:].reshape(n - 1, n + 1)[:, :n]
-            self.__dict__["min_pairwise_distance"] = float(off_diagonal.min())
 
     @property
     def n(self) -> int:
@@ -506,8 +461,10 @@ def sphere_counterexample(dimension: int, n: int, center=None) -> PointSet:
     renormalization cannot place comes from its exact search, at most a few
     hundred ulps off its direction, or 8.4e-8 for coordinates below 16 in
     magnitude when ulp steps miss, or 7.7e-6 for larger coordinates when
-    both of those rounds miss) and all points are verified distinct;
-    otherwise ConstructionError is raised.
+    both of those rounds miss) and all rows are verified distinct by
+    np.unique, in O(n log n); otherwise ConstructionError is raised.  Here
+    that is a nonzero measured distance: satellites differ by far more than
+    the ~1e-162 at which a squared difference underflows, and -0.0 == 0.0.
 
     With a thin-plate spline kernel the resulting interpolation matrix has
     an exactly zero row, hence is exactly singular.
@@ -536,10 +493,9 @@ def sphere_counterexample(dimension: int, n: int, center=None) -> PointSet:
             direction[1] = math.sin(theta)
         pts[i] = _unit_distance_point(center_arr, direction)
 
-    ps = PointSet(pts)
-    if not ps.min_pairwise_distance > 0.0:
+    if len(np.unique(pts, axis=0)) < n:
         raise ConstructionError("could not place the requested number of distinct points")
-    return ps
+    return PointSet(pts)
 
 
 # rows per formatted block: one block's numbers and text take a few hundred KiB

@@ -53,12 +53,15 @@ class AugmentationRankError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class InterpMatrix:
-    """Assembled kernel matrix together with its ingredients."""
+    """Assembled kernel matrix together with its ingredients and its minimum distance."""
 
     entries: np.ndarray
     kernel: Kernel
     epsilon: float
     points: PointSet
+    # bitwise the smallest off-diagonal entry of pairwise_distance_matrix(points.points):
+    # 0.0 for coinciding points, math.inf for one point
+    min_dist: float
 
     @property
     def n(self) -> int:
@@ -131,14 +134,15 @@ def assemble(points: PointSet, kernel: Kernel, eps: float = 1.0) -> InterpMatrix
     zero, because x - x = 0 and the kernel is 0 at r = 0.
 
     The kernel values are written over the distance matrix, so the matrix
-    is the one n x n array held.  Before that, the point set's
-    min_pairwise_distance is read off the distances unless it is cached.
+    is the one n x n array held.  Before that, min_dist is read off the
+    distances through a view whose row i runs from dist[i, i + 1] to
+    dist[i + 1, i]: the off-diagonal entries, without a copy.
     """
     eps = _check_scale(eps)
     dist = pairwise_distance_matrix(points.points)
-    points._note_min_distance(dist)
-    entries = kernel.value_scaled(eps, dist, out=dist)
-    return InterpMatrix(entries=entries, kernel=kernel, epsilon=eps, points=points)
+    n = len(dist)
+    min_dist = float(dist.ravel()[1:].reshape(n - 1, n + 1)[:, :n].min()) if n > 1 else math.inf
+    return InterpMatrix(kernel.value_scaled(eps, dist, out=dist), kernel, eps, points, min_dist)
 
 
 def _check_values(values, n: int) -> np.ndarray:

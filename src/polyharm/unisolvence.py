@@ -277,7 +277,8 @@ def _run_trial(kernel: Kernel, domain: Domain, density: Density, n: int, trial: 
                master_seed: int, tau: float) -> tuple[TrialRecord, bool]:
     substream = mix_seed(master_seed, n, trial)
     points = sample(domain, density, n, substream)
-    diag = diagnostics(assemble(points, kernel).entries, tau)
+    matrix = assemble(points, kernel)
+    diag = diagnostics(matrix.entries, tau)
     return TrialRecord(
         n=n,
         trial=trial,
@@ -286,7 +287,7 @@ def _run_trial(kernel: Kernel, domain: Domain, density: Density, n: int, trial: 
         sigma_min=diag.sigma_min,
         sigma_max=diag.sigma_max,
         condition=diag.condition,
-        min_pairwise_distance=points.min_pairwise_distance,
+        min_pairwise_distance=matrix.min_dist,
     ), diag.singular_verdict
 
 
@@ -321,8 +322,9 @@ def monte_carlo(kernel: Kernel, domain: Domain, density: Density,
         n, t = task
         return _run_trial(kernel, domain, density, n, t, seed, tau)
 
-    # more workers than tasks or cores only adds OS threads
-    workers = min(threads, len(tasks), os.cpu_count() or 1)
+    # more workers than tasks or than the cores this process may run on only adds OS threads
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(threads, len(tasks), cores or 1)
     if workers == 1:
         results = [work(task) for task in tasks]
     else:

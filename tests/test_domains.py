@@ -13,9 +13,11 @@ from polyharm import (
     ConstructionError,
     CustomDensity,
     PointSet,
+    RadialPower,
     SamplingError,
     TruncatedGaussian,
     Uniform,
+    assemble,
     cross_distance_matrix,
     domains,
     make_rng,
@@ -53,10 +55,14 @@ def test_make_rng_reproduces():
     assert not np.array_equal(a, make_rng(10).random(5))
 
 
+def _min_dist(ps):
+    return assemble(ps, RadialPower(1)).min_dist
+
+
 def test_golden_uniform_sample():
     ps = sample(unit_box(2), Uniform(), 4, 42)
     assert np.array_equal(ps.points, GOLDEN_SAMPLE_42)
-    assert ps.min_pairwise_distance == GOLDEN_MIN_DIST_42
+    assert _min_dist(ps) == GOLDEN_MIN_DIST_42
 
 
 def test_sample_serializes_no_domain_or_density(monkeypatch):
@@ -198,12 +204,10 @@ def test_sample_validation():
 
 def test_point_set_min_distance():
     ps = PointSet([[0.0, 0.0], [3.0, 4.0], [0.0, 1.0]])
-    assert ps.min_pairwise_distance == 1.0
+    assert _min_dist(ps) == 1.0
     assert ps.n == 3 and ps.dimension == 2
-    single = PointSet([[2.0, 5.0]])
-    assert single.min_pairwise_distance == math.inf
-    dup = PointSet([[1.0, 1.0], [1.0, 1.0]])
-    assert dup.min_pairwise_distance == 0.0
+    assert _min_dist(PointSet([[2.0, 5.0]])) == math.inf
+    assert _min_dist(PointSet([[1.0, 1.0], [1.0, 1.0]])) == 0.0
 
 
 def test_point_set_validation():
@@ -263,7 +267,7 @@ def test_sphere_counterexample_exact_unit_distances():
         assert ps.n == n and ps.dimension == dim
         dist = cross_distance_matrix(ps.points[1:], ps.points[:1])[:, 0]
         assert (dist == 1.0).all()
-        assert ps.min_pairwise_distance > 0.0
+        assert _min_dist(ps) > 0.0
 
 
 def test_sphere_counterexample_offcenter():
@@ -281,7 +285,7 @@ def test_sphere_counterexample_off_origin_up_to_40_points(center):
     dim = len(center)
     ps = sphere_counterexample(dim, 40, center)
     dist = cross_distance_matrix(ps.points[1:], ps.points[:1])[:, 0]
-    assert (dist == 1.0).all() and ps.min_pairwise_distance > 0.0
+    assert (dist == 1.0).all() and _min_dist(ps) > 0.0
     # each satellite sits within a few hundred ulps of its direction from the origin
     directions = sphere_counterexample(dim, 40).points
     assert np.abs(ps.points - np.array(center) - directions).max() < 1e-12
@@ -301,7 +305,7 @@ def test_sphere_counterexample_where_single_ulp_steps_miss(center):
     dim = len(center)
     ps = sphere_counterexample(dim, 40, center)
     dist = cross_distance_matrix(ps.points[1:], ps.points[:1])[:, 0]
-    assert (dist == 1.0).all() and ps.min_pairwise_distance > 0.0
+    assert (dist == 1.0).all() and _min_dist(ps) > 0.0
     off = np.abs(ps.points - np.array(center) - sphere_counterexample(dim, 40).points).max()
     assert 1e-12 < off <= 8.4e-8
 
@@ -316,7 +320,7 @@ def test_sphere_counterexample_far_from_the_origin(center):
     dim = len(center)
     ps = sphere_counterexample(dim, 40, center)
     dist = cross_distance_matrix(ps.points[1:], ps.points[:1])[:, 0]
-    assert (dist == 1.0).all() and ps.min_pairwise_distance > 0.0
+    assert (dist == 1.0).all() and _min_dist(ps) > 0.0
     off = np.abs(ps.points - np.array(center) - sphere_counterexample(dim, 40).points).max()
     assert 1e-12 < off <= 7.7e-6
 
@@ -384,3 +388,16 @@ def test_unit_distance_construction_failure():
     # at floating-point distance exactly 1 from the center
     with pytest.raises(ConstructionError):
         sphere_counterexample(2, 3, center=(1e300, 0.0))
+
+
+def test_coinciding_satellites_are_refused(monkeypatch, run_cli):
+    # -e_1 is placed as +e_1, so the third satellite of a planar set coincides with the first
+    original = domains._unit_distance_point
+    monkeypatch.setattr(domains, "_unit_distance_point",
+                        lambda center, direction: original(center, np.abs(direction)))
+    message = "could not place the requested number of distinct points"
+    assert len(sphere_counterexample(2, 3).points) == 3
+    with pytest.raises(ConstructionError, match=f"^{message}$"):
+        sphere_counterexample(2, 4)
+    code, out, err = run_cli(["counterexample", "--dim", "2", "--n", "4"])
+    assert (code, out, err) == (1, "", f"error: {message}\n")

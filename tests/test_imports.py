@@ -1,8 +1,14 @@
-"""Every name a polyharm module imports is used in it or listed in its __all__."""
+"""Every name a polyharm module imports is used in it or listed in its __all__, and a CLI
+run loads no module it does not need."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import polyharm
@@ -48,3 +54,54 @@ def test_serializer_imports_nothing_from_the_package():
     tree = ast.parse((Path(polyharm.__file__).parent / "_serialize.py").read_text())
     assert [node.module for node in ast.walk(tree)
             if isinstance(node, ast.ImportFrom) and node.level > 0] == []
+
+
+def test_no_scipy_spatial_linalg_or_xml_stack_module_is_loaded(tmp_path):
+    # a fresh interpreter: this process may have imported these modules elsewhere.
+    # _linalg loads SciPy's LAPACK extension alone, without even the scipy package's __init__;
+    # the SVG is escaped without xml.sax, which brings urllib.request, http.client and ssl
+    # along, and without html; concurrent.futures is loaded only to start a verify pool
+    rng = np.random.default_rng(5)
+    np.savetxt(tmp_path / "nodes.csv", np.column_stack([rng.random((9, 2)), rng.random(9)]),
+               delimiter=",", header="x1,x2,value", comments="")
+    np.savetxt(tmp_path / "queries.csv", rng.random((4, 2)), delimiter=",", header="x1,x2",
+               comments="")
+    script = """import json
+import os
+import sys
+import polyharm.cli
+
+BANNED = ("scipy", "xml.sax", "urllib.request", "http.client", "ssl", "html",
+          "concurrent.futures")
+
+
+def loaded():
+    return sorted(m for m in sys.modules if m != "scipy.linalg._flapack"
+                  and any(m == b or m.startswith(b + ".") for b in BANNED))
+
+
+# so that --threads 2 starts a pool on any machine
+os.cpu_count = lambda: 2
+os.sched_getaffinity = lambda pid: {0, 1}
+print(json.dumps(loaded()))
+for argv in (
+        ["field", "--kernel", "tps:k=1", "--n", "5", "--seed", "1", "--grid=0,1,0,1,5,4",
+         "--out", "field.csv", "--svg", "field.svg"],
+        ["interp", "--kernel", "tps:k=1", "--augment", "poly", "--points", "nodes.csv",
+         "--eval", "queries.csv", "--pred", "pred.csv"],
+        ["verify", "--kernel", "tps:k=1", "--dim", "3", "--n", "5,9", "--trials", "3",
+         "--seed", "1", "--threads", "2", "--out", "report.json"]):
+    print(json.dumps([polyharm.cli.main(argv), loaded()]), file=sys.stderr)
+"""
+    src = str(Path(polyharm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[0]) == []
+    field, interp, verify = map(json.loads, done.stderr.splitlines())
+    assert field == interp == [0, []]
+    assert verify[0] == 0 and "concurrent.futures" in verify[1]
+    assert all(m.startswith("concurrent.futures") for m in verify[1])
+    assert all((tmp_path / name).stat().st_size > 0
+               for name in ("report.json", "field.csv", "field.svg", "pred.csv"))

@@ -258,7 +258,30 @@ def test_monte_carlo_thread_count_does_not_change_output():
     (5000, 3, 1, 0),     # one core: serial
 ])
 def test_monte_carlo_pool_is_bounded(monkeypatch, threads, trials, cores, workers):
-    # a stand-in executor records max_workers and maps serially: no OS thread is started
+    made = _record_pools(monkeypatch)
+    n_list = [3, 5] if trials > 1 else [4]
+    serial = monte_carlo(ThinPlateSpline(1), unit_box(2), Uniform(), n_list, trials, 2)
+    for mask in [None] if cores is None else [None, set(range(cores))]:
+        if mask is None:  # an OS without affinity masks: os.cpu_count() gives the cores
+            monkeypatch.delattr(unisolvence.os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(unisolvence.os, "cpu_count", lambda: cores)
+        else:  # the mask gives them, and os.cpu_count() is not read
+            monkeypatch.setattr(unisolvence.os, "sched_getaffinity", lambda pid: mask,
+                                raising=False)
+            monkeypatch.delattr(unisolvence.os, "cpu_count")
+        made.clear()
+        report = monte_carlo(ThinPlateSpline(1), unit_box(2), Uniform(), n_list, trials, 2,
+                             threads=threads)
+        assert made == ([workers] if workers else [])
+        assert json.dumps(report.to_dict(), indent=2) == json.dumps(serial.to_dict(), indent=2)
+
+
+def _record_pools(monkeypatch):
+    """The list of max_workers of each pool monte_carlo builds, through a stand-in executor.
+
+    The stand-in maps serially, so no OS thread is started.  monte_carlo imports the
+    executor from concurrent.futures only when it starts a pool.
+    """
     made = []
 
     class Recorder:
@@ -273,14 +296,18 @@ def test_monte_carlo_pool_is_bounded(monkeypatch, threads, trials, cores, worker
 
         map = staticmethod(map)
 
-    # monte_carlo imports the executor from concurrent.futures only when it starts a pool
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorder)
-    monkeypatch.setattr(unisolvence.os, "cpu_count", lambda: cores)
-    n_list = [3, 5] if trials > 1 else [4]
-    report = monte_carlo(ThinPlateSpline(1), unit_box(2), Uniform(), n_list, trials, 2,
-                         threads=threads)
-    assert made == ([workers] if workers else [])
-    serial = monte_carlo(ThinPlateSpline(1), unit_box(2), Uniform(), n_list, trials, 2)
+    return made
+
+
+def test_monte_carlo_pool_is_capped_by_the_affinity_mask(monkeypatch):
+    # four cores on the machine, one that this process may run on: no pool
+    made = _record_pools(monkeypatch)
+    monkeypatch.setattr(unisolvence.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(unisolvence.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    report = monte_carlo(ThinPlateSpline(1), unit_box(2), Uniform(), [5, 9], 4, 3, threads=4)
+    assert made == []
+    serial = monte_carlo(ThinPlateSpline(1), unit_box(2), Uniform(), [5, 9], 4, 3)
     assert json.dumps(report.to_dict(), indent=2) == json.dumps(serial.to_dict(), indent=2)
 
 
