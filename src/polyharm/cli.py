@@ -11,8 +11,8 @@ violated asserted bound, or singular verdicts in an asserted verify run).
 
 Every command prints a JSON document to stdout embedding the fully resolved
 configuration, so each artifact is self-describing and reruns from the echo
-reproduce the output byte for byte.  The RBF_SEED environment variable
-supplies the seed when --seed is absent (falling back to 0).
+reproduce the output byte for byte.  The seed comes from --seed alone
+(default 0): no command reads an environment variable.
 """
 
 from __future__ import annotations
@@ -119,18 +119,6 @@ def _write_outputs(*outputs) -> None:
         raise
 
 
-def _resolve_seed(value) -> int:
-    if value is not None:
-        return int(value)
-    env = os.environ.get("RBF_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"RBF_SEED must be an integer, got {env!r}") from None
-    return 0
-
-
 def _parse_floats(text: str, what: str) -> list[float]:
     try:  # an empty text is no numbers; any other empty field fails, as float("") does
         return [float(part) for part in text.split(",")] if text else []
@@ -214,9 +202,9 @@ def _augment_degree(text: str | None, kernel):
         raise ValueError(f"bad augmentation degree in {text!r}") from None
 
 
-def _node_source(args, dim: int | None, seed: int, stream: int, missing: str):
+def _node_source(args, dim: int | None, stream: int, missing: str):
     """(points, values, source echo) of field and scale-check: a --points file and its value
-    column (None without one), or --n uniform nodes drawn from the seed stream on --domain,
+    column (None without one), or --n uniform nodes drawn from the stream of --seed on --domain,
     which must have dimension dim unless dim is None, else on the unit box of dim, with values
     None.  ValueError(missing) when neither is complete.
     """
@@ -227,7 +215,7 @@ def _node_source(args, dim: int | None, seed: int, stream: int, missing: str):
         raise ValueError(missing)
     domain = _parse_domain(args.domain, dim)
     points = sample(domain, Uniform(), args.n, stream)
-    return points, None, {"dim": domain.dimension, "n": int(args.n), "seed": int(seed),
+    return points, None, {"dim": domain.dimension, "n": int(args.n), "seed": args.seed,
                           "domain_spec": _domain_spec(domain)}
 
 
@@ -294,8 +282,7 @@ def cmd_verify(args) -> int:
     domain = _parse_domain(args.domain, args.dim)
     density = _parse_density(args.density, domain.dimension)
     n_list = [_integral(v, "size in --n") for v in _parse_floats(args.n, "size list")]
-    seed = _resolve_seed(args.seed)
-    report = monte_carlo(kernel, domain, density, n_list, args.trials, seed,
+    report = monte_carlo(kernel, domain, density, n_list, args.trials, args.seed,
                          tau=args.tau, threads=args.threads)
     exploratory = _is_exploratory(kernel, domain.dimension)
     if exploratory:
@@ -367,12 +354,11 @@ def cmd_scale_check(args) -> int:
     if len(eps_list) < 2:
         raise ValueError("scale-check needs at least two scales in --eps")
     degree = _augment_degree(args.augment, kernel)
-    seed = _resolve_seed(args.seed)
     points, values, source = _node_source(
-        args, args.dim, seed, mix_seed(seed, 0),
+        args, args.dim, mix_seed(args.seed, 0),
         "scale-check needs --points or --n with --dim or --domain")
     if not args.points:
-        values = make_rng(mix_seed(seed, 1)).standard_normal(points.n)
+        values = make_rng(mix_seed(args.seed, 1)).standard_normal(points.n)
     elif values is None:
         raise ValueError(f"{args.points}: scale-check requires a value column")
     report = scale_invariance_check(points, values, kernel, eps_list, degree=degree)
@@ -488,9 +474,8 @@ def _field_svg(xs: np.ndarray, ys: np.ndarray, values: np.ndarray, desc: str):
 
 def cmd_field(args) -> int:
     kernel = parse_kernel(args.kernel)
-    seed = _resolve_seed(args.seed)
     # nodes are planar: a --domain of another dimension fails the check below
-    points, _, source = _node_source(args, None if args.domain else 2, seed, seed,
+    points, _, source = _node_source(args, None if args.domain else 2, args.seed,
                                      "field needs --points or --n")
     if points.dimension != 2:
         raise ValueError("field rendering requires planar (d = 2) points")
@@ -515,10 +500,6 @@ def cmd_field(args) -> int:
 
     system = BorderedSystem(assemble(points, kernel, args.eps))
     base = system.base_diagnostics
-    # the Schur route scales every value by det(base): one that reads 0.0 would zero the field
-    if not base.singular_verdict and math.exp(min(base.log_abs_det, 0.0)) == 0.0:
-        raise ValueError(f"bordered determinant below double range: log|det| of the base "
-                         f"matrix is {base.log_abs_det!r}, so its determinant reads 0.0")
     xs = np.linspace(gx0, gx1, nx)
     ys = np.linspace(gy0, gy1, ny)
     field = system.grid(xs, ys)
@@ -578,7 +559,7 @@ def build_parser() -> _Parser:
     p.add_argument("--density", default=None, help="uniform or gauss:mu=..,sd=..")
     p.add_argument("--n", required=True, help="comma-separated sizes, e.g. 5,20,50")
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tau", type=float, default=TAU)
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", default=None, help="write the JSON report here")
@@ -599,7 +580,7 @@ def build_parser() -> _Parser:
     p.add_argument("--dim", type=int, default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--domain", default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--augment", default=None, help="poly or poly:<degree>")
     p.set_defaults(func=cmd_scale_check)
 
@@ -608,7 +589,7 @@ def build_parser() -> _Parser:
     p.add_argument("--points", default=None, help="CSV of nodes (values ignored)")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--domain", default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--eps", type=float, default=1.0)
     p.add_argument("--grid", default=None, help="x0,x1,y0,y1,nx,ny")
     p.add_argument("--out", required=True, help="write the field CSV here")

@@ -184,10 +184,17 @@ class BorderedSystem:
         is one column of (x_i, y_j) pairs, the buffer and the distance
         temporaries of cross_distance_matrix, at most _CHUNK_ENTRIES
         coordinate differences (or one row's).  A far point's overflow ends
-        in determinant's ValueError without a warning.
+        in determinant's ValueError without a warning.  On a nonsingular
+        base whose determinant underflows to 0.0 every value would read
+        +-0.0, so grid raises ValueError before its first point, where a
+        pointwise determinant call still returns the +-0.0.
         """
+        diag = self.base_diagnostics
         if self.base.points.dimension != 2:
             raise ValueError("grid evaluation requires planar (d = 2) nodes")
+        if not diag.singular_verdict and self._schur_factor == 0.0:
+            raise ValueError(f"bordered determinant below double range: log|det| of the base "
+                             f"matrix is {diag.log_abs_det!r}, so its determinant reads 0.0")
         xs = np.asarray(x_coords, dtype=float).ravel()
         ys = np.asarray(y_coords, dtype=float).ravel()
         out = np.empty((xs.size, ys.size))

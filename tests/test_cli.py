@@ -296,18 +296,27 @@ def test_verify_determinism_across_threads(run_cli):
     assert runs[0] == runs[1]
 
 
-def test_verify_env_seed(run_cli, monkeypatch):
-    argv = ["verify", "--kernel", "tps:k=1", "--dim", "2", "--n", "4", "--trials", "2"]
-    monkeypatch.setenv("RBF_SEED", "123")
-    _, from_env, _ = run_cli(argv)
-    monkeypatch.delenv("RBF_SEED")
-    _, explicit, _ = run_cli(argv + ["--seed", "123"])
-    _, default, _ = run_cli(argv)
-    assert from_env == explicit
-    assert json.loads(default)["config"]["seed"] == 0
-    monkeypatch.setenv("RBF_SEED", "not-a-number")
-    code, _, err = run_cli(argv)
-    assert code == 1 and "RBF_SEED" in err
+def test_the_seed_comes_from_argv_alone(run_cli, monkeypatch, tmp_path):
+    # the seed comes from --seed alone: no RBF_SEED in the environment changes a byte
+    monkeypatch.chdir(tmp_path)
+    verify = ["verify", "--kernel", "tps:k=1", "--dim", "2", "--n", "4", "--trials", "2"]
+    commands = (verify,
+                ["scale-check", "--kernel", "tps:k=1", "--eps", "0.5,2", "--dim", "2", "--n", "10"],
+                ["field", "--kernel", "tps:k=1", "--n", "5", "--grid=0,1,0,1,4,3",
+                 "--out", "field.csv"])
+
+    def run(argv):  # exit code, stdout, stderr and the bytes of field's CSV
+        return (*run_cli(argv), Path("field.csv").read_bytes() if argv[0] == "field" else b"")
+
+    for env_seed in ("123", "not-a-number"):
+        monkeypatch.setenv("RBF_SEED", env_seed)
+        for argv in commands:
+            implicit = run(argv)
+            assert implicit[0] == 0 and implicit[2] == "", (env_seed, argv)
+            assert run(argv + ["--seed", "0"]) == implicit, (env_seed, argv)
+    default, explicit = (json.loads(run_cli(verify + seed)[1]) for seed in ([], ["--seed", "123"]))
+    assert (default["config"]["seed"], explicit["config"]["seed"]) == (0, 123)
+    assert explicit["records"] != default["records"]  # the seed draws the nodes
 
 
 def test_verify_exploratory_banner_univariate(run_cli):

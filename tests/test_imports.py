@@ -1,9 +1,11 @@
-"""Every name a polyharm module imports is used in it or listed in its __all__, and a CLI
-run loads no module it does not need."""
+"""Every name a polyharm module imports is used in it or listed in its __all__, no module
+reads the environment, a CLI run loads no module it does not need, and the test extra
+declares every package the tests import."""
 
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +16,7 @@ import pytest
 import polyharm
 
 MODULES = sorted(Path(polyharm.__file__).parent.glob("*.py"))
+TESTS = Path(__file__).resolve().parent
 
 
 def imported_names(tree):
@@ -47,6 +50,43 @@ def test_module_uses_every_name_it_imports(path):
     used = used_names(tree)
     unused = [(name, line) for name, line in imported_names(tree) if name not in used]
     assert unused == [], f"{path.name} imports names it never uses: {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_module_reads_no_environment_variable(path):
+    # README "Determinism": the BLAS thread count and the CPU SIMD level are the only settings
+    # outside argv, and polyharm reads neither itself
+    banned = {"environ", "environb", "getenv"}
+    tree = ast.parse(path.read_text(), filename=str(path))
+    os_names = {alias.asname or "os" for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names if alias.name == "os"}
+    reads = [node.lineno for node in ast.walk(tree)
+             if (isinstance(node, ast.Attribute) and node.attr in banned
+                 and isinstance(node.value, ast.Name) and node.value.id in os_names)
+             or (isinstance(node, ast.ImportFrom) and node.module == "os"
+                 and any(alias.name in banned for alias in node.names))]
+    assert reads == [], f"{path.name} reads the environment at lines {reads}"
+
+
+def test_the_test_extra_declares_every_package_the_tests_import():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((TESTS.parent / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", req).group().lower().replace("-", "_")
+                for req in project["dependencies"] + project["optional-dependencies"]["test"]}
+    local = {path.stem for path in TESTS.glob("*.py")}
+    undeclared = set()
+    for path in sorted(TESTS.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            undeclared |= {(path.name, top) for top in (name.split(".")[0] for name in names)
+                           if top not in sys.stdlib_module_names | local | declared
+                           and top != "polyharm"}
+    assert undeclared == set()
 
 
 def test_serializer_imports_nothing_from_the_package():

@@ -26,6 +26,7 @@ from polyharm import (
     incremental_growth,
     lu_sign_logabs,
     monte_carlo,
+    parse_kernel,
     sample,
     solve_augmented,
     solve_unaugmented,
@@ -197,6 +198,30 @@ def test_grid_matches_pointwise_calls():
         for i, x in enumerate(xs):
             for j, y in enumerate(ys):
                 assert field[i, j] == system.determinant(np.array([x, y]))
+
+
+@pytest.mark.parametrize("spec, seed", [("tps:k=1", 7), ("rp:nu=1.5", 3)], ids=["tps1", "rp15"])
+def test_grid_refuses_a_base_whose_determinant_underflows(run_cli, tmp_path, spec, seed):
+    # the base is nonsingular, but its Schur factor reads 0.0, which would zero every value:
+    # grid raises field's message before its first lattice point
+    system = BorderedSystem(assemble(random_points(200, 2, seed), parse_kernel(spec)))
+    assert not system.base_diagnostics.singular_verdict
+    calls = []
+    pointwise = system.determinant
+    system.determinant = lambda point, **kw: calls.append(1) or pointwise(point, **kw)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as refused:
+            system.grid(np.linspace(0.0, 1.0, 8), np.linspace(0.0, 1.0, 8))
+    del system.determinant
+    assert calls == []
+    code, _, err = run_cli(["field", "--kernel", spec, "--n", "200", "--seed", str(seed),
+                            "--grid=0,1,0,1,8,8", "--out", str(tmp_path / "field.csv")])
+    assert (code, err) == (1, f"error: {refused.value}\n")
+    assert str(refused.value) == (
+        "bordered determinant below double range: log|det| of the base matrix is "
+        f"{system.base_diagnostics.log_abs_det!r}, so its determinant reads 0.0")
+    assert system.determinant(np.array([0.5, 0.5])) == 0.0  # a pointwise call still reads +-0.0
 
 
 def test_monte_carlo_full_report():
